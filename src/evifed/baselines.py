@@ -22,8 +22,10 @@ import numpy as np
 
 from .model import PartyModel, Prediction, batched_marginals, predict, softmax
 from .train import TrainConfig, ce_loss, forward_pass, party_angle_gradients, \
-    party_parameters
-from .ttn import squash_grad, ttn_backward
+    party_gradients, party_parameters
+# Not called here: perfbench/tracer.py patches ttn_backward at this lookup
+# site too and fails if the name is missing.
+from .ttn import ttn_backward  # noqa: F401
 
 BASELINE_KINDS = ("classical_average", "classical_fuse",
                   "measure_then_average", "measure_then_vqc")
@@ -176,14 +178,9 @@ class MeasureAverageModel:
         marginals, caches = forward_pass(self.models, sample)
         pred = predict(np.mean(marginals, axis=0))
         loss = ce_loss(pred, label, check_bound=True)
-        d_avg = pred.probabilities - label
-        grads = []
-        for m, cache in zip(self.models, caches):
-            d_marg = d_avg / len(self.models)
-            d_enc, d_vqc = party_angle_gradients(m, cache["x_tilde"], d_marg)
-            d_pre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
-            core_grads, _ = ttn_backward(m.ttn, cache["x"], d_pre)
-            grads.extend(core_grads + [d_vqc])
+        d_marg = (pred.probabilities - label) / len(self.models)
+        grads = [g for m, cache in zip(self.models, caches)
+                 for g in party_gradients(m, cache, d_marg)]
         return loss, grads, pred
 
 
@@ -232,29 +229,13 @@ class MeasureVqcModel:
         # Parameter shift over the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
         d_enc_server, d_server = party_angle_gradients(
-            _ServerCircuitView(self), v, d_out)
-        d_v = 2.0 * d_enc_server
+            2.0 * v, self.server_angles, self.num_classes, d_out)
+        d_v = (2.0 * d_enc_server).reshape(len(self.models), self.num_classes)
 
-        grads = []
-        for k, (m, cache) in enumerate(zip(self.models, caches)):
-            d_marg = d_v[k * self.num_classes:(k + 1) * self.num_classes]
-            d_enc, d_vqc = party_angle_gradients(m, cache["x_tilde"], d_marg)
-            d_pre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
-            core_grads, _ = ttn_backward(m.ttn, cache["x"], d_pre)
-            grads.extend(core_grads + [d_vqc])
+        grads = [g for m, cache, d_marg in zip(self.models, caches, d_v)
+                 for g in party_gradients(m, cache, d_marg)]
         grads.append(d_server)
         return loss, grads, pred
-
-
-class _ServerCircuitView:
-    """Duck-typed PartyModel view so party_angle_gradients can serve the
-    server circuit of measure_then_vqc (marginals play the role of x_tilde)."""
-
-    def __init__(self, owner: MeasureVqcModel):
-        self.n_qubits = owner.server_qubits
-        self.blocks = 2
-        self.num_classes = owner.num_classes
-        self.vqc_angles = owner.server_angles
 
 
 def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,
@@ -279,8 +260,3 @@ def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,
     if kind == "classical_average":
         return ClassicalAverageModel(parties)
     return ClassicalFuseModel.random_init(parties, num_classes, rng)
-
-
-def baseline_forward(model, sample) -> Prediction:
-    """Uniform prediction entry point across all baseline kinds."""
-    return model.predict(sample)

@@ -2,14 +2,17 @@
 
 Experiments are described by a YAML config (schema below); every command is
 deterministic given the config and seed, so rerunning reproduces outputs
-byte for byte.  Output directory precedence: ``--out`` flag, then the
-``EVIFED_OUT_DIR`` environment variable, then the config's ``out_dir``.
+byte for byte.  A validation failure in a config field, a dataset file or a
+model dump ends a command with one ``error:`` line naming the file and the
+field or line, and exit status 1.  Output directory precedence: ``--out``
+flag, then the ``EVIFED_OUT_DIR`` environment variable, then the config's
+``out_dir``.
 
 Config schema (all keys lowercase)::
 
     dataset:
       kind: idx | csv
-      # kind: idx
+      # kind: idx (pixels are scaled to [0, 1] once, by data.load_idx_images)
       train_images: path     # IDX image file
       train_labels: path
       test_images: path
@@ -151,7 +154,8 @@ def _idx_to_dataset(images: np.ndarray, labels: np.ndarray,
     images, labels = images[keep], labels[keep]
     remap = {c: i for i, c in enumerate(classes)}
     mapped = np.array([remap[int(v)] for v in labels], dtype=np.int64)
-    blocks = data.quadrant_partition(images.astype(np.float64) / 255.0)
+    # load_idx_images already maps pixels to [0, 1].
+    blocks = data.quadrant_partition(images)
     return data.VerticalDataset(blocks, data.one_hot(mapped, len(classes)), tag)
 
 
@@ -247,36 +251,50 @@ def save_party_models(path, models: list[PartyModel]) -> None:
 
 
 def load_party_models(path) -> list[PartyModel]:
+    """Inverse of save_party_models; a malformed dump raises ValueError
+    naming the file and the 1-based line at fault."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model dump (missing {MODEL_MAGIC!r} header)")
-    head = lines[1].split()
-    num_parties, num_classes, blocks = int(head[1]), int(head[3]), int(head[5])
-    pos = 2
-    models = []
+    pos = 1  # line number of the line last read
+
+    def next_fields() -> list[str]:
+        nonlocal pos
+        pos += 1
+        return lines[pos - 1].split()
 
     def read_array(expect_name: str) -> np.ndarray:
-        nonlocal pos
-        fields = lines[pos].split()
-        if fields[0] != "array" or fields[1] != expect_name or fields[2] != "shape":
-            raise ValueError(f"{path}:{pos + 1}: expected array {expect_name}")
+        fields = next_fields()
+        if fields[:3] != ["array", expect_name, "shape"]:
+            raise ValueError(f"expected array {expect_name}")
         shape = tuple(int(v) for v in fields[3:])
-        values = np.array([float(v) for v in lines[pos + 1].split()])
-        pos += 2
+        values = np.array([float(v) for v in next_fields()])
+        if values.size != math.prod(shape):
+            raise ValueError(f"{values.size} values do not fill shape {shape}")
         return values.reshape(shape)
 
-    for k in range(num_parties):
-        fields = lines[pos].split()
-        split_at = fields.index("output_dims")
-        input_dims = [int(v) for v in fields[3:split_at]]
-        output_dims = [int(v) for v in fields[split_at + 1:]]
-        pos += 1
-        cores = [read_array(f"party{k}.core{l}") for l in range(len(input_dims))]
-        vqc = read_array(f"party{k}.vqc")
-        ranks = [c.shape[0] for c in cores] + [1]
-        ttn = TTLayerParams(input_dims, output_dims, ranks, cores)
-        models.append(PartyModel(ttn, vqc, ttn.out_size, num_classes, blocks))
+    models = []
+    try:
+        head = next_fields()
+        num_parties, num_classes, blocks = int(head[1]), int(head[3]), int(head[5])
+        if num_parties < 1:
+            raise ValueError("a dump holds at least one party")
+        for k in range(num_parties):
+            fields = next_fields()
+            split_at = fields.index("output_dims")
+            input_dims = [int(v) for v in fields[3:split_at]]
+            output_dims = [int(v) for v in fields[split_at + 1:]]
+            cores = [read_array(f"party{k}.core{l}") for l in range(len(input_dims))]
+            vqc = read_array(f"party{k}.vqc")
+            ranks = [c.shape[0] for c in cores] + [1]
+            ttn = TTLayerParams(input_dims, output_dims, ranks, cores)
+            models.append(PartyModel(ttn, vqc, ttn.out_size, num_classes, blocks))
+    except IndexError:
+        what = "file ends early" if pos > len(lines) else "missing field"
+        raise ValueError(f"{path}:{pos}: {what}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{pos}: {exc}") from None
     return models
 
 
@@ -404,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=None,
                          help="override the config's training seed")
     p_train.add_argument("--out", default=None, help="output directory")
-    p_train.add_argument("--threads", type=int, default=1,
-                         help="reserved; kernels are single-threaded")
     p_train.set_defaults(func=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the property suites")

@@ -227,15 +227,3 @@ def batch_indices(num_samples: int, batch_size: int, seed: int, epoch: int):
     perm = rng.permutation(num_samples)
     for start in range(0, num_samples, batch_size):
         yield perm[start:start + batch_size]
-
-
-def split_and_batch(dataset: VerticalDataset, test_fraction: float,
-                    batch_size: int, seed: int):
-    """Split, then return (per-epoch batch iterator factory, test set)."""
-    train_set, test_set = train_test_split(dataset, test_fraction, seed)
-
-    def epoch_batches(epoch: int):
-        for idx in batch_indices(train_set.num_samples, batch_size, seed, epoch):
-            yield train_set.subset(idx)
-
-    return train_set, epoch_batches, test_set

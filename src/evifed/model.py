@@ -1,12 +1,15 @@
 """Party pipeline and server-side evidential fusion.
 
 A party maps its raw feature block through the TT layer, squashes the result
-into (0, pi/2), angle-encodes it with Ry rotations, and runs a block-repeated
-variational circuit (per-qubit Rx/Ry/Rz, then a CNOT ring).  The server fuses
-party outputs either through the explicit multi-controlled-X joint circuit
-(reference semantics) or through the factorized product of per-party
-marginals; commonality multiplicativity makes the two exactly equal, and the
-test suite holds them to that.
+into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
+runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
+ring): gate by gate on one state in ``party_forward``, or in
+``batched_marginals`` for many angle settings at once, each qubit's rotations
+per block fused into one unitary.  Amplitudes change only inside ``qsim``.
+The server fuses party outputs either through the explicit multi-controlled-X
+joint circuit (reference semantics) or through the factorized product of
+per-party marginals; commonality multiplicativity makes the two exactly
+equal, and the test suite holds them to that.
 """
 from __future__ import annotations
 
@@ -100,16 +103,23 @@ def party_circuit_gates(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> list[
     return gates
 
 
+def party_features(model: PartyModel, x: np.ndarray) -> dict:
+    """TT layer then squash; the cache feeds the backward pass.
+
+    ``x_tilde`` lies in (0, pi/2); the circuit encodes it as Ry(2 x_tilde).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pre_activation = ttn_forward(model.ttn, x)
+    return {"x": x, "pre_activation": pre_activation,
+            "x_tilde": squash(pre_activation)}
+
+
 def party_forward(model: PartyModel, x: np.ndarray) -> tuple[Statevector, dict]:
     """Run one party's full pipeline; the cache feeds the backward pass."""
-    pre_activation = ttn_forward(model.ttn, x)
-    x_tilde = squash(pre_activation)
+    cache = party_features(model, x)
     state = qsim.new_zero_state(model.n_qubits)
-    for gate in party_circuit_gates(2.0 * x_tilde, model.vqc_angles):
+    for gate in party_circuit_gates(2.0 * cache["x_tilde"], model.vqc_angles):
         qsim.apply_gate(state, gate)
-    cache = {"x": np.asarray(x, dtype=np.float64),
-             "pre_activation": pre_activation,
-             "x_tilde": x_tilde}
     return state, cache
 
 
@@ -182,35 +192,26 @@ def loss_lower_bound(num_classes: int) -> float:
 # ---------------------------------------------------------------------------
 # Batched circuit evaluation.  Training evaluates the same party circuit at
 # dozens of shifted angle settings per sample; running them as rows of one
-# (batch, 2^n) array amortizes the per-gate overhead.  Equality with the
-# qsim path is pinned by tests.
+# (batch, 2^n) array amortizes the per-gate overhead, and fusing each qubit's
+# rotations within a block (gates on different qubits commute) cuts the
+# sweeps over the array.  Equality with the gate-by-gate path is pinned by
+# tests.
 
-def _batched_rotation(amps: np.ndarray, n: int, qubit: int, axis: str,
-                      angles: np.ndarray) -> None:
-    b = amps.shape[0]
-    a = amps.reshape(b, 1 << qubit, 2, -1)
-    half = angles.reshape(b, 1, 1) / 2.0
-    lo, hi = a[:, :, 0, :], a[:, :, 1, :]
-    if axis == "x":
-        c, s = np.cos(half), 1j * np.sin(half)
-        new_lo = c * lo - s * hi
-        a[:, :, 1, :] = -s * lo + c * hi
-    elif axis == "y":
-        c, s = np.cos(half), np.sin(half)
-        new_lo = c * lo - s * hi
-        a[:, :, 1, :] = s * lo + c * hi
-    else:
-        phase = np.exp(-1j * half)
-        new_lo = phase * lo
-        a[:, :, 1, :] = np.conj(phase) * hi
-    a[:, :, 0, :] = new_lo
-
-
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    cbit = 1 << (n - 1 - control)
-    tbit = 1 << (n - 1 - target)
-    return np.where(idx & cbit, idx ^ tbit, idx)
+def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
+    """Each block's RZ RY RX per qubit and row as one unitary, block 0 times
+    the Ry encoding: shape (blocks, n, B, 2, 2).  Products of rotations have
+    the form [[u, -conj(v)], [v, conj(u)]], so only (u, v) is computed;
+    np.matmul would pay a BLAS call per 2x2 matrix."""
+    half = np.moveaxis(np.asarray(vqc_angles, dtype=np.float64), 0, 2) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
+    # u by e^{-iz/2} and v by e^{iz/2}.
+    phase = c[..., 2] - 1j * s[..., 2]
+    u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
+    v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
+    ce, se = np.cos(enc_angles.T / 2.0), np.sin(enc_angles.T / 2.0)
+    u[0], v[0] = u[0] * ce - np.conj(v[0]) * se, v[0] * ce + np.conj(u[0]) * se
+    return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
 
 
 def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
@@ -222,22 +223,10 @@ def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
     Returns (B, num_classes).
     """
     enc_angles = np.asarray(enc_angles, dtype=np.float64)
-    vqc_angles = np.asarray(vqc_angles, dtype=np.float64)
     b, n = enc_angles.shape
-    blocks = vqc_angles.shape[1]
-    amps = np.zeros((b, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for q in range(n):
-        _batched_rotation(amps, n, q, "y", enc_angles[:, q])
-    for t in range(blocks):
+    amps = qsim.new_zero_rows(b, n)
+    for block in _fused_rotations(enc_angles, vqc_angles):
         for q in range(n):
-            _batched_rotation(amps, n, q, "x", vqc_angles[:, t, q, 0])
-            _batched_rotation(amps, n, q, "y", vqc_angles[:, t, q, 1])
-            _batched_rotation(amps, n, q, "z", vqc_angles[:, t, q, 2])
-        for q in range(n):
-            amps = amps[:, _cnot_permutation(n, q, (q + 1) % n)]
-    probs = np.abs(amps) ** 2
-    out = np.empty((b, num_classes))
-    for c in range(num_classes):
-        out[:, c] = probs.reshape(b, 1 << c, 2, -1)[:, :, 1, :].sum(axis=(1, 2))
-    return out
+            qsim.apply_unitary_rows(amps, q, block[q])
+        amps = qsim.apply_cnot_ring(amps)
+    return qsim.prob_one_rows(amps, range(num_classes))

@@ -1,9 +1,11 @@
-"""Dense statevector simulator.
+"""Dense statevector simulator: the only module that updates amplitudes.
 
 Convention used everywhere in this package: qubit 0 is the *most significant*
 bit of a basis-state label, so the basis label ``x1 x2 ... xn`` reads
-left-to-right as qubit 0 ... n-1.  Gates act by stride iteration over the
-amplitude array; no 2^n x 2^n matrices are ever materialized.
+left-to-right as qubit 0 ... n-1.  One in-place kernel, ``apply_unitary_rows``,
+applies a single-qubit unitary to a (B, 2^n) array of amplitude rows, one 2x2
+for all rows or one per row; a ``Statevector`` is the case B = 1.  X-type
+gates are basis gathers.  No 2^n x 2^n matrices are ever materialized.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        # Contiguous, so the kernel's reshapes are views it can write through.
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, "
@@ -89,9 +92,14 @@ def new_zero_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
     """All-qubits-|0> state on ``n`` qubits."""
     if not 1 <= n <= max_qubits:
         raise CapacityError(f"qubit count {n} outside supported range [1, {max_qubits}]")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(n, amps)
+    return Statevector(n, new_zero_rows(1, n)[0])
+
+
+def new_zero_rows(b: int, n: int) -> np.ndarray:
+    """``b`` amplitude rows, each the all-qubits-|0> state on ``n`` qubits."""
+    amps = np.zeros((b, 1 << n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    return amps
 
 
 def _single_qubit_unitary(kind: str, angle: float | None) -> np.ndarray:
@@ -114,14 +122,18 @@ def _single_qubit_unitary(kind: str, angle: float | None) -> np.ndarray:
     raise ValueError(f"no single-qubit unitary for {kind!r}")
 
 
-def _apply_single(amps: np.ndarray, n: int, qubit: int, u: np.ndarray) -> None:
-    # Qubit 0 is the slowest-varying axis, so the block layout for qubit q
-    # is (2^q, 2, 2^(n-q-1)).
-    a = amps.reshape(1 << qubit, 2, -1)
-    lo, hi = a[:, 0, :], a[:, 1, :]
-    new_lo = u[0, 0] * lo + u[0, 1] * hi
-    a[:, 1, :] = u[1, 0] * lo + u[1, 1] * hi
-    a[:, 0, :] = new_lo
+def apply_unitary_rows(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
+    """Apply ``u`` to ``qubit`` of every row of C-contiguous (B, 2^n) ``amps``
+    in place; ``u`` is one (2, 2) unitary or a (B, 2, 2) stack, one per row."""
+    # Qubit 0 is the slowest-varying axis: the layout is (B, 2^q, 2, rest).
+    a = amps.reshape(amps.shape[0], 1 << qubit, 2, -1)
+    if u.ndim == 3:  # one unitary per row, broadcast over that row
+        u = u.reshape(-1, 1, 1, 2, 2)
+    lo, hi = a[:, :, 0], a[:, :, 1]
+    new_lo = u[..., 0, 0] * lo + u[..., 0, 1] * hi
+    hi *= u[..., 1, 1]
+    hi += u[..., 1, 0] * lo
+    lo[...] = new_lo
 
 
 def _bit(n: int, qubit: int) -> int:
@@ -149,6 +161,18 @@ def apply_mcx(state: Statevector, controls, target: int) -> Statevector:
     return state
 
 
+def apply_cnot_ring(amps: np.ndarray) -> np.ndarray:
+    """CNOT(q, q+1 mod n) for q = 0 .. n-1 on every row of (B, 2^n) ``amps``,
+    composed into one gather; returns the new rows."""
+    n = amps.shape[1].bit_length() - 1
+    idx = perm = np.arange(1 << n)
+    for q in range(n):
+        cbit, tbit = _bit(n, q), _bit(n, (q + 1) % n)
+        # Gathers compose right to left: after a then b, row[i] = old[a[b[i]]].
+        perm = perm[np.where(idx & cbit, idx ^ tbit, idx)]
+    return amps[:, perm]
+
+
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply ``gate`` in place and return the (mutated) state."""
     _check_indices(state.num_qubits, gate.targets + gate.controls)
@@ -157,8 +181,9 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     if gate.kind == "CNOT":
         return apply_mcx(state, gate.controls, gate.targets[0])
     u = _single_qubit_unitary(gate.kind, gate.angle)
+    rows = state.amplitudes.reshape(1, -1)
     for t in gate.targets:
-        _apply_single(state.amplitudes, state.num_qubits, t, u)
+        apply_unitary_rows(rows, t, u)
     return state
 
 
@@ -173,8 +198,15 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 def prob_one(state: Statevector, qubit: int) -> float:
     """Probability that ``qubit`` measures to 1 (projective expectation)."""
     _check_indices(state.num_qubits, [qubit])
-    a = state.amplitudes.reshape(1 << qubit, 2, -1)
-    return float(np.sum(np.abs(a[:, 1, :]) ** 2))
+    return float(prob_one_rows(state.amplitudes.reshape(1, -1), [qubit])[0, 0])
+
+
+def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
+    """P(qubit = 1) per row of (B, 2^n) ``amps``, per listed qubit: (B, len)."""
+    b = amps.shape[0]
+    return np.stack([np.sum(np.abs(amps.reshape(b, 1 << q, 2, -1)[:, :, 1]) ** 2,
+                            axis=(1, 2))
+                     for q in qubits], axis=-1)
 
 
 def marginal_probabilities(state: Statevector, qubits) -> np.ndarray:

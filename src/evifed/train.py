@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
+from . import qsim
 from .data import VerticalDataset, batch_indices
-from .model import PartyModel, Prediction, batched_marginals, loss_lower_bound, softmax
+from .model import PartyModel, Prediction, batched_marginals, loss_lower_bound
+# perfbench/tracer.py patches batched_marginals and ttn_backward at these
+# by-name imports; ttn_forward is reached only through model.party_features.
 from .ttn import squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
@@ -123,29 +126,14 @@ def param_shift_grad(evaluate, theta: float) -> float:
 
 # --- eviQVFL forward/backward ---------------------------------------------
 
-def _party_features(models: list[PartyModel], sample: list[np.ndarray]):
-    """TT + squash for every party; returns per-party caches."""
-    caches = []
-    for m, x in zip(models, sample):
-        from .ttn import squash, ttn_forward
-        pre = ttn_forward(m.ttn, np.asarray(x, dtype=np.float64))
-        caches.append({"x": np.asarray(x, dtype=np.float64),
-                       "pre_activation": pre, "x_tilde": squash(pre)})
-    return caches
-
-
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
                  ) -> tuple[np.ndarray, list[dict]]:
     """All party marginals, stacked (K, C); caches feed the backward pass."""
-    caches = _party_features(models, sample)
-    num_classes = models[0].num_classes
-    marginals = np.empty((len(models), num_classes))
-    for k, (m, cache) in enumerate(zip(models, caches)):
-        enc = 2.0 * cache["x_tilde"]
-        marginals[k] = batched_marginals(enc[None, :],
-                                         m.vqc_angles[None, ...],
-                                         num_classes)[0]
-        cache["marginals"] = marginals[k]
+    caches = [model_mod.party_features(m, x) for m, x in zip(models, sample)]
+    marginals = np.array([
+        batched_marginals(2.0 * c["x_tilde"][None], m.vqc_angles[None],
+                          m.num_classes)[0]
+        for m, c in zip(models, caches)])
     return marginals, caches
 
 
@@ -164,23 +152,36 @@ def _shift_batch(base: np.ndarray) -> np.ndarray:
     return batch
 
 
-def party_angle_gradients(m: PartyModel, x_tilde: np.ndarray,
-                          dL_dmarg: np.ndarray
+def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
+                          num_classes: int, dL_dmarg: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter-shift gradients of the loss wrt one party's circuit angles.
+    """Parameter-shift gradients of the loss wrt the angles of one circuit:
+    Ry(enc_angles), then the (blocks, n, 3) VQC blocks, read out as the first
+    ``num_classes`` qubit marginals (a party or the measure_then_vqc server).
 
-    Returns (d/d encoding angle, d/d vqc angle); ``dL_dmarg`` is the loss
-    gradient wrt this party's class marginals with every other party frozen.
+    Returns (d/d encoding angle, d/d vqc angle) given ``dL_dmarg``, the loss
+    gradient wrt those marginals with everything else frozen.
     """
-    n = m.n_qubits
-    base = np.concatenate([2.0 * x_tilde, m.vqc_angles.reshape(-1)])
-    batch = _shift_batch(base)
-    enc_batch = batch[:, :n]
-    vqc_batch = batch[:, n:].reshape(-1, m.blocks, n, 3)
-    marg = batched_marginals(enc_batch, vqc_batch, m.num_classes)
+    n = len(enc_angles)
+    batch = _shift_batch(np.concatenate([enc_angles, vqc_angles.reshape(-1)]))
+    marg = batched_marginals(batch[:, :n],
+                             batch[:, n:].reshape((-1,) + vqc_angles.shape),
+                             num_classes)
     dmarg_dangle = (marg[0::2] - marg[1::2]) / 2.0  # (A, C)
     dL_dangle = dmarg_dangle @ dL_dmarg
-    return dL_dangle[:n], dL_dangle[n:].reshape(m.blocks, n, 3)
+    return dL_dangle[:n], dL_dangle[n:].reshape(vqc_angles.shape)
+
+
+def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
+                    ) -> list[np.ndarray]:
+    """One party's gradients (TT cores, then VQC angles) from dL/d marginals,
+    chained through encoding angle = 2 x_tilde, the squash and the TT layer;
+    ``cache`` is the party's ``model.party_features`` output."""
+    d_enc, d_vqc = party_angle_gradients(2.0 * cache["x_tilde"], m.vqc_angles,
+                                         m.num_classes, dL_dmarg)
+    dL_dpre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
+    core_grads, _ = ttn_backward(m.ttn, cache["x"], dL_dpre)
+    return core_grads + [d_vqc]
 
 
 def party_parameters(m: PartyModel) -> list[np.ndarray]:
@@ -199,16 +200,11 @@ def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
     pred = model_mod.predict(plaus)
     loss = ce_loss(pred, label, check_bound=True)
     dL_dpl = pred.probabilities - np.asarray(label, dtype=np.float64)
-    grads = []
-    for k, (m, cache) in enumerate(zip(models, caches)):
-        others = np.prod(np.delete(marginals, k, axis=0), axis=0) \
-            if len(models) > 1 else np.ones_like(plaus)
-        dL_dmarg = others * dL_dpl
-        d_enc, d_vqc = party_angle_gradients(m, cache["x_tilde"], dL_dmarg)
-        dL_dxtilde = 2.0 * d_enc
-        dL_dpre = dL_dxtilde * squash_grad(cache["pre_activation"])
-        core_grads, _ = ttn_backward(m.ttn, cache["x"], dL_dpre)
-        grads.append(core_grads + [d_vqc])
+    # The product over no other parties is all ones.
+    grads = [party_gradients(m, cache,
+                             np.prod(np.delete(marginals, k, axis=0), axis=0)
+                             * dL_dpl)
+             for k, (m, cache) in enumerate(zip(models, caches))]
     return loss, grads, pred
 
 
@@ -368,9 +364,6 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
     block-structured circuit on the full sum-of-parties register; its gradient
     signal is expected to be markedly weaker.
     """
-    from . import qsim
-    from .model import party_forward, predict, vqc_block_gates
-
     d = int(np.prod(party_input_dims))
     evi_grads = []
     mono_grads = []
@@ -409,15 +402,16 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         def mono_loss(theta: float) -> float:
             old = models[0].vqc_angles[0, 0, 0]
             models[0].vqc_angles[0, 0, 0] = theta
-            states = [party_forward(m, x)[0] for m, x in zip(models, sample)]
+            states = [model_mod.party_forward(m, x)[0]
+                      for m, x in zip(models, sample)]
             models[0].vqc_angles[0, 0, 0] = old
             st = states[0]
             for other in states[1:]:
                 st = qsim.tensor_product(st, other)
-            for gate in vqc_block_gates(fusion_angles):
+            for gate in model_mod.vqc_block_gates(fusion_angles):
                 qsim.apply_gate(st, gate)
             plaus = np.array([qsim.prob_one(st, c) for c in range(num_classes)])
-            return ce_loss(predict(plaus), label, check_bound=True)
+            return ce_loss(model_mod.predict(plaus), label, check_bound=True)
 
         mono_grads.append(param_shift_grad(mono_loss, models[0].vqc_angles[0, 0, 0]))
 

@@ -87,7 +87,7 @@ def test_each_kind_predicts_a_distribution(kind):
     model = build_baseline(kind, [4, 4], 2, rng,
                            quantum_models=models, party_budget=40)
     sample = random_sample(rng, models)
-    pred = baselines.baseline_forward(model, sample)
+    pred = model.predict(sample)
     assert pred.probabilities.shape == (2,)
     assert abs(pred.probabilities.sum() - 1.0) < 1e-12
     assert np.all(pred.probabilities > 0)

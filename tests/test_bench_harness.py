@@ -1,0 +1,50 @@
+"""Smoke test of the benchmark's tracer against the program's lookup sites.
+
+``perfbench/tracer.py`` wraps evifed's functions at every module attribute
+through which the program calls them.  If a refactor moves a call behind a
+site the tracer does not patch, the traced benchmark run records no calls
+for that layer; this test catches it on small models.
+"""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import evifed
+from evifed import train
+from evifed.model import PartyModel
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_every_traced_layer():
+    # Each call runs in its own tracer phase, as on the benchmark's training
+    # and joint workloads, so one path cannot cover for the other.
+    rng = np.random.default_rng(0)
+    models = [PartyModel.random_init([2, 3], [2, 1], 2, 1, 2, rng)
+              for _ in range(2)]
+    sample = [rng.uniform(0, 1, size=6) for _ in models]
+    tracer = load_tracer_module().Tracer(evifed)
+    tracer.install()
+    try:
+        tracer.phase = "gradient"
+        train.full_gradient(models, sample, np.array([1.0, 0.0]))
+        tracer.phase = "joint"
+        train.EvidentialTrainable(models, eval_mode="joint").predict(sample)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    expected = {"gradient": ("ttn.forward", "ttn.backward",
+                             "model.batched_marginals"),
+                "joint": ("ttn.forward", "qsim.apply_gate", "qsim.apply_mcx")}
+    for phase, names in expected.items():
+        for name in names:
+            calls = totals.get((phase, name), {"calls": 0})["calls"]
+            assert calls > 0, f"{name} recorded no calls in {phase}"

@@ -162,6 +162,86 @@ def test_model_dump_rejects_foreign_file(tmp_path):
         load_party_models(path)
 
 
+def _dump_lines(tmp_path):
+    rng = np.random.default_rng(4)
+    models = [PartyModel.random_init([2, 3], [2, 1], 2, 1, 2, rng)
+              for _ in range(2)]
+    path = tmp_path / "model.txt"
+    save_party_models(path, models)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("keep", ["header", "first_party", "all_but_last"])
+def test_model_dump_rejects_truncated_file(tmp_path, keep):
+    path, lines = _dump_lines(tmp_path)
+    cut = {"header": 1, "first_party": 5, "all_but_last": len(lines) - 1}[keep]
+    path.write_text("\n".join(lines[:cut]) + "\n")
+    with pytest.raises(ValueError, match=rf"model\.txt:{cut + 1}: file ends early"):
+        load_party_models(path)
+
+
+def test_model_dump_rejects_value_count_shape_mismatch(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    assert lines[3].startswith("array party0.core0 shape")
+    lines[4] = lines[4] + " 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.txt:5: 9 values do not fill"):
+        load_party_models(path)
+
+
+def test_model_dump_rejects_non_integer_shape(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    lines[3] = lines[3].replace("shape 1 2", "shape 1.5 2")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.txt:4: invalid literal"):
+        load_party_models(path)
+
+
+def test_inspect_reports_a_truncated_dump(tmp_path, capsys):
+    csv = make_csv(tmp_path / "d.csv")
+    config = csv_config(tmp_path, csv)
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("\n".join(lines[:5]) + "\n")
+    assert run_cli("inspect", "--config", config, "--model", str(path),
+                   "--sample", "0") == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:6: ")
+
+
+# --- dataset construction --------------------------------------------------
+
+def test_idx_party_blocks_span_unit_interval(tmp_path):
+    # Every quadrant holds a black and a white pixel, so each party block
+    # must reach exactly 0 and 1 after the single [0, 1] scaling.
+    rng = np.random.default_rng(5)
+    images = rng.uniform(0.2, 0.8, size=(6, 28, 28))
+    for r in (0, 14):
+        for c in (0, 14):
+            images[:, r, c] = 0.0
+            images[:, r + 13, c + 13] = 1.0
+    labels = np.array([3, 6, 3, 6, 1, 3])
+    files = {}
+    for split in ("train", "test"):
+        files[split] = (tmp_path / f"{split}-img.idx", tmp_path / f"{split}-lab.idx")
+        data.write_idx_images(*files[split], images, labels)
+    config = write_yaml(tmp_path / "idx.yaml", f"""
+dataset:
+  kind: idx
+  train_images: {files["train"][0]}
+  train_labels: {files["train"][1]}
+  test_images: {files["test"][0]}
+  test_labels: {files["test"][1]}
+  classes: [3, 6]
+parties:
+  input_dims: [2, 7, 7, 2]
+  output_dims: [2, 2]
+  num_classes: 2
+""")
+    for split in cli.build_datasets(load_config(config), seed=0):
+        assert split.num_samples == 5
+        for block in split.party_blocks:
+            assert block.min() == 0.0 and block.max() == 1.0
+
+
 # --- train command ---------------------------------------------------------
 
 def run_cli(*argv):

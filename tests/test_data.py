@@ -234,13 +234,6 @@ def test_epochs_reshuffle():
     assert not np.array_equal(e0, e1)
 
 
-def test_split_and_batch_epoch_is_train_permutation():
-    ds = make_dataset(25)
-    train, epoch_batches, test = data.split_and_batch(ds, 0.2, 8, seed=3)
-    seen = sum(b.num_samples for b in epoch_batches(0))
-    assert seen == train.num_samples == 20
-
-
 def test_dataset_validates_row_counts():
     with pytest.raises(ValueError):
         VerticalDataset([np.zeros((3, 2)), np.zeros((4, 2))],

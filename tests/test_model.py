@@ -214,9 +214,12 @@ def test_loss_lower_bound_four_classes():
 
 # --- batched evaluator -----------------------------------------------------
 
-def test_batched_marginals_match_per_sample_circuits():
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
+    # At n = 2 the ring 0->1->0 composes two CNOTs on the same pair.
     rng = np.random.default_rng(12)
-    n, blocks, batch = 3, 2, 7
     enc = rng.uniform(0, np.pi, size=(batch, n))
     vqc = rng.uniform(-np.pi, np.pi, size=(batch, blocks, n, 3))
     got = model.batched_marginals(enc, vqc, 2)
