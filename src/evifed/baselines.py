@@ -1,4 +1,4 @@
-"""Comparison baselines sharing the training loop's trainable interface.
+"""Comparison baselines under train.EvidentialTrainable's trainable interface.
 
 Four kinds:
   classical_average  -- per-party single-hidden-layer MLP, server averages.
@@ -10,9 +10,11 @@ Four kinds:
                         K*C qubits and processed by a two-block variational
                         circuit; first C qubits read out.
 
-Classical party widths are budget-matched: the largest hidden width whose
-per-party parameter count stays within the quantum party's count (minimum
-width 1 when even that overshoots; realized counts are reported, not hidden).
+Each fusing kind subclasses its averaging kind and replaces only the server
+(``_server`` and ``_server_backward``); server parameters count toward no
+party.  Classical party widths are budget-matched: the largest hidden width
+whose per-party parameter count stays within the quantum party's count
+(minimum width 1 when even that overshoots; realized counts are reported).
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PartyModel, Prediction, batched_marginals, predict, softmax
-from .train import TrainConfig, ce_loss, forward_pass, party_angle_gradients, \
-    party_gradients, party_parameters
+from .train import EvidentialTrainable, TrainConfig, ce_loss, forward_pass, \
+    party_angle_gradients, party_gradients
 # Not called here: perfbench/tracer.py patches ttn_backward at this lookup
 # site too and fails if the name is missing.
 from .ttn import ttn_backward  # noqa: F401
@@ -78,9 +80,6 @@ class MLPParty:
 class ClassicalAverageModel:
     """Server = arithmetic mean of party logits, then softmax."""
 
-    quantum_output = False
-    kind = "classical_average"
-
     def __init__(self, parties: list[MLPParty]):
         self.parties = parties
 
@@ -90,35 +89,39 @@ class ClassicalAverageModel:
     def party_param_counts(self):
         return [p.param_count() for p in self.parties]
 
+    def _server(self, party_logits):
+        return np.mean(party_logits, axis=0)
+
+    def _server_backward(self, party_logits, d_logits):
+        """dL/d party logits, one row per party, and the server's gradients."""
+        return [d_logits / len(self.parties)] * len(self.parties), []
+
     def _logits(self, sample):
-        outs = [p.forward(x) for p, x in zip(self.parties, sample)]
-        logits = np.mean([o[0] for o in outs], axis=0)
-        return logits, [o[1] for o in outs]
+        outs = [p.forward(x) for p, x in zip(self.parties, sample, strict=True)]
+        party_logits = np.array([o[0] for o in outs])
+        return self._server(party_logits), party_logits, [o[1] for o in outs]
 
     def predict(self, sample) -> Prediction:
-        logits, _ = self._logits(sample)
+        logits = self._logits(sample)[0]
         return Prediction(logits, softmax(logits))
 
     def loss_and_gradients(self, sample, label, config: TrainConfig):
-        logits, caches = self._logits(sample)
+        logits, party_logits, caches = self._logits(sample)
         pred = Prediction(logits, softmax(logits))
         loss = ce_loss(pred, label)
-        d_logits = (pred.probabilities - label) / len(self.parties)
-        grads = []
-        for party, cache in zip(self.parties, caches):
-            grads.extend(party.backward(cache, d_logits))
-        return loss, grads, pred
+        d_party, server_grads = self._server_backward(
+            party_logits, pred.probabilities - label)
+        grads = [g for party, cache, d in zip(self.parties, caches, d_party)
+                 for g in party.backward(cache, d)]
+        return loss, grads + server_grads, pred
 
 
-class ClassicalFuseModel:
+class ClassicalFuseModel(ClassicalAverageModel):
     """Server = single linear layer over the concatenated party logits."""
-
-    quantum_output = False
-    kind = "classical_fuse"
 
     def __init__(self, parties: list[MLPParty], server_w: np.ndarray,
                  server_b: np.ndarray):
-        self.parties = parties
+        super().__init__(parties)
         self.server_w = server_w  # (C, K*C)
         self.server_b = server_b
 
@@ -130,72 +133,49 @@ class ClassicalFuseModel:
                    np.zeros(num_classes))
 
     def parameters(self):
-        out = [p for party in self.parties for p in party.parameters()]
-        out.extend([self.server_w, self.server_b])
-        return out
+        return super().parameters() + [self.server_w, self.server_b]
 
-    def _logits(self, sample):
-        outs = [p.forward(x) for p, x in zip(self.parties, sample)]
-        concat = np.concatenate([o[0] for o in outs])
-        return self.server_w @ concat + self.server_b, concat, [o[1] for o in outs]
+    def _server(self, party_logits):
+        return self.server_w @ party_logits.reshape(-1) + self.server_b
 
-    def predict(self, sample) -> Prediction:
-        logits, _, _ = self._logits(sample)
-        return Prediction(logits, softmax(logits))
-
-    def loss_and_gradients(self, sample, label, config: TrainConfig):
-        logits, concat, caches = self._logits(sample)
-        pred = Prediction(logits, softmax(logits))
-        loss = ce_loss(pred, label)
-        d_logits = pred.probabilities - label
-        d_concat = self.server_w.T @ d_logits
-        num_classes = len(label)
-        grads = []
-        for k, (party, cache) in enumerate(zip(self.parties, caches)):
-            grads.extend(party.backward(
-                cache, d_concat[k * num_classes:(k + 1) * num_classes]))
-        grads.extend([np.outer(d_logits, concat), d_logits])
-        return loss, grads, pred
+    def _server_backward(self, party_logits, d_logits):
+        d_party = (self.server_w.T @ d_logits).reshape(party_logits.shape)
+        return d_party, [np.outer(d_logits, party_logits.reshape(-1)), d_logits]
 
 
-class MeasureAverageModel:
+class MeasureAverageModel(EvidentialTrainable):
     """Quantum parties, classically measured; server averages the marginals."""
 
-    quantum_output = True
-    kind = "measure_then_average"
+    def _server(self, marginals):
+        return np.mean(marginals, axis=0)
 
-    def __init__(self, models: list[PartyModel]):
-        self.models = models
-
-    def parameters(self):
-        return [p for m in self.models for p in party_parameters(m)]
+    def _server_backward(self, marginals, d_out):
+        """dL/d party marginals, one row per party, and the server's gradients."""
+        return [d_out / len(self.models)] * len(self.models), []
 
     def predict(self, sample) -> Prediction:
         marginals, _ = forward_pass(self.models, sample)
-        return predict(np.mean(marginals, axis=0))
+        return predict(self._server(marginals))
 
     def loss_and_gradients(self, sample, label, config: TrainConfig):
         marginals, caches = forward_pass(self.models, sample)
-        pred = predict(np.mean(marginals, axis=0))
+        pred = predict(self._server(marginals))
         loss = ce_loss(pred, label, check_bound=True)
-        d_marg = (pred.probabilities - label) / len(self.models)
-        grads = [g for m, cache in zip(self.models, caches)
-                 for g in party_gradients(m, cache, d_marg)]
-        return loss, grads, pred
+        d_marg, server_grads = self._server_backward(
+            marginals, pred.probabilities - label)
+        grads = [g for m, cache, d in zip(self.models, caches, d_marg)
+                 for g in party_gradients(m, cache, d)]
+        return loss, grads + server_grads, pred
 
 
-class MeasureVqcModel:
+class MeasureVqcModel(MeasureAverageModel):
     """Quantum parties; measured marginals re-encoded into a server circuit."""
 
-    quantum_output = True
-    kind = "measure_then_vqc"
-
     def __init__(self, models: list[PartyModel], server_angles: np.ndarray):
-        self.models = models
+        super().__init__(models)
         self.server_angles = np.asarray(server_angles, dtype=np.float64)
         self.num_classes = models[0].num_classes
-        self.server_qubits = len(models) * self.num_classes
-        if self.server_angles.shape != (2, self.server_qubits, 3):
+        if self.server_angles.shape != (2, len(models) * self.num_classes, 3):
             raise ValueError("server circuit must be two blocks over K*C qubits")
 
     @classmethod
@@ -205,37 +185,19 @@ class MeasureVqcModel:
         return cls(models, rng.uniform(-angle_scale, angle_scale, (2, n, 3)))
 
     def parameters(self):
-        out = [p for m in self.models for p in party_parameters(m)]
-        out.append(self.server_angles)
-        return out
+        return super().parameters() + [self.server_angles]
 
-    def _server_out(self, marginal_vec):
-        return batched_marginals(2.0 * marginal_vec[None, :],
+    def _server(self, marginals):
+        return batched_marginals(2.0 * marginals.reshape(1, -1),
                                  self.server_angles[None, ...],
                                  self.num_classes)[0]
 
-    def predict(self, sample) -> Prediction:
-        marginals, _ = forward_pass(self.models, sample)
-        return predict(self._server_out(marginals.reshape(-1)))
-
-    def loss_and_gradients(self, sample, label, config: TrainConfig):
-        marginals, caches = forward_pass(self.models, sample)
-        v = marginals.reshape(-1)
-        out = self._server_out(v)
-        pred = predict(out)
-        loss = ce_loss(pred, label, check_bound=True)
-        d_out = pred.probabilities - label
-
+    def _server_backward(self, marginals, d_out):
         # Parameter shift over the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
         d_enc_server, d_server = party_angle_gradients(
-            2.0 * v, self.server_angles, self.num_classes, d_out)
-        d_v = (2.0 * d_enc_server).reshape(len(self.models), self.num_classes)
-
-        grads = [g for m, cache, d_marg in zip(self.models, caches, d_v)
-                 for g in party_gradients(m, cache, d_marg)]
-        grads.append(d_server)
-        return loss, grads, pred
+            2.0 * marginals.reshape(-1), self.server_angles, self.num_classes, d_out)
+        return (2.0 * d_enc_server).reshape(marginals.shape), [d_server]
 
 
 def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,

@@ -4,9 +4,12 @@ Experiments are described by a YAML config (schema below); every command is
 deterministic given the config and seed, so rerunning reproduces outputs
 byte for byte.  A validation failure in a config field, a dataset file or a
 model dump ends a command with one ``error:`` line naming the file and the
-field or line, and exit status 1.  Output directory precedence: ``--out``
-flag, then the ``EVIFED_OUT_DIR`` environment variable, then the config's
-``out_dir``.
+field or line, and exit status 1.  That includes a YAML syntax error, and
+an unknown or missing required key at the top level or in ``dataset`` or
+``parties`` (``CONFIG_KEYS``; ``train`` takes TrainConfig's fields): a typo
+is rejected, never trained with a silent default.  Output directory
+precedence: ``--out`` flag, then the ``EVIFED_OUT_DIR`` environment variable,
+then the config's ``out_dir``.
 
 Config schema (all keys lowercase)::
 
@@ -43,6 +46,8 @@ Config schema (all keys lowercase)::
       seed: 0
       eval_mode: factorized | joint
       grad_mode: parameter_shift | finite_difference
+      adam_betas: [0.9, 0.999]
+      adam_epsilon: 1.0e-8
     out_dir: runs/exp1
 """
 from __future__ import annotations
@@ -51,7 +56,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -73,6 +78,23 @@ class ConfigError(ValueError):
 
 # --- configuration ---------------------------------------------------------
 
+# (required, optional) keys per config section; the dataset section's depend
+# on its kind.  ``train:`` is checked by TrainConfig's fields.
+CONFIG_KEYS = {
+    "config": (("dataset", "parties"), ("model_kind", "train", "out_dir")),
+    "dataset.idx": (("kind", "train_images", "train_labels", "test_images",
+                     "test_labels"),
+                    ("classes", "max_train_samples", "max_test_samples")),
+    "dataset.csv": (("kind", "path", "feature_columns", "label_column", "widths"),
+                    ("label_map", "balance", "test_fraction")),
+    "parties": (("input_dims", "output_dims", "num_classes"),
+                ("rank", "vqc_blocks")),
+}
+DATASET_FILE_KEYS = {"idx": ("train_images", "train_labels",
+                             "test_images", "test_labels"),
+                     "csv": ("path",)}
+
+
 @dataclass
 class ExperimentConfig:
     dataset: dict
@@ -80,19 +102,30 @@ class ExperimentConfig:
     parties: dict
     train: train.TrainConfig
     out_dir: str = "."
-    raw: dict = field(default_factory=dict)
 
 
 def _require(section: dict, key: str, path: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: must be a mapping")
     if key not in section:
         raise ConfigError(f"{path}.{key}: required field missing")
     return section[key]
 
 
-def validate_party_topology(parties: dict, path: str = "parties") -> None:
-    out_dims = _require(parties, "output_dims", path)
-    num_classes = int(_require(parties, "num_classes", path))
-    _require(parties, "input_dims", path)
+def _check_keys(section: dict, table: str, path: str) -> None:
+    """Reject missing required keys, then unknown keys."""
+    required, optional = CONFIG_KEYS[table]
+    for key in required:
+        _require(section, key, path)
+    for key in section:
+        if key not in required + optional:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def validate_party_topology(parties: dict, path: str = "config.parties") -> None:
+    _check_keys(parties, "parties", path)
+    out_dims = parties["output_dims"]
+    num_classes = int(parties["num_classes"])
     for key in ("input_dims", "output_dims"):
         dims = parties[key]
         if not dims or any(int(d) < 1 for d in dims):
@@ -110,32 +143,35 @@ def validate_party_topology(parties: dict, path: str = "parties") -> None:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        try:
+            raw = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: "
+                              f"{' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    dataset = _require(raw, "dataset", "config")
+    _check_keys(raw, "config", "config")
+    dataset, parties = raw["dataset"], raw["parties"]
     model_kind = raw.get("model_kind", "eviqvfl")
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"config.model_kind: unknown kind {model_kind!r}")
-    parties = _require(raw, "parties", "config")
     validate_party_topology(parties)
     kind = _require(dataset, "kind", "config.dataset")
     if kind not in ("idx", "csv"):
         raise ConfigError(f"config.dataset.kind: unknown kind {kind!r}")
-    file_keys = {"idx": ("train_images", "train_labels",
-                         "test_images", "test_labels"),
-                 "csv": ("path",)}[kind]
-    for key in file_keys:
+    # Files first, so a wrong path is named before the keys that read it.
+    for key in DATASET_FILE_KEYS[kind]:
         p = _require(dataset, key, "config.dataset")
         if not os.path.exists(p):
             raise ConfigError(f"config.dataset.{key}: file not found: {p}")
+    _check_keys(dataset, f"dataset.{kind}", "config.dataset")
     try:
         train_cfg = train.TrainConfig(**raw.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.train: {exc}") from exc
     return ExperimentConfig(dataset=dataset, model_kind=model_kind,
                             parties=parties, train=train_cfg,
-                            out_dir=raw.get("out_dir", "."), raw=raw)
+                            out_dir=raw.get("out_dir", "."))
 
 
 # --- dataset construction --------------------------------------------------
@@ -192,41 +228,43 @@ def build_datasets(cfg: ExperimentConfig, seed: int
 
 # --- model construction ----------------------------------------------------
 
-def build_party_models(cfg: ExperimentConfig, rng) -> list[PartyModel]:
+def _party_widths(cfg: ExperimentConfig) -> list[int]:
+    """Feature width per party: the CSV split, or four 14x14 image quadrants."""
+    return list(cfg.dataset["widths"]) if cfg.dataset["kind"] == "csv" else [196] * 4
+
+
+def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
     p = cfg.parties
-    widths = (list(cfg.dataset.get("widths", []))
-              if cfg.dataset["kind"] == "csv" else [196] * 4)
-    num_parties = len(widths)
-    d = int(np.prod(p["input_dims"]))
+    return PartyModel.random_init(list(p["input_dims"]), list(p["output_dims"]),
+                                  int(p.get("rank", 2)), int(p.get("vqc_blocks", 2)),
+                                  int(p["num_classes"]), rng)
+
+
+def build_party_models(cfg: ExperimentConfig, rng) -> list[PartyModel]:
+    widths = _party_widths(cfg)
+    d = int(np.prod(cfg.parties["input_dims"]))
     for k, w in enumerate(widths):
         if w != d:
             raise ConfigError(
-                f"parties.input_dims: product {d} does not match party {k}'s "
-                f"feature width {w}")
-    return [PartyModel.random_init(list(p["input_dims"]), list(p["output_dims"]),
-                                   int(p.get("rank", 2)),
-                                   int(p.get("vqc_blocks", 2)),
-                                   int(p["num_classes"]), rng)
-            for _ in range(num_parties)]
+                f"config.parties.input_dims: product {d} does not match party "
+                f"{k}'s feature width {w}")
+    return [_random_party(cfg, rng) for _ in widths]
 
 
 def build_trainable(cfg: ExperimentConfig, rng):
-    """The configured model under the common trainable interface."""
+    """The configured model: a PartyModel list for eviqvfl (train.train_run
+    wraps it as EvidentialTrainable), else a baseline."""
     if cfg.model_kind == "eviqvfl":
         return build_party_models(cfg, rng)
-    widths = (list(cfg.dataset.get("widths", []))
-              if cfg.dataset["kind"] == "csv" else [196] * 4)
+    widths = _party_widths(cfg)
     num_classes = int(cfg.parties["num_classes"])
     if cfg.model_kind in ("measure_then_average", "measure_then_vqc"):
         return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,
                                         quantum_models=build_party_models(cfg, rng))
-    probe = PartyModel.random_init(list(cfg.parties["input_dims"]),
-                                   list(cfg.parties["output_dims"]),
-                                   int(cfg.parties.get("rank", 2)),
-                                   int(cfg.parties.get("vqc_blocks", 2)),
-                                   num_classes, rng)
+    # A quantum party, drawn only for its size, sets the classical budget.
+    budget = _random_party(cfg, rng).param_count()
     return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,
-                                    party_budget=probe.param_count())
+                                    party_budget=budget)
 
 
 # --- model serialization ---------------------------------------------------
@@ -313,18 +351,14 @@ def cmd_train(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     train_set, test_set = build_datasets(cfg, cfg.train.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 0]))
-    trainable = build_trainable(cfg, rng)
-    trained, trace = train.train_run(trainable, train_set, cfg.train, test_set)
+    trained, trace = train.train_run(build_trainable(cfg, rng), train_set,
+                                     cfg.train, test_set)
 
     # The seconds column is wall clock and would break rerun byte-identity.
     trace.export(os.path.join(out_dir, "trace.csv"), include_wall_clock=False)
     if cfg.model_kind == "eviqvfl":
-        save_party_models(os.path.join(out_dir, "model.txt"), trainable)
-        counts = [m.param_count() for m in trainable]
-    elif hasattr(trained, "party_param_counts"):
-        counts = trained.party_param_counts()
-    else:
-        counts = [p.size for p in trained.parameters()]
+        save_party_models(os.path.join(out_dir, "model.txt"), trained.models)
+    counts = trained.party_param_counts()
     final = trace.records[-1]
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
         f.write(f"model_kind {cfg.model_kind}\n")
@@ -355,6 +389,9 @@ def cmd_inspect(args) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     models = load_party_models(args.model)
     _, test_set = build_datasets(cfg, seed)
+    if len(models) != test_set.num_parties:
+        raise ValueError(f"{args.model}: dump holds {len(models)} parties, the "
+                         f"config's dataset has {test_set.num_parties}")
     if not 0 <= args.sample < test_set.num_samples:
         print(f"sample index {args.sample} out of range "
               f"(test set has {test_set.num_samples})", file=sys.stderr)

@@ -161,7 +161,13 @@ def load_tabular_csv(path, feature_columns: list[str], label_column: str,
                                      f"at row {row_idx}")
                 labels.append(lab)
             rows.append(values)
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    features = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        r, c = bad[0]  # row r of the array is file row r + 2, after the header
+        raise ValueError(f"{path}: non-finite cell at row {r + 2}, "
+                         f"column {feature_columns[c]!r}: {features[r, c]}")
+    return features, np.array(labels, dtype=np.int64)
 
 
 def standardize(train_features: np.ndarray, *other: np.ndarray

@@ -52,19 +52,6 @@ class PartyModel:
 
 
 @dataclass
-class FusionConfig:
-    num_parties: int
-    num_classes: int
-    mode: str = "factorized"  # or "joint"
-
-    def __post_init__(self):
-        if self.num_parties < 1 or self.num_classes < 2:
-            raise ValueError("need K >= 1 parties and C >= 2 classes")
-        if self.mode not in ("factorized", "joint"):
-            raise ValueError(f"unknown fusion mode {self.mode!r}")
-
-
-@dataclass
 class Prediction:
     plausibilities: np.ndarray
     probabilities: np.ndarray

@@ -129,7 +129,8 @@ def param_shift_grad(evaluate, theta: float) -> float:
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
                  ) -> tuple[np.ndarray, list[dict]]:
     """All party marginals, stacked (K, C); caches feed the backward pass."""
-    caches = [model_mod.party_features(m, x) for m, x in zip(models, sample)]
+    caches = [model_mod.party_features(m, x)
+              for m, x in zip(models, sample, strict=True)]
     marginals = np.array([
         batched_marginals(2.0 * c["x_tilde"][None], m.vqc_angles[None],
                           m.num_classes)[0]
@@ -274,9 +275,10 @@ def _accuracy(trainable, dataset: VerticalDataset) -> float:
 
 
 class EvidentialTrainable:
-    """Adapter giving the party ensemble the generic trainable interface."""
-
-    quantum_output = True
+    """The party ensemble under the trainable interface every model kind
+    answers: ``parameters()`` (arrays the optimizer updates in place),
+    ``party_param_counts()``, ``predict(sample)`` and
+    ``loss_and_gradients(sample, label, config)``."""
 
     def __init__(self, models: list[PartyModel], eval_mode: str = "factorized"):
         self.models = models
@@ -285,10 +287,13 @@ class EvidentialTrainable:
     def parameters(self) -> list[np.ndarray]:
         return [p for m in self.models for p in party_parameters(m)]
 
+    def party_param_counts(self) -> list[int]:
+        return [m.param_count() for m in self.models]
+
     def predict(self, sample) -> Prediction:
         if self.eval_mode == "joint":
             states = [model_mod.party_forward(m, x)[0]
-                      for m, x in zip(self.models, sample)]
+                      for m, x in zip(self.models, sample, strict=True)]
             plaus = model_mod.fuse_joint_circuit(states,
                                                  self.models[0].num_classes)
             return model_mod.predict(plaus)
@@ -305,7 +310,8 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
     """Mini-batch training loop; fully deterministic given ``config.seed``.
 
     ``models`` is either a list of PartyModel (trained as the evidential
-    ensemble) or any object with the trainable interface (see baselines).
+    ensemble) or any object with the trainable interface of
+    EvidentialTrainable (see baselines).
     """
     trainable = models
     if isinstance(models, list):

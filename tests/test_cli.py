@@ -1,13 +1,20 @@
 """Command-line front end: configs, training runs, model dumps, curves."""
+import dataclasses
 import os
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from evifed import cli, data
+from evifed import cli, data, train
+from evifed.baselines import MLPParty, mlp_width_for_budget
 from evifed.cli import ConfigError, load_config, load_party_models, \
     save_party_models, validate_party_topology
 from evifed.model import PartyModel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_yaml(path, text):
@@ -111,6 +118,62 @@ train: {{learning_rate: -1.0}}
         cli_load_from_text(cfg)
 
 
+def test_yaml_syntax_error_is_one_error_line(tmp_path, capsys):
+    bad = write_yaml(tmp_path / "bad.yaml", "dataset: [unclosed\n")
+    with pytest.raises(ConfigError, match="invalid YAML"):
+        load_config(bad)
+    assert run_cli("train", "--config", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid YAML")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section,line", [
+    ("config", "test_fracton: 0.5"),
+    ("config.dataset", "  test_fracton: 0.5"),
+    ("config.parties", "  vqc_block: 2"),
+])
+def test_unknown_config_key_rejected(tmp_path, section, line):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    anchor = {"config": "out_dir:", "config.dataset": "  widths:",
+              "config.parties": "  rank:"}[section]
+    config = write_yaml(tmp_path / "typo.yaml",
+                        text.replace(anchor, f"{line}\n{anchor}"))
+    key = line.split(":")[0].strip()
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown field$"):
+        load_config(config)
+
+
+@pytest.mark.parametrize("key", ["feature_columns", "label_column", "widths"])
+def test_missing_csv_dataset_key_rejected(tmp_path, capsys, key):
+    csv = make_csv(tmp_path / "d.csv")
+    lines = Path(csv_config(tmp_path, csv)).read_text().splitlines()
+    config = write_yaml(tmp_path / "short.yaml", "\n".join(
+        ln for ln in lines if not ln.startswith(f"  {key}:")))
+    with pytest.raises(ConfigError,
+                       match=rf"^config\.dataset\.{key}: required field missing$"):
+        load_config(config)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == \
+        f"error: config.dataset.{key}: required field missing\n"
+
+
+def test_config_schema_docstring_matches_key_table():
+    block = cli.__doc__.split("Config schema (all keys lowercase)::\n")[1]
+    schema = yaml.safe_load(textwrap.dedent(block))
+
+    def keys(section):
+        required, optional = cli.CONFIG_KEYS[section]
+        return set(required) | set(optional)
+
+    assert set(schema) == keys("config")
+    assert set(schema["dataset"]) == keys("dataset.idx") | keys("dataset.csv")
+    assert set(schema["parties"]) == keys("parties")
+    assert set(schema["train"]) == {f.name for f in
+                                    dataclasses.fields(train.TrainConfig)}
+
+
 def test_topology_rejects_too_few_qubits():
     with pytest.raises(ConfigError, match="fewer qubits"):
         validate_party_topology(
@@ -207,6 +270,15 @@ def test_inspect_reports_a_truncated_dump(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:6: ")
 
 
+def test_inspect_rejects_party_count_mismatch(tmp_path, capsys, monkeypatch):
+    path, _ = _dump_lines(tmp_path)  # two parties
+    monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
+    assert run_cli("inspect", "--config", "configs/breast_cancer.yaml",
+                   "--model", str(path), "--sample", "0") == 1
+    assert capsys.readouterr() == ("", f"error: {path}: dump holds 2 parties, "
+                                       "the config's dataset has 3\n")
+
+
 # --- dataset construction --------------------------------------------------
 
 def test_idx_party_blocks_span_unit_interval(tmp_path):
@@ -296,14 +368,25 @@ def test_out_flag_beats_environment_beats_config(tmp_path, monkeypatch):
     assert (flag_dir / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("kind", ["classical_average", "measure_then_average"])
+@pytest.mark.parametrize("kind", cli.MODEL_KINDS)
 def test_train_supports_baseline_kinds(tmp_path, kind):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv, model_kind=kind, out_name=kind)
     assert run_cli("train", "--config", config) == 0
     summary = (tmp_path / kind / "summary.txt").read_text()
     assert f"model_kind {kind}" in summary
-    assert not (tmp_path / kind / "model.txt").exists()
+    assert (tmp_path / kind / "model.txt").exists() == (kind == "eviqvfl")
+    # One entry per party (two parties of 3 features), each that party's own
+    # count; the server layers of classical_fuse and measure_then_vqc count
+    # toward no party.
+    rng = np.random.default_rng(0)
+    quantum = PartyModel.random_init([3], [2], 2, 1, 2, rng).param_count()
+    classical = MLPParty.random_init(3, mlp_width_for_budget(3, 2, quantum), 2,
+                                     rng).param_count()
+    expected = classical if kind.startswith("classical") else quantum
+    counts = [line for line in summary.splitlines()
+              if line.startswith("params_per_party ")][0].split()[1:]
+    assert counts == [str(expected)] * 2
 
 
 def test_bad_config_returns_nonzero(tmp_path, capsys):

@@ -113,6 +113,14 @@ def test_csv_non_numeric_cell_reports_row_and_column(tmp_path):
         data.load_tabular_csv(p, ["a"], "y")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_cell_reports_row_and_column(tmp_path, cell):
+    p = tmp_path / "toy.csv"
+    write_csv(p, ["a", "b", "y"], [[1.0, 2.0, 0], [3.0, cell, 1]])
+    with pytest.raises(ValueError, match="non-finite cell at row 3, column 'b'"):
+        data.load_tabular_csv(p, ["a", "b"], "y")
+
+
 def test_csv_unknown_label_rejected(tmp_path):
     p = tmp_path / "toy.csv"
     write_csv(p, ["a", "y"], [[1.0, "X"]])

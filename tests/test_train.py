@@ -234,6 +234,15 @@ def test_every_epoch_loss_respects_the_quantum_floor():
         assert r.loss >= loss_lower_bound(2) - 1e-9
 
 
+@pytest.mark.parametrize("eval_mode", ["factorized", "joint"])
+def test_prediction_rejects_party_count_mismatch(eval_mode):
+    rng = np.random.default_rng(13)
+    models = make_parties(rng)
+    sample = [rng.uniform(0, 1, size=6) for _ in range(3)]
+    with pytest.raises(ValueError, match="zip"):
+        train.EvidentialTrainable(models, eval_mode).predict(sample)
+
+
 def test_joint_eval_mode_agrees_with_factorized_predictions():
     rng = np.random.default_rng(12)
     models = make_parties(rng)
