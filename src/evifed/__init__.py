@@ -8,7 +8,7 @@ exactly-equivalent factorized product of per-party plausibilities.
 from . import baselines, cli, data, evidence, model, qsim, teleport, train, ttn, verify
 from .evidence import MassFunction, ccr_combine, decode_state, encode_bba
 from .model import PartyModel, Prediction, fuse_factorized, fuse_joint_circuit
-from .qsim import Circuit, Gate, Statevector
+from .qsim import Gate, Statevector
 from .teleport import teleport_qubit, teleport_register
 from .train import TrainConfig, TrainTrace, train_run
 from .ttn import TTLayerParams, ttn_forward
@@ -18,7 +18,7 @@ __all__ = [
     "train", "ttn", "verify",
     "MassFunction", "ccr_combine", "decode_state", "encode_bba",
     "PartyModel", "Prediction", "fuse_factorized", "fuse_joint_circuit",
-    "Circuit", "Gate", "Statevector",
+    "Gate", "Statevector",
     "teleport_qubit", "teleport_register",
     "TrainConfig", "TrainTrace", "train_run",
     "TTLayerParams", "ttn_forward",

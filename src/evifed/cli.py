@@ -7,9 +7,13 @@ model dump ends a command with one ``error:`` line naming the file and the
 field or line, and exit status 1.  That includes a YAML syntax error, and
 an unknown or missing required key at the top level or in ``dataset`` or
 ``parties`` (``CONFIG_KEYS``; ``train`` takes TrainConfig's fields): a typo
-is rejected, never trained with a silent default.  Output directory
-precedence: ``--out`` flag, then the ``EVIFED_OUT_DIR`` environment variable,
-then the config's ``out_dir``.
+is rejected, never trained with a silent default.  So is a value of the
+wrong type (a bool is no number; PyYAML reads ``1e-8`` as a string, so write
+``1.0e-8``), a ``num_classes`` other than the dataset's class count, a
+``classes`` filter that leaves a split empty, a non-default ``grad_mode`` or
+``eval_mode`` for a baseline kind, and a CSV label other than 0 or 1 where no
+``label_map`` is given.  Output directory precedence: ``--out`` flag, then the
+``EVIFED_OUT_DIR`` environment variable, then the config's ``out_dir``.
 
 Config schema (all keys lowercase)::
 
@@ -124,21 +128,22 @@ def _check_keys(section: dict, table: str, path: str) -> None:
 
 def validate_party_topology(parties: dict, path: str = "config.parties") -> None:
     _check_keys(parties, "parties", path)
-    out_dims = parties["output_dims"]
-    num_classes = int(parties["num_classes"])
     for key in ("input_dims", "output_dims"):
         dims = parties[key]
-        if not dims or any(int(d) < 1 for d in dims):
-            raise ConfigError(f"{path}.{key}: dimensions must be positive")
-    n_qubits = math.prod(int(q) for q in out_dims)
+        if not (isinstance(dims, list) and dims
+                and all(train.is_integer(d) and d >= 1 for d in dims)):
+            raise ConfigError(f"{path}.{key}: must be a non-empty list of "
+                              f"positive integers, got {dims!r}")
+    for key in ("num_classes", "rank", "vqc_blocks"):
+        value = parties.get(key, 1)
+        if not (train.is_integer(value) and value >= 1):
+            raise ConfigError(f"{path}.{key}: must be a positive integer, got {value!r}")
+    num_classes = parties["num_classes"]
+    n_qubits = math.prod(parties["output_dims"])
     if n_qubits < num_classes:
         raise ConfigError(
             f"{path}.output_dims: product {n_qubits} is fewer qubits than "
             f"{path}.num_classes={num_classes}")
-    if int(parties.get("rank", 1)) < 1:
-        raise ConfigError(f"{path}.rank: must be >= 1")
-    if int(parties.get("vqc_blocks", 1)) < 1:
-        raise ConfigError(f"{path}.vqc_blocks: must be >= 1")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -165,10 +170,23 @@ def load_config(path) -> ExperimentConfig:
         if not os.path.exists(p):
             raise ConfigError(f"config.dataset.{key}: file not found: {p}")
     _check_keys(dataset, f"dataset.{kind}", "config.dataset")
+    classes = dataset.get("classes", list(range(10))) if kind == "idx" else [0, 1]
+    if not (isinstance(classes, list) and classes and all(map(train.is_integer, classes))
+            and len(set(classes)) == len(classes)):
+        raise ConfigError(f"config.dataset.classes: must be a non-empty list of "
+                          f"distinct integers, got {classes!r}")
+    if parties["num_classes"] != len(classes):
+        raise ConfigError(f"config.parties.num_classes: {parties['num_classes']} "
+                          f"differs from the dataset's {len(classes)} classes")
     try:
         train_cfg = train.TrainConfig(**raw.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.train: {exc}") from exc
+    for key in ("grad_mode", "eval_mode"):
+        value = getattr(train_cfg, key)
+        if model_kind != "eviqvfl" and value != getattr(train.TrainConfig, key):
+            raise ConfigError(f"config.train.{key}: {value} applies to "
+                              f"model_kind eviqvfl only")
     return ExperimentConfig(dataset=dataset, model_kind=model_kind,
                             parties=parties, train=train_cfg,
                             out_dir=raw.get("out_dir", "."))
@@ -185,14 +203,14 @@ def _limit(ds: data.VerticalDataset, max_n: int | None, seed: int, salt: int
 
 
 def _idx_to_dataset(images: np.ndarray, labels: np.ndarray,
-                    classes: list[int], tag: str) -> data.VerticalDataset:
+                    classes: list[int]) -> data.VerticalDataset:
     keep = np.isin(labels, classes)
     images, labels = images[keep], labels[keep]
     remap = {c: i for i, c in enumerate(classes)}
     mapped = np.array([remap[int(v)] for v in labels], dtype=np.int64)
     # load_idx_images already maps pixels to [0, 1].
     blocks = data.quadrant_partition(images)
-    return data.VerticalDataset(blocks, data.one_hot(mapped, len(classes)), tag)
+    return data.VerticalDataset(blocks, data.one_hot(mapped, len(classes)))
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int
@@ -202,8 +220,12 @@ def build_datasets(cfg: ExperimentConfig, seed: int
         classes = list(ds.get("classes", list(range(10))))
         tr_img, tr_lab = data.load_idx_images(ds["train_images"], ds["train_labels"])
         te_img, te_lab = data.load_idx_images(ds["test_images"], ds["test_labels"])
-        train_set = _idx_to_dataset(tr_img, tr_lab, classes, "train")
-        test_set = _idx_to_dataset(te_img, te_lab, classes, "test")
+        train_set = _idx_to_dataset(tr_img, tr_lab, classes)
+        test_set = _idx_to_dataset(te_img, te_lab, classes)
+        for name, split in (("train", train_set), ("test", test_set)):
+            if split.num_samples == 0:
+                raise ConfigError(f"config.dataset.classes: no {name} sample "
+                                  f"has a label in {classes}")
         train_set = _limit(train_set, ds.get("max_train_samples", 2000), seed, 1)
         test_set = _limit(test_set, ds.get("max_test_samples", 500), seed, 2)
         return train_set, test_set
@@ -221,9 +243,9 @@ def build_datasets(cfg: ExperimentConfig, seed: int
                                              test_raw.party_blocks[0])
     widths = list(ds["widths"])
     return (data.VerticalDataset(data.vertical_split(train_feat, widths),
-                                 train_raw.labels, "train"),
+                                 train_raw.labels),
             data.VerticalDataset(data.vertical_split(test_feat, widths),
-                                 test_raw.labels, "test"))
+                                 test_raw.labels))
 
 
 # --- model construction ----------------------------------------------------

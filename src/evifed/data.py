@@ -25,7 +25,6 @@ class IdxFormatError(ValueError):
 class VerticalDataset:
     party_blocks: list[np.ndarray]  # each (N, d_k)
     labels: np.ndarray              # one-hot, (N, C)
-    split_tag: str = "train"
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -49,11 +48,10 @@ class VerticalDataset:
     def sample(self, i: int) -> list[np.ndarray]:
         return [block[i] for block in self.party_blocks]
 
-    def subset(self, indices, split_tag: str | None = None) -> "VerticalDataset":
+    def subset(self, indices) -> "VerticalDataset":
         indices = np.asarray(indices)
         return VerticalDataset([b[indices] for b in self.party_blocks],
-                               self.labels[indices],
-                               split_tag or self.split_tag)
+                               self.labels[indices])
 
 
 def _read_exact(f, count: int, offset: int, what: str) -> bytes:
@@ -149,17 +147,12 @@ def load_tabular_csv(path, feature_columns: list[str], label_column: str,
                         f"{path}: non-numeric cell at row {row_idx}, "
                         f"column {col!r}: {record[col]!r}") from None
             raw_label = record[label_column]
-            if label_map is not None:
-                if raw_label not in label_map:
-                    raise ValueError(f"{path}: unknown label {raw_label!r} "
-                                     f"at row {row_idx}")
-                labels.append(label_map[raw_label])
-            else:
-                lab = int(float(raw_label))
-                if lab not in (0, 1):
-                    raise ValueError(f"{path}: unknown label {raw_label!r} "
-                                     f"at row {row_idx}")
-                labels.append(lab)
+            try:  # without a map only cells whose value is exactly 0 or 1
+                labels.append(label_map[raw_label] if label_map is not None
+                              else {0.0: 0, 1.0: 1}[float(raw_label)])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{path}: unknown label {raw_label!r} "
+                                 f"at row {row_idx}") from None
             rows.append(values)
     features = np.array(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(features))
@@ -221,8 +214,7 @@ def train_test_split(dataset: VerticalDataset, test_fraction: float,
         raise ValueError("split leaves an empty train or test set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5911]))
     perm = rng.permutation(n)
-    return (dataset.subset(perm[n_test:], "train"),
-            dataset.subset(perm[:n_test], "test"))
+    return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])
 
 
 def batch_indices(num_samples: int, batch_size: int, seed: int, epoch: int):

@@ -125,8 +125,7 @@ def fuse_factorized(marginals) -> np.ndarray:
     return np.prod(stack, axis=0)
 
 
-def fuse_joint_state(states: list[Statevector], num_classes: int,
-                     max_qubits: int = qsim.DEFAULT_MAX_QUBITS
+def fuse_joint_state(states: list[Statevector], num_classes: int
                      ) -> tuple[Statevector, list[int]]:
     """Build the joint fusion circuit state; returns it plus the result qubits.
 
@@ -134,13 +133,12 @@ def fuse_joint_state(states: list[Statevector], num_classes: int,
     per class, controlled by qubit c of every party, targeting result qubit c.
     """
     total = sum(s.num_qubits for s in states) + num_classes
-    if total > max_qubits:
+    if total > qsim.MAX_QUBITS:
         raise qsim.CapacityError(f"joint circuit needs {total} qubits")
     joint = states[0].copy()
     for s in states[1:]:
-        joint = qsim.tensor_product(joint, s, max_qubits=max_qubits)
-    joint = qsim.tensor_product(joint, qsim.new_zero_state(num_classes),
-                                max_qubits=max_qubits)
+        joint = qsim.tensor_product(joint, s)
+    joint = qsim.tensor_product(joint, qsim.new_zero_state(num_classes))
     offsets = np.cumsum([0] + [s.num_qubits for s in states])
     result_base = int(offsets[-1])
     for c in range(num_classes):

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_MAX_QUBITS = 24
+MAX_QUBITS = 24  # largest register any state may hold (2^24 amplitudes)
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 GATE_KINDS = ("X", "Y", "Z", "H", "CNOT", "RX", "RY", "RZ", "MCX")
 
 
 class CapacityError(ValueError):
-    """Requested register exceeds the configured qubit capacity."""
+    """Requested register exceeds ``MAX_QUBITS``."""
 
 
 class DegenerateMeasurementError(RuntimeError):
@@ -72,26 +72,16 @@ class Gate:
             raise ValueError("angle is present exactly for RX/RY/RZ")
 
 
-@dataclass
-class Circuit:
-    num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        for g in self.gates:
-            _check_indices(self.num_qubits, g.targets + g.controls)
-
-
 def _check_indices(n: int, qubits) -> None:
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-def new_zero_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
+def new_zero_state(n: int) -> Statevector:
     """All-qubits-|0> state on ``n`` qubits."""
-    if not 1 <= n <= max_qubits:
-        raise CapacityError(f"qubit count {n} outside supported range [1, {max_qubits}]")
+    if not 1 <= n <= MAX_QUBITS:
+        raise CapacityError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
     return Statevector(n, new_zero_rows(1, n)[0])
 
 
@@ -187,14 +177,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return state
 
 
-def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
-    if circuit.num_qubits != state.num_qubits:
-        raise ValueError("circuit/state qubit count mismatch")
-    for g in circuit.gates:
-        apply_gate(state, g)
-    return state
-
-
 def prob_one(state: Statevector, qubit: int) -> float:
     """Probability that ``qubit`` measures to 1 (projective expectation)."""
     _check_indices(state.num_qubits, [qubit])
@@ -261,12 +243,11 @@ def measure_and_collapse(state: Statevector, qubits, rng) -> tuple[list[int], St
     return bits, state
 
 
-def tensor_product(a: Statevector, b: Statevector,
-                   max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
+def tensor_product(a: Statevector, b: Statevector) -> Statevector:
     """Kronecker product; a's qubits occupy the lower (more significant) indices."""
     n = a.num_qubits + b.num_qubits
-    if n > max_qubits:
-        raise CapacityError(f"combined register of {n} qubits exceeds capacity {max_qubits}")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"combined register of {n} qubits exceeds capacity {MAX_QUBITS}")
     return Statevector(n, np.kron(a.amplitudes, b.amplitudes))
 
 

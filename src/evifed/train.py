@@ -10,6 +10,8 @@ multilinear backward pass.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +28,17 @@ from .ttn import squash_grad, ttn_backward
 BOUND_SLACK = 1e-9
 
 
+def is_integer(value) -> bool:
+    """An integer that is not a bool (config values come from YAML)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
@@ -38,6 +51,18 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
 
     def __post_init__(self):
+        for name in ("learning_rate", "adam_epsilon"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        betas = self.adam_betas
+        if not (isinstance(betas, (list, tuple)) and len(betas) == 2
+                and all(map(is_finite_number, betas))):
+            raise ValueError(f"adam_betas must be two finite numbers, got {betas!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -181,8 +206,7 @@ def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
     d_enc, d_vqc = party_angle_gradients(2.0 * cache["x_tilde"], m.vqc_angles,
                                          m.num_classes, dL_dmarg)
     dL_dpre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
-    core_grads, _ = ttn_backward(m.ttn, cache["x"], dL_dpre)
-    return core_grads + [d_vqc]
+    return ttn_backward(m.ttn, cache["x"], dL_dpre) + [d_vqc]
 
 
 def party_parameters(m: PartyModel) -> list[np.ndarray]:
@@ -384,20 +408,13 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         label = np.zeros(num_classes)
         label[0] = 1.0
 
-        # Evidential path: shift the first VQC angle of party 0.
-        def evi_loss(theta: float) -> float:
-            old = models[0].vqc_angles[0, 0, 0]
-            models[0].vqc_angles[0, 0, 0] = theta
-            val = eviqvfl_loss(models, sample, label)
-            models[0].vqc_angles[0, 0, 0] = old
-            return val
-
-        evi_grads.append(param_shift_grad(evi_loss, models[0].vqc_angles[0, 0, 0]))
+        # Both paths differentiate party 0's first VQC angle.  The shift rule
+        # is exact only for expectation values, so neither applies it to the loss.
+        evi_grads.append(full_gradient(models, sample, label)[1][0][-1][0, 0, 0])
 
         # Monolithic variant: joint register of all party outputs followed by
-        # a random trainable fusion circuit over the whole register.  The same
-        # party angle is differentiated in both models; here its signal must
-        # survive the scrambling fusion circuit.
+        # a random trainable fusion circuit over the whole register; here the
+        # angle's signal must survive the scrambling fusion circuit.
         total_qubits = sum(m.n_qubits for m in models)
         # Depth grows with width so the random circuit actually mixes the
         # register; shallow circuits would understate the plateau.
@@ -405,7 +422,7 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         fusion_angles = rng.uniform(-np.pi, np.pi,
                                     size=(fusion_blocks, total_qubits, 3))
 
-        def mono_loss(theta: float) -> float:
+        def mono_plaus(theta: float) -> np.ndarray:
             old = models[0].vqc_angles[0, 0, 0]
             models[0].vqc_angles[0, 0, 0] = theta
             states = [model_mod.party_forward(m, x)[0]
@@ -416,10 +433,11 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
                 st = qsim.tensor_product(st, other)
             for gate in model_mod.vqc_block_gates(fusion_angles):
                 qsim.apply_gate(st, gate)
-            plaus = np.array([qsim.prob_one(st, c) for c in range(num_classes)])
-            return ce_loss(model_mod.predict(plaus), label, check_bound=True)
+            return np.array([qsim.prob_one(st, c) for c in range(num_classes)])
 
-        mono_grads.append(param_shift_grad(mono_loss, models[0].vqc_angles[0, 0, 0]))
+        theta = models[0].vqc_angles[0, 0, 0]
+        dL_dpl = model_mod.predict(mono_plaus(theta)).probabilities - label
+        mono_grads.append(float(dL_dpl @ param_shift_grad(mono_plaus, theta)))
 
     return GradientVarianceReport(
         evidential_variance=float(np.var(evi_grads)),

@@ -67,26 +67,18 @@ def ttn_param_count(params: TTLayerParams) -> int:
     return sum(core.size for core in params.cores)
 
 
-def _contract(cores, input_dims, output_dims, x: np.ndarray) -> np.ndarray:
+def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.in_size,):
+        raise ValueError(f"input length {x.shape} does not match {params.in_size}")
     # t carries (left bond, remaining input modes flattened, produced output modes)
     t = x.reshape(1, -1, 1)
-    for l, core in enumerate(cores):
+    for core in params.cores:
         r_prev, p, q, r_next = core.shape
         t = t.reshape(r_prev, p, -1, t.shape[2])
         t = np.einsum("rpqs,rpxy->sxyq", core, t)
         t = t.reshape(r_next, t.shape[1], -1)
     return t.reshape(-1)
-
-
-def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_size,):
-        raise ValueError(f"input length {x.shape} does not match {params.in_size}")
-    return _contract(params.cores, params.input_dims, params.output_dims, x)
-
-
-def _transposed_cores(params: TTLayerParams):
-    return [c.transpose(0, 2, 1, 3) for c in params.cores]
 
 
 def _partial_dense(cores) -> np.ndarray:
@@ -108,16 +100,12 @@ def materialize_dense(params: TTLayerParams) -> np.ndarray:
 
 
 def ttn_backward(params: TTLayerParams, x: np.ndarray,
-                 upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact gradients: (dL/dcore_l for every l, dL/dx) given dL/dy."""
+                 upstream: np.ndarray) -> list[np.ndarray]:
+    """Exact gradients dL/dcore_l for every l, given dL/dy."""
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (params.out_size,):
         raise ValueError("upstream length does not match output size")
-    # dL/dx: the transposed operator is the same TT chain with p and q swapped.
-    x_grad = _contract(_transposed_cores(params), params.output_dims,
-                       params.input_dims, upstream)
-
     L = len(params.cores)
     core_grads = []
     for l in range(L):
@@ -129,7 +117,7 @@ def ttn_backward(params: TTLayerParams, x: np.ndarray,
         g3 = upstream.reshape(left.shape[0], q_l, -1)
         grad = np.einsum("YPa,bZR,PpR,YqZ->apqb", left, right, x3, g3)
         core_grads.append(grad)
-    return core_grads, x_grad
+    return core_grads
 
 
 def squash(y: np.ndarray) -> np.ndarray:

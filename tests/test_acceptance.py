@@ -59,8 +59,8 @@ def mnist_dataset():
                                           MNIST_FILES["train_labels"])
     te_img, te_lab = data.load_idx_images(MNIST_FILES["test_images"],
                                           MNIST_FILES["test_labels"])
-    train_set = cli._idx_to_dataset(tr_img, tr_lab, classes, "train")
-    test_set = cli._idx_to_dataset(te_img, te_lab, classes, "test")
+    train_set = cli._idx_to_dataset(tr_img, tr_lab, classes)
+    test_set = cli._idx_to_dataset(te_img, te_lab, classes)
     train_set = cli._limit(train_set, 2000, 0, 1)
     test_set = cli._limit(test_set, 500, 0, 2)
     return train_set, test_set
@@ -80,9 +80,9 @@ def breast_cancer_splits(seed):
                                              test_raw.party_blocks[0])
     widths = [10, 10, 10]
     return (data.VerticalDataset(data.vertical_split(train_feat, widths),
-                                 train_raw.labels, "train"),
+                                 train_raw.labels),
             data.VerticalDataset(data.vertical_split(test_feat, widths),
-                                 test_raw.labels, "test"))
+                                 test_raw.labels))
 
 
 def test_criterion_1_fusion_circuit_soundness():
@@ -228,7 +228,7 @@ def test_criterion_7_desk_scale_accuracy(dataset_name, target):
             train_set = data.VerticalDataset(
                 data.vertical_split(train_feat, widths), train_raw.labels)
             test_set = data.VerticalDataset(
-                data.vertical_split(test_feat, widths), test_raw.labels, "test")
+                data.vertical_split(test_feat, widths), test_raw.labels)
             topology = CREDIT_TOPOLOGY
         models = random_models(
             topology, train_set.num_parties,

@@ -174,6 +174,86 @@ def test_config_schema_docstring_matches_key_table():
                                     dataclasses.fields(train.TrainConfig)}
 
 
+def with_line(text, section, line):
+    """Config ``text`` with ``line`` under ``section:``, replacing the line
+    that set the same key before."""
+    key = line.split(":")[0]
+    lines = [ln for ln in text.splitlines() if ln.split(":")[0] != key]
+    at = lines.index(f"{section}:") + 1
+    return "\n".join(lines[:at] + [line] + lines[at:]) + "\n"
+
+
+WRONG_TYPE_CASES = [
+    ("train", "  adam_epsilon: 1e-8",
+     "config.train: adam_epsilon must be a finite number, got '1e-8'"),
+    ("train", "  learning_rate: true",
+     "config.train: learning_rate must be a finite number, got True"),
+    ("train", "  epochs: 2.0", "config.train: epochs must be an integer, got 2.0"),
+    ("train", "  adam_betas: [0.9]",
+     "config.train: adam_betas must be two finite numbers, got [0.9]"),
+    ("parties", "  input_dims: 3", "config.parties.input_dims: must be a "
+     "non-empty list of positive integers, got 3"),
+    ("parties", "  output_dims: [2.0]", "config.parties.output_dims: must be a "
+     "non-empty list of positive integers, got [2.0]"),
+    ("parties", "  num_classes: '2'",
+     "config.parties.num_classes: must be a positive integer, got '2'"),
+    ("parties", "  rank: 2.5", "config.parties.rank: must be a positive integer, got 2.5"),
+    ("parties", "  vqc_blocks: true",
+     "config.parties.vqc_blocks: must be a positive integer, got True"),
+]
+
+
+@pytest.mark.parametrize("section,line,message", WRONG_TYPE_CASES,
+                         ids=[line.split(":")[0].strip() for _, line, _ in WRONG_TYPE_CASES])
+def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
+                                                  line, message):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "typed.yaml", with_line(text, section, line))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key,value", [("grad_mode", "finite_difference"),
+                                       ("eval_mode", "joint")])
+@pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+def test_eviqvfl_only_train_modes_rejected_for_baselines(tmp_path, kind, key, value):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv, model_kind=kind)).read_text()
+    config = write_yaml(tmp_path / "mode.yaml",
+                        with_line(text, "train", f"  {key}: {value}"))
+    if kind == "eviqvfl":
+        assert getattr(load_config(config).train, key) == value
+        return
+    with pytest.raises(ConfigError, match=rf"^config\.train\.{key}: {value} "
+                                          "applies to model_kind eviqvfl only$"):
+        load_config(config)
+
+
+def test_csv_num_classes_must_match_the_two_label_classes(tmp_path):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    text = with_line(with_line(text, "parties", "  output_dims: [4]"),
+                     "parties", "  num_classes: 3")
+    with pytest.raises(ConfigError, match=r"^config\.parties\.num_classes: 3 "
+                                          "differs from the dataset's 2 classes$"):
+        load_config(write_yaml(tmp_path / "c3.yaml", text))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_passes_validation(tmp_path, path):
+    # The MNIST and credit-card files are absent offline; empty stand-ins
+    # let every check that needs no file content run.
+    raw = yaml.safe_load(path.read_text())
+    for key in cli.DATASET_FILE_KEYS[raw["dataset"]["kind"]]:
+        (tmp_path / key).write_text("")
+        raw["dataset"][key] = str(tmp_path / key)
+    config = tmp_path / path.name
+    config.write_text(yaml.safe_dump(raw))
+    assert load_config(config).model_kind == raw["model_kind"]
+
+
 def test_topology_rejects_too_few_qubits():
     with pytest.raises(ConfigError, match="fewer qubits"):
         validate_party_topology(
@@ -281,37 +361,68 @@ def test_inspect_rejects_party_count_mismatch(tmp_path, capsys, monkeypatch):
 
 # --- dataset construction --------------------------------------------------
 
-def test_idx_party_blocks_span_unit_interval(tmp_path):
-    # Every quadrant holds a black and a white pixel, so each party block
-    # must reach exactly 0 and 1 after the single [0, 1] scaling.
+def idx_config(tmp_path, labels, test_labels=None, dataset_lines="  classes: [3, 6]"):
+    """IDX train/test files of random 28x28 images with ``labels`` (the test
+    split gets ``test_labels`` if given) and a config that reads them."""
     rng = np.random.default_rng(5)
-    images = rng.uniform(0.2, 0.8, size=(6, 28, 28))
-    for r in (0, 14):
-        for c in (0, 14):
-            images[:, r, c] = 0.0
-            images[:, r + 13, c + 13] = 1.0
-    labels = np.array([3, 6, 3, 6, 1, 3])
     files = {}
-    for split in ("train", "test"):
+    for split, split_labels in (("train", labels), ("test", test_labels or labels)):
         files[split] = (tmp_path / f"{split}-img.idx", tmp_path / f"{split}-lab.idx")
-        data.write_idx_images(*files[split], images, labels)
-    config = write_yaml(tmp_path / "idx.yaml", f"""
+        images = rng.uniform(0.2, 0.8, size=(len(split_labels), 28, 28))
+        for r in (0, 14):  # a black and a white pixel in every quadrant
+            for c in (0, 14):
+                images[:, r, c] = 0.0
+                images[:, r + 13, c + 13] = 1.0
+        data.write_idx_images(*files[split], images, np.array(split_labels))
+    return write_yaml(tmp_path / "idx.yaml", f"""
 dataset:
   kind: idx
   train_images: {files["train"][0]}
   train_labels: {files["train"][1]}
   test_images: {files["test"][0]}
   test_labels: {files["test"][1]}
-  classes: [3, 6]
+{dataset_lines}
 parties:
   input_dims: [2, 7, 7, 2]
   output_dims: [2, 2]
   num_classes: 2
 """)
+
+
+def test_idx_party_blocks_span_unit_interval(tmp_path):
+    # Every quadrant holds a black and a white pixel, so each party block
+    # must reach exactly 0 and 1 after the single [0, 1] scaling.
+    config = idx_config(tmp_path, [3, 6, 3, 6, 1, 3])
     for split in cli.build_datasets(load_config(config), seed=0):
         assert split.num_samples == 5
         for block in split.party_blocks:
             assert block.min() == 0.0 and block.max() == 1.0
+
+
+@pytest.mark.parametrize("dataset_lines,message", [
+    ("  classes: [3, 6, 1]",
+     "config.parties.num_classes: 2 differs from the dataset's 3 classes"),
+    ("", "config.parties.num_classes: 2 differs from the dataset's 10 classes"),
+    ("  classes: 3", "config.dataset.classes: must be a non-empty list of "
+     "distinct integers, got 3"),
+    ("  classes: [3, 3]", "config.dataset.classes: must be a non-empty list "
+     "of distinct integers, got [3, 3]"),
+], ids=["three_classes", "all_ten_digits", "not_a_list", "duplicate"])
+def test_idx_classes_and_num_classes_checked_at_load(tmp_path, capsys, dataset_lines,
+                                                     message):
+    config = idx_config(tmp_path, [3, 6, 1], dataset_lines=dataset_lines)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("split,train_labels,test_labels", [
+    ("train", [1, 1], [3, 6]), ("test", [3, 6], [1, 1])], ids=["train", "test"])
+def test_idx_classes_filter_leaving_a_split_empty_names_the_field(
+        tmp_path, capsys, split, train_labels, test_labels):
+    config = idx_config(tmp_path, train_labels, test_labels)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == (f"error: config.dataset.classes: no {split} "
+                                       "sample has a label in [3, 6]\n")
 
 
 # --- train command ---------------------------------------------------------

@@ -121,6 +121,14 @@ def test_csv_non_finite_cell_reports_row_and_column(tmp_path, cell):
         data.load_tabular_csv(p, ["a", "b"], "y")
 
 
+@pytest.mark.parametrize("cell", ["1.5", "nan", "abc", ""])
+def test_csv_label_without_map_must_be_exactly_0_or_1(tmp_path, cell):
+    p = tmp_path / "toy.csv"
+    write_csv(p, ["a", "y"], [[1.0, "1.0"], [2.0, cell]])
+    with pytest.raises(ValueError, match=rf"toy.csv: unknown label '{cell}' at row 3$"):
+        data.load_tabular_csv(p, ["a"], "y")
+
+
 def test_csv_unknown_label_rejected(tmp_path):
     p = tmp_path / "toy.csv"
     write_csv(p, ["a", "y"], [[1.0, "X"]])

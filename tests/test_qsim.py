@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evifed import qsim
-from evifed.qsim import (CapacityError, Circuit, DegenerateMeasurementError,
-                         Gate, Statevector)
+from evifed.qsim import CapacityError, DegenerateMeasurementError, Gate, Statevector
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -300,21 +299,6 @@ def test_remove_qubits_projects_out_definite_bits():
     s = qsim.tensor_product(one, rest)
     out = qsim.remove_qubits(s, [0], [1])
     assert np.allclose(out.amplitudes, rest.amplitudes)
-
-
-def test_circuit_validates_gate_indices():
-    with pytest.raises(ValueError):
-        Circuit(1, [Gate("X", [1])])
-
-
-def test_circuit_application_matches_sequential_gates():
-    gates = [Gate("H", [0]), Gate("CNOT", [1], controls=[0]),
-             Gate("RZ", [1], angle=0.3)]
-    a = qsim.apply_circuit(qsim.new_zero_state(2), Circuit(2, gates))
-    b = qsim.new_zero_state(2)
-    for g in gates:
-        qsim.apply_gate(b, g)
-    assert np.allclose(a.amplitudes, b.amplitudes)
 
 
 # --- module-wide properties (shared verification suite) --------------------

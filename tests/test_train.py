@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from evifed import data, qsim, train
+from evifed import data, model, qsim, train
 from evifed.model import PartyModel, Prediction, softmax
 from evifed.qsim import Gate
 from evifed.train import OptimizerState, TrainConfig, TrainTrace
@@ -290,6 +290,43 @@ def test_evidential_gradients_dominate_monolithic_fusion_circuit():
     assert report.evidential_variance >= 0
     assert report.monolithic_vqc_variance >= 0
     assert report.evidential_variance > report.monolithic_vqc_variance
+
+
+def test_barren_plateau_reports_true_gradient_variances():
+    # The shift rule is exact for expectation values, not for the loss; the
+    # reported variances must be those of the true loss gradients, taken
+    # here by central differences on each seed's rebuilt models.
+    report = train.barren_plateau_diagnostic(
+        party_input_dims=(2, 2), party_output_dims=(2, 1), internal_rank=2,
+        blocks=1, num_parties=2, num_classes=2, num_seeds=2, seed=7)
+    label = np.array([1.0, 0.0])
+    evi, mono = [], []
+    for s in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence([7, s]))
+        models = [PartyModel.random_init((2, 2), (2, 1), 2, 1, 2, rng,
+                                         angle_scale=np.pi) for _ in range(2)]
+        sample = [rng.uniform(0, 1, size=4) for _ in range(2)]
+        fusion_angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
+
+        def mono_loss():
+            a, b = [model.party_forward(m, x)[0] for m, x in zip(models, sample)]
+            st = qsim.tensor_product(a, b)
+            for gate in model.vqc_block_gates(fusion_angles):
+                qsim.apply_gate(st, gate)
+            plaus = [qsim.prob_one(st, c) for c in range(2)]
+            return train.ce_loss(model.predict(plaus), label)
+
+        for grads, loss in ((evi, lambda: train.eviqvfl_loss(models, sample, label)),
+                            (mono, mono_loss)):
+            theta, step = models[0].vqc_angles[0, 0, 0], 1e-5
+            models[0].vqc_angles[0, 0, 0] = theta + step
+            hi = loss()
+            models[0].vqc_angles[0, 0, 0] = theta - step
+            lo = loss()
+            models[0].vqc_angles[0, 0, 0] = theta
+            grads.append((hi - lo) / (2 * step))
+    assert report.evidential_variance == pytest.approx(np.var(evi), rel=1e-5)
+    assert report.monolithic_vqc_variance == pytest.approx(np.var(mono), rel=1e-5)
 
 
 def test_barren_plateau_report_is_deterministic():

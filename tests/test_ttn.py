@@ -145,8 +145,7 @@ def test_materialize_respects_capacity():
 def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(10)
     p = random_params([2, 3], [2, 2], 2, rng)
-    core_grads, x_grad = ttn.ttn_backward(p, rng.normal(size=6), np.zeros(4))
-    assert np.allclose(x_grad, 0.0)
+    core_grads = ttn.ttn_backward(p, rng.normal(size=6), np.zeros(4))
     for g in core_grads:
         assert np.allclose(g, 0.0)
 
@@ -156,9 +155,8 @@ def test_single_core_gradient_is_outer_product():
     p = random_params([4], [3], 1, rng)
     x = rng.normal(size=4)
     up = rng.normal(size=3)
-    core_grads, x_grad = ttn.ttn_backward(p, x, up)
+    core_grads = ttn.ttn_backward(p, x, up)
     assert np.allclose(core_grads[0][0, :, :, 0], np.outer(x, up))
-    assert np.allclose(x_grad, p.cores[0][0, :, :, 0] @ up)
 
 
 def _fd_core_grads(p, x, upstream, step=1e-5):
@@ -184,13 +182,10 @@ def test_core_gradients_match_finite_differences():
         p = random_params([2, 3, 2], [2, 1, 2], 2, rng)
         x = rng.normal(size=12)
         up = rng.normal(size=4)
-        analytic, x_grad = ttn.ttn_backward(p, x, up)
+        analytic = ttn.ttn_backward(p, x, up)
         for a, f in zip(analytic, _fd_core_grads(p, x, up)):
             scale = np.maximum(np.abs(f), 1e-6)
             assert np.max(np.abs(a - f) / scale) < 1e-4
-        # input gradient: the layer is linear, so dL/dx = W^T upstream
-        dense = ttn.materialize_dense(p)
-        assert np.max(np.abs(x_grad - dense.T @ up)) < 1e-10
 
 
 # --- squash ----------------------------------------------------------------
