@@ -12,9 +12,11 @@ Four kinds:
 
 Each fusing kind subclasses its averaging kind and replaces only the server
 (``_server`` and ``_server_backward``); server parameters count toward no
-party.  Classical party widths are budget-matched: the largest hidden width
-whose per-party parameter count stays within the quantum party's count
-(minimum width 1 when even that overshoots; realized counts are reported).
+party.  Party outputs are stacked (K, C), or (K, B, C) for a batch; the
+fusing servers read each sample's K*C party outputs in party order.
+Classical party widths are budget-matched: the largest hidden width whose
+per-party parameter count stays within the quantum party's count (minimum
+width 1 when even that overshoots; realized counts are reported).
 """
 from __future__ import annotations
 
@@ -35,6 +37,17 @@ BASELINE_KINDS = ("classical_average", "classical_fuse",
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _concat_parties(stack: np.ndarray) -> np.ndarray:
+    """(K, ..., C) party outputs -> (..., K*C), party by party per sample."""
+    z = np.moveaxis(stack, 0, -2)
+    return z.reshape(z.shape[:-2] + (-1,))
+
+
+def _split_parties(flat: np.ndarray, num_parties: int) -> np.ndarray:
+    """Inverse of ``_concat_parties``."""
+    return np.moveaxis(flat.reshape(flat.shape[:-1] + (num_parties, -1)), -2, 0)
 
 
 def mlp_width_for_budget(input_size: int, num_classes: int, budget: int) -> int:
@@ -63,15 +76,18 @@ class MLPParty:
         return self.w1.size + self.b1.size + self.w2.size + self.b2.size
 
     def forward(self, x):
-        h = _sigmoid(self.w1 @ x + self.b1)
-        return self.w2 @ h + self.b2, {"x": np.asarray(x, float), "h": h}
+        """Logits of one input (d,) or of each row of (B, d)."""
+        x = np.asarray(x, float)
+        h = _sigmoid(x @ self.w1.T + self.b1)
+        return h @ self.w2.T + self.b2, {"x": x, "h": h}
 
     def backward(self, cache, d_logits):
-        dw2 = np.outer(d_logits, cache["h"])
-        db2 = d_logits
-        dh = self.w2.T @ d_logits * cache["h"] * (1 - cache["h"])
-        dw1 = np.outer(dh, cache["x"])
-        return [dw1, dh, dw2, db2]
+        """Parameter gradients, summed over the rows of a batch."""
+        x = cache["x"].reshape(-1, self.w1.shape[1])
+        h = cache["h"].reshape(-1, self.w1.shape[0])
+        d = np.reshape(d_logits, (-1, self.w2.shape[0]))
+        dh = d @ self.w2 * h * (1 - h)
+        return [dh.T @ x, dh.sum(axis=0), d.T @ h, d.sum(axis=0)]
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -136,11 +152,13 @@ class ClassicalFuseModel(ClassicalAverageModel):
         return super().parameters() + [self.server_w, self.server_b]
 
     def _server(self, party_logits):
-        return self.server_w @ party_logits.reshape(-1) + self.server_b
+        return _concat_parties(party_logits) @ self.server_w.T + self.server_b
 
     def _server_backward(self, party_logits, d_logits):
-        d_party = (self.server_w.T @ d_logits).reshape(party_logits.shape)
-        return d_party, [np.outer(d_logits, party_logits.reshape(-1)), d_logits]
+        d_party = _split_parties(d_logits @ self.server_w, len(self.parties))
+        z = _concat_parties(party_logits).reshape(-1, self.server_w.shape[1])
+        d = np.reshape(d_logits, (-1, len(self.server_b)))
+        return d_party, [d.T @ z, d.sum(axis=0)]
 
 
 class MeasureAverageModel(EvidentialTrainable):
@@ -188,16 +206,21 @@ class MeasureVqcModel(MeasureAverageModel):
         return super().parameters() + [self.server_angles]
 
     def _server(self, marginals):
-        return batched_marginals(2.0 * marginals.reshape(1, -1),
-                                 self.server_angles[None, ...],
-                                 self.num_classes)[0]
+        z = _concat_parties(marginals)
+        rows = z.reshape(-1, z.shape[-1])
+        out = batched_marginals(
+            2.0 * rows,
+            np.broadcast_to(self.server_angles, (len(rows),) + self.server_angles.shape),
+            self.num_classes)
+        return out.reshape(z.shape[:-1] + (self.num_classes,))
 
     def _server_backward(self, marginals, d_out):
         # Parameter shift over the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
         d_enc_server, d_server = party_angle_gradients(
-            2.0 * marginals.reshape(-1), self.server_angles, self.num_classes, d_out)
-        return (2.0 * d_enc_server).reshape(marginals.shape), [d_server]
+            2.0 * _concat_parties(marginals), self.server_angles,
+            self.num_classes, d_out)
+        return 2.0 * _split_parties(d_enc_server, len(self.models)), [d_server]
 
 
 def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,

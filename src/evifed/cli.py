@@ -126,14 +126,17 @@ def _check_keys(section: dict, table: str, path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
+def _check_positive_int_list(value, path: str) -> None:
+    if not (isinstance(value, list) and value
+            and all(train.is_integer(v) and v >= 1 for v in value)):
+        raise ConfigError(f"{path}: must be a non-empty list of "
+                          f"positive integers, got {value!r}")
+
+
 def validate_party_topology(parties: dict, path: str = "config.parties") -> None:
     _check_keys(parties, "parties", path)
     for key in ("input_dims", "output_dims"):
-        dims = parties[key]
-        if not (isinstance(dims, list) and dims
-                and all(train.is_integer(d) and d >= 1 for d in dims)):
-            raise ConfigError(f"{path}.{key}: must be a non-empty list of "
-                              f"positive integers, got {dims!r}")
+        _check_positive_int_list(parties[key], f"{path}.{key}")
     for key in ("num_classes", "rank", "vqc_blocks"):
         value = parties.get(key, 1)
         if not (train.is_integer(value) and value >= 1):
@@ -178,10 +181,25 @@ def load_config(path) -> ExperimentConfig:
     if parties["num_classes"] != len(classes):
         raise ConfigError(f"config.parties.num_classes: {parties['num_classes']} "
                           f"differs from the dataset's {len(classes)} classes")
+    if kind == "csv":
+        _check_positive_int_list(dataset["widths"], "config.dataset.widths")
+        label_map = dataset.get("label_map", {})
+        top = len(classes) - 1
+        if not isinstance(label_map, dict):
+            raise ConfigError(f"config.dataset.label_map: must be a mapping of "
+                              f"label cells to classes 0..{top}, got {label_map!r}")
+        for cell, value in label_map.items():
+            if not (train.is_integer(value) and 0 <= value <= top):
+                raise ConfigError(f"config.dataset.label_map: value {value!r} of "
+                                  f"{cell!r} is not a class in 0..{top}")
     try:
         train_cfg = train.TrainConfig(**raw.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.train: {exc}") from exc
+    # TrainConfig accepts 0 epochs (a run that trains nothing), but a command
+    # reports its final epoch.
+    if train_cfg.epochs < 1:
+        raise ConfigError("config.train.epochs: must be >= 1")
     for key in ("grad_mode", "eval_mode"):
         value = getattr(train_cfg, key)
         if model_kind != "eviqvfl" and value != getattr(train.TrainConfig, key):

@@ -57,15 +57,18 @@ class Prediction:
     probabilities: np.ndarray
 
     @property
-    def predicted_class(self) -> int:
+    def predicted_class(self):
+        """The most probable class: an int, or one per row for a batch."""
         # np.argmax already breaks ties toward the lowest index
-        return int(np.argmax(self.probabilities))
+        classes = np.argmax(self.probabilities, axis=-1)
+        return int(classes) if classes.ndim == 0 else classes
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def vqc_block_gates(vqc_angles: np.ndarray) -> list[Gate]:
@@ -91,7 +94,8 @@ def party_circuit_gates(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> list[
 
 
 def party_features(model: PartyModel, x: np.ndarray) -> dict:
-    """TT layer then squash; the cache feeds the backward pass.
+    """TT layer then squash on one feature block (d,) or on (B, d) rows; the
+    cache feeds the backward pass.
 
     ``x_tilde`` lies in (0, pi/2); the circuit encodes it as Ry(2 x_tilde).
     """
@@ -118,9 +122,10 @@ def party_marginals(state: Statevector, num_classes: int) -> np.ndarray:
 
 
 def fuse_factorized(marginals) -> np.ndarray:
-    """Fused plausibilities as the product of per-party class marginals."""
+    """Fused plausibilities as the product of per-party class marginals:
+    (K, C) gives (C,), and (K, B, C) gives one row per sample."""
     stack = np.asarray(list(marginals), dtype=np.float64)
-    if stack.ndim != 2:
+    if stack.ndim not in (2, 3):
         raise ValueError("expected K vectors of equal length")
     return np.prod(stack, axis=0)
 
@@ -182,6 +187,14 @@ def loss_lower_bound(num_classes: int) -> float:
 # sweeps over the array.  Equality with the gate-by-gate path is pinned by
 # tests.
 
+# Amplitudes one kernel pass holds at most: batched_marginals runs its rows
+# in chunks of this size, and train.party_angle_gradients builds a
+# mini-batch's shift rows in chunks of the same size, so thousands of circuit
+# rows never sit in memory at once.  2^12 complex amplitudes are 64 KiB; at
+# 4 qubits, 2^13 was no faster and doubled the peak working set.
+CHUNK_AMPLITUDES = 1 << 12
+
+
 def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
     """Each block's RZ RY RX per qubit and row as one unitary, block 0 times
     the Ry encoding: shape (blocks, n, B, 2, 2).  Products of rotations have
@@ -205,9 +218,20 @@ def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
 
     enc_angles: (B, n) Ry rotation angles (already doubled features).
     vqc_angles: (B, blocks, n, 3).
-    Returns (B, num_classes).
+    Returns (B, num_classes).  The rows run in chunks of at most
+    ``CHUNK_AMPLITUDES`` amplitudes (one row if a row alone is larger).
     """
     enc_angles = np.asarray(enc_angles, dtype=np.float64)
+    b, n = enc_angles.shape
+    step = max(1, CHUNK_AMPLITUDES >> n)
+    return np.concatenate([
+        _chunk_marginals(enc_angles[i:i + step], vqc_angles[i:i + step],
+                         num_classes)
+        for i in range(0, b, step)])
+
+
+def _chunk_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
+                     num_classes: int) -> np.ndarray:
     b, n = enc_angles.shape
     amps = qsim.new_zero_rows(b, n)
     for block in _fused_rotations(enc_angles, vqc_angles):

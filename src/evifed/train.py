@@ -7,6 +7,15 @@ factorized fusion -- the product of per-party class marginals -- whose exact
 equality with the joint circuit is established separately.  TT-core gradients
 chain the encoding-angle shifts through the squash activation into the exact
 multilinear backward pass.
+
+The training path takes a whole mini-batch at once: every party block is
+(B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
+mini-batch.  Per party that is one TT forward and one TT backward; the
+forward circuits of all parties with one circuit shape run as rows of one
+``batched_marginals`` call, and each sample's shifted rows are built and run
+a chunk at a time (``model.CHUNK_AMPLITUDES``).  Losses and predictions keep
+the sample axis; gradients are summed over it.  A single sample, one (d,)
+block per party, gives a float loss and a one-sample ``Prediction``.
 """
 from __future__ import annotations
 
@@ -127,21 +136,23 @@ class TrainTrace:
 
 
 def ce_loss(prediction: Prediction, label: np.ndarray,
-            check_bound: bool = False) -> float:
-    """-ln p(true class); optionally assert the quantum-output loss floor."""
+            check_bound: bool = False) -> float | np.ndarray:
+    """-ln p(true class): a float for one sample, one per row for a batch of
+    (B, C) labels; optionally assert the quantum-output loss floor."""
     label = np.asarray(label, dtype=np.float64)
-    num_classes = prediction.probabilities.size
-    if label.shape != (num_classes,) or abs(label.sum() - 1.0) > 1e-9 \
+    probabilities = prediction.probabilities
+    if label.shape != probabilities.shape \
+            or np.any(np.abs(label.sum(axis=-1) - 1.0) > 1e-9) \
             or not np.all((label == 0) | (label == 1)):
         raise ValueError("label must be one-hot of length C")
-    true_class = int(np.argmax(label))
-    loss = float(-np.log(prediction.probabilities[true_class]))
+    true_class = np.argmax(label, axis=-1)[..., None]
+    loss = -np.log(np.take_along_axis(probabilities, true_class, axis=-1)[..., 0])
     if check_bound:
-        bound = loss_lower_bound(num_classes)
-        if loss < bound - BOUND_SLACK:
+        bound = loss_lower_bound(probabilities.shape[-1])
+        if np.any(loss < bound - BOUND_SLACK):
             raise AssertionError(
-                f"quantum-output CE loss {loss} violates the {bound} floor")
-    return loss
+                f"quantum-output CE loss {np.min(loss)} violates the {bound} floor")
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def param_shift_grad(evaluate, theta: float) -> float:
@@ -153,29 +164,31 @@ def param_shift_grad(evaluate, theta: float) -> float:
 
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
                  ) -> tuple[np.ndarray, list[dict]]:
-    """All party marginals, stacked (K, C); caches feed the backward pass."""
+    """All party marginals, stacked (K, C), or (K, B, C) when every party's
+    block is (B, d) rows; caches feed the backward pass.  Parties with the
+    same circuit shape run as rows of one ``batched_marginals`` call."""
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
-    marginals = np.array([
-        batched_marginals(2.0 * c["x_tilde"][None], m.vqc_angles[None],
-                          m.num_classes)[0]
-        for m, c in zip(models, caches)])
-    return marginals, caches
+    groups: dict = {}
+    for k, m in enumerate(models):
+        groups.setdefault((m.vqc_angles.shape, m.num_classes), []).append(k)
+    marginals = [None] * len(models)
+    for (shape, num_classes), ks in groups.items():
+        enc = np.concatenate([2.0 * caches[k]["x_tilde"].reshape(-1, shape[1])
+                              for k in ks])
+        rows = len(enc) // len(ks)
+        vqc = np.concatenate([np.broadcast_to(models[k].vqc_angles, (rows,) + shape)
+                              for k in ks])
+        marg = batched_marginals(enc, vqc, num_classes)
+        for k, party_marg in zip(ks, np.split(marg, len(ks))):
+            marginals[k] = party_marg.reshape(
+                caches[k]["x_tilde"].shape[:-1] + (num_classes,))
+    return np.array(marginals), caches
 
 
 def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Prediction:
     marginals, _ = forward_pass(models, sample)
     return model_mod.predict(model_mod.fuse_factorized(marginals))
-
-
-def _shift_batch(base: np.ndarray) -> np.ndarray:
-    """Rows 2i / 2i+1 are base with entry i shifted by +pi/2 / -pi/2."""
-    a = base.size
-    batch = np.tile(base.reshape(-1), (2 * a, 1))
-    for i in range(a):
-        batch[2 * i, i] += np.pi / 2
-        batch[2 * i + 1, i] -= np.pi / 2
-    return batch
 
 
 def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
@@ -185,24 +198,42 @@ def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
     Ry(enc_angles), then the (blocks, n, 3) VQC blocks, read out as the first
     ``num_classes`` qubit marginals (a party or the measure_then_vqc server).
 
-    Returns (d/d encoding angle, d/d vqc angle) given ``dL_dmarg``, the loss
-    gradient wrt those marginals with everything else frozen.
+    ``enc_angles`` is one sample's (n,) or a batch's (B, n), and ``dL_dmarg``
+    the loss gradient wrt the marginals, (C,) or (B, C), with everything else
+    frozen.  Returns (d/d encoding angle, per sample; d/d vqc angle, summed
+    over the samples).  Each sample's 2A shifted rows (A angles) are built and
+    run a chunk of samples at a time, within ``model.CHUNK_AMPLITUDES``.
     """
-    n = len(enc_angles)
-    batch = _shift_batch(np.concatenate([enc_angles, vqc_angles.reshape(-1)]))
-    marg = batched_marginals(batch[:, :n],
-                             batch[:, n:].reshape((-1,) + vqc_angles.shape),
-                             num_classes)
-    dmarg_dangle = (marg[0::2] - marg[1::2]) / 2.0  # (A, C)
-    dL_dangle = dmarg_dangle @ dL_dmarg
-    return dL_dangle[:n], dL_dangle[n:].reshape(vqc_angles.shape)
+    enc_angles = np.asarray(enc_angles, dtype=np.float64)
+    n = enc_angles.shape[-1]
+    enc = enc_angles.reshape(-1, n)
+    dL_dmarg = np.reshape(dL_dmarg, (len(enc), num_classes))
+    base = np.concatenate([enc, np.broadcast_to(vqc_angles.reshape(-1),
+                                                (len(enc), vqc_angles.size))],
+                          axis=1)
+    a = base.shape[1]
+    # Rows 2i / 2i+1 of a sample shift its angle i by +pi/2 / -pi/2.
+    shifts = np.kron(np.eye(a), [[np.pi / 2], [-np.pi / 2]])
+    step = max(1, model_mod.CHUNK_AMPLITUDES // ((2 * a) << n))
+    dL_dangle = np.empty_like(base)
+    for s in range(0, len(base), step):
+        rows = (base[s:s + step, None] + shifts).reshape(-1, a)
+        marg = batched_marginals(rows[:, :n],
+                                 rows[:, n:].reshape((-1,) + vqc_angles.shape),
+                                 num_classes).reshape(-1, a, 2, num_classes)
+        dmarg_dangle = (marg[:, :, 0] - marg[:, :, 1]) / 2.0  # (samples, A, C)
+        dL_dangle[s:s + step] = np.einsum("sac,sc->sa", dmarg_dangle,
+                                          dL_dmarg[s:s + step])
+    return (dL_dangle[:, :n].reshape(enc_angles.shape),
+            dL_dangle[:, n:].sum(axis=0).reshape(vqc_angles.shape))
 
 
 def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
                     ) -> list[np.ndarray]:
     """One party's gradients (TT cores, then VQC angles) from dL/d marginals,
     chained through encoding angle = 2 x_tilde, the squash and the TT layer;
-    ``cache`` is the party's ``model.party_features`` output."""
+    ``cache`` is the party's ``model.party_features`` output.  On a batch's
+    cache and (B, C) ``dL_dmarg`` the gradients are summed over the samples."""
     d_enc, d_vqc = party_angle_gradients(2.0 * cache["x_tilde"], m.vqc_angles,
                                          m.num_classes, dL_dmarg)
     dL_dpre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
@@ -216,13 +247,17 @@ def party_parameters(m: PartyModel) -> list[np.ndarray]:
 
 def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
                   label: np.ndarray, config: TrainConfig | None = None
-                  ) -> tuple[float, list[list[np.ndarray]], Prediction]:
-    """Loss, per-party gradients (TT cores then VQC angles), and prediction."""
+                  ) -> tuple[float | np.ndarray, list[list[np.ndarray]], Prediction]:
+    """Loss, per-party gradients (TT cores then VQC angles), and prediction.
+
+    ``sample`` holds one (d,) block per party with a (C,) one-hot ``label``,
+    or (B, d) blocks with (B, C) labels: the loss and the prediction then
+    keep the sample axis, and the gradients are summed over it.
+    """
     if config is not None and config.grad_mode == "finite_difference":
         return full_gradient_fd(models, sample, label)
     marginals, caches = forward_pass(models, sample)
-    plaus = np.prod(marginals, axis=0)
-    pred = model_mod.predict(plaus)
+    pred = model_mod.predict(model_mod.fuse_factorized(marginals))
     loss = ce_loss(pred, label, check_bound=True)
     dL_dpl = pred.probabilities - np.asarray(label, dtype=np.float64)
     # The product over no other parties is all ones.
@@ -235,13 +270,19 @@ def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
 
 def eviqvfl_loss(models: list[PartyModel], sample: list[np.ndarray],
                  label: np.ndarray) -> float:
-    return ce_loss(eviqvfl_predict(models, sample), label, check_bound=True)
+    """Cross-entropy of one sample, or summed over a batch's samples."""
+    return float(np.sum(ce_loss(eviqvfl_predict(models, sample), label,
+                                check_bound=True)))
 
 
 def full_gradient_fd(models: list[PartyModel], sample: list[np.ndarray],
                      label: np.ndarray, step: float = 1e-5
-                     ) -> tuple[float, list[list[np.ndarray]], Prediction]:
-    """Central finite differences over every scalar parameter (oracle path)."""
+                     ) -> tuple[float | np.ndarray, list[list[np.ndarray]], Prediction]:
+    """Central finite differences over every scalar parameter (oracle path).
+
+    On a batch they difference the summed loss, so the gradients are summed
+    over the samples as ``full_gradient``'s are.
+    """
     pred = eviqvfl_predict(models, sample)
     loss = ce_loss(pred, label, check_bound=True)
     grads = []
@@ -288,21 +329,26 @@ def adam_step(state: OptimizerState, params: list[np.ndarray],
 
 # --- training loop ---------------------------------------------------------
 
+def _hits(prediction: Prediction, labels: np.ndarray) -> int:
+    return int(np.sum(prediction.predicted_class == np.argmax(labels, axis=-1)))
+
+
 def _accuracy(trainable, dataset: VerticalDataset) -> float:
     if dataset.num_samples == 0:
         return float("nan")
-    hits = 0
-    for i in range(dataset.num_samples):
-        pred = trainable.predict(dataset.sample(i))
-        hits += int(pred.predicted_class == int(np.argmax(dataset.labels[i])))
-    return hits / dataset.num_samples
+    return _hits(trainable.predict(dataset.party_blocks),
+                 dataset.labels) / dataset.num_samples
 
 
 class EvidentialTrainable:
     """The party ensemble under the trainable interface every model kind
     answers: ``parameters()`` (arrays the optimizer updates in place),
     ``party_param_counts()``, ``predict(sample)`` and
-    ``loss_and_gradients(sample, label, config)``."""
+    ``loss_and_gradients(sample, label, config)``.
+
+    A sample is one (d,) block per party, or (B, d) blocks for a batch of B
+    samples with (B, C) labels.  For a batch, the loss and the prediction
+    keep the sample axis and the gradients are summed over it."""
 
     def __init__(self, models: list[PartyModel], eval_mode: str = "factorized"):
         self.models = models
@@ -315,13 +361,17 @@ class EvidentialTrainable:
         return [m.param_count() for m in self.models]
 
     def predict(self, sample) -> Prediction:
-        if self.eval_mode == "joint":
-            states = [model_mod.party_forward(m, x)[0]
-                      for m, x in zip(self.models, sample, strict=True)]
-            plaus = model_mod.fuse_joint_circuit(states,
-                                                 self.models[0].num_classes)
-            return model_mod.predict(plaus)
-        return eviqvfl_predict(self.models, sample)
+        if self.eval_mode != "joint":
+            return eviqvfl_predict(self.models, sample)
+        # The joint register holds one sample, so a batch runs row by row.
+        rows = zip(*[np.reshape(x, (-1, np.shape(x)[-1])) for x in sample])
+        plaus = np.array([
+            model_mod.fuse_joint_circuit(
+                [model_mod.party_forward(m, x)[0]
+                 for m, x in zip(self.models, row, strict=True)],
+                self.models[0].num_classes)
+            for row in rows])
+        return model_mod.predict(plaus.reshape(np.shape(sample[0])[:-1] + (-1,)))
 
     def loss_and_gradients(self, sample, label, config):
         loss, party_grads, pred = full_gradient(self.models, sample, label, config)
@@ -332,6 +382,9 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
               test_set: VerticalDataset | None = None
               ) -> tuple[object, TrainTrace]:
     """Mini-batch training loop; fully deterministic given ``config.seed``.
+
+    Each mini-batch is one ``loss_and_gradients`` call on (B, d) party
+    blocks; Adam steps on the gradient averaged over its samples.
 
     ``models`` is either a list of PartyModel (trained as the evidential
     ensemble) or any object with the trainable interface of
@@ -349,22 +402,16 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
         hits = 0
         for batch in batch_indices(train_set.num_samples, config.batch_size,
                                    config.seed, epoch):
-            grad_sum = [np.zeros_like(p) for p in params]
-            for i in batch:
-                sample = train_set.sample(int(i))
-                label = train_set.labels[int(i)]
-                loss, grads, pred = trainable.loss_and_gradients(sample, label, config)
-                losses.append(loss)
-                hits += int(pred.predicted_class == int(np.argmax(label)))
-                for gs, g in zip(grad_sum, grads):
-                    gs += g
-            for gs in grad_sum:
-                gs /= len(batch)
-            adam_step(opt, params, grad_sum, config)
+            part = train_set.subset(batch)
+            loss, grads, pred = trainable.loss_and_gradients(
+                part.party_blocks, part.labels, config)
+            losses.append(loss)
+            hits += _hits(pred, part.labels)
+            adam_step(opt, params, [g / len(batch) for g in grads], config)
         test_acc = _accuracy(trainable, test_set) if test_set is not None else float("nan")
         trace.records.append(EpochRecord(
             epoch=epoch,
-            loss=float(np.mean(losses)),
+            loss=float(np.mean(np.concatenate(losses))),
             train_acc=hits / train_set.num_samples,
             test_acc=test_acc,
             seconds=time.monotonic() - t0,

@@ -68,17 +68,19 @@ def ttn_param_count(params: TTLayerParams) -> int:
 
 
 def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
+    """The layer applied to one input (d,) or to each row of (B, d)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_size,):
+    if x.ndim not in (1, 2) or x.shape[-1] != params.in_size:
         raise ValueError(f"input length {x.shape} does not match {params.in_size}")
-    # t carries (left bond, remaining input modes flattened, produced output modes)
-    t = x.reshape(1, -1, 1)
+    # t carries (sample, left bond, remaining input modes flattened, produced
+    # output modes)
+    t = x.reshape(-1, 1, params.in_size, 1)
     for core in params.cores:
         r_prev, p, q, r_next = core.shape
-        t = t.reshape(r_prev, p, -1, t.shape[2])
-        t = np.einsum("rpqs,rpxy->sxyq", core, t)
-        t = t.reshape(r_next, t.shape[1], -1)
-    return t.reshape(-1)
+        t = t.reshape(t.shape[0], r_prev, p, -1, t.shape[-1])
+        t = np.einsum("rpqs,brpxy->bsxyq", core, t)
+        t = t.reshape(t.shape[0], r_next, t.shape[2], -1)
+    return t.reshape(x.shape[:-1] + (params.out_size,))
 
 
 def _partial_dense(cores) -> np.ndarray:
@@ -101,22 +103,29 @@ def materialize_dense(params: TTLayerParams) -> np.ndarray:
 
 def ttn_backward(params: TTLayerParams, x: np.ndarray,
                  upstream: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients dL/dcore_l for every l, given dL/dy."""
+    """Exact gradients dL/dcore_l for every l, given dL/dy.
+
+    ``x`` is one input (d,) with ``upstream`` (out,), or (B, d) rows with
+    (B, out) upstream rows; the gradients are then summed over the rows, and
+    each core's environments are built once for all of them.
+    """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (params.out_size,):
+    if upstream.shape != x.shape[:-1] + (params.out_size,):
         raise ValueError("upstream length does not match output size")
-    L = len(params.cores)
+    b = upstream.size // params.out_size
     core_grads = []
-    for l in range(L):
+    for l in range(len(params.cores)):
         left = _partial_dense(params.cores[:l])[0]      # (Qleft, Pleft, r_{l-1})
         right = _partial_dense(params.cores[l + 1:])[..., 0]  # (r_l, Qright, Pright)
-        p_l = params.input_dims[l]
-        q_l = params.output_dims[l]
-        x3 = x.reshape(left.shape[1], p_l, -1)
-        g3 = upstream.reshape(left.shape[0], q_l, -1)
-        grad = np.einsum("YPa,bZR,PpR,YqZ->apqb", left, right, x3, g3)
-        core_grads.append(grad)
+        x4 = x.reshape(b, left.shape[1], params.input_dims[l], -1)
+        g4 = upstream.reshape(b, left.shape[0], params.output_dims[l], -1)
+        # Contract each side's environment first, then the samples with the
+        # rest.  At these sizes a BLAS matrix product is no faster, and its
+        # packing buffers raised the benchmark's peak RSS by 0.5 MiB.
+        xl = np.einsum("YPa,nPpR->nYRap", left, x4)
+        gr = np.einsum("bZR,nYqZ->nYRqb", right, g4)
+        core_grads.append(np.einsum("nYRap,nYRqb->apqb", xl, gr))
     return core_grads
 
 

@@ -151,6 +151,38 @@ def test_quantum_baseline_gradients_match_finite_differences(kind):
         assert np.max(np.abs(a - b)) < 2e-5 * max(1.0, np.max(np.abs(a)))
 
 
+@pytest.mark.parametrize("kind", ("eviqvfl",) + BASELINE_KINDS)
+def test_batch_loss_and_gradients_match_per_sample_results(kind):
+    # Per-sample losses and predictions keep the sample axis; gradients are
+    # the sum of the per-sample gradients.
+    rng = np.random.default_rng(9)
+    models = small_models(rng, k=3)
+    trainable = (train.EvidentialTrainable(models) if kind == "eviqvfl" else
+                 build_baseline(kind, [4] * 3, 2, rng, quantum_models=models,
+                                party_budget=40))
+    b = 7
+    sample = [rng.normal(size=(b, 4)) for _ in models]
+    labels = np.eye(2)[rng.integers(0, 2, size=b)]
+    config = TrainConfig()
+    loss, grads, pred = trainable.loss_and_gradients(sample, labels, config)
+    assert loss.shape == (b,) and pred.probabilities.shape == (b, 2)
+    assert np.max(np.abs(trainable.predict(sample).probabilities
+                         - pred.probabilities)) < 1e-12
+    summed = [np.zeros_like(p) for p in trainable.parameters()]
+    for i in range(b):
+        loss_i, grads_i, pred_i = trainable.loss_and_gradients(
+            [x[i] for x in sample], labels[i], config)
+        assert isinstance(loss_i, float) and isinstance(pred_i.predicted_class, int)
+        assert abs(loss[i] - loss_i) < 1e-12
+        assert np.max(np.abs(pred.probabilities[i] - pred_i.probabilities)) < 1e-12
+        for s, g in zip(summed, grads_i):
+            s += g
+    assert len(grads) == len(summed)
+    for g, s in zip(grads, summed):
+        assert g.shape == s.shape
+        assert np.max(np.abs(g - s)) < 1e-12
+
+
 # --- relationships between baselines and the evidential model --------------
 
 def test_single_party_average_equals_evidential_fusion():

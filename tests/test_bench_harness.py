@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import evifed
-from evifed import train
+from evifed import data, train
 from evifed.model import PartyModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -31,6 +31,9 @@ def test_tracer_records_every_traced_layer():
     models = [PartyModel.random_init([2, 3], [2, 1], 2, 1, 2, rng)
               for _ in range(2)]
     sample = [rng.uniform(0, 1, size=6) for _ in models]
+    # 20 samples in mini-batches of 8: three mini-batches, the last partial.
+    train_set = data.VerticalDataset([rng.uniform(0, 1, size=(20, 6)) for _ in models],
+                                     np.eye(2)[rng.integers(0, 2, size=20)])
     tracer = load_tracer_module().Tracer(evifed)
     tracer.install()
     try:
@@ -38,13 +41,22 @@ def test_tracer_records_every_traced_layer():
         train.full_gradient(models, sample, np.array([1.0, 0.0]))
         tracer.phase = "joint"
         train.EvidentialTrainable(models, eval_mode="joint").predict(sample)
+        tracer.phase = "train_run"
+        train.train_run(models, train_set, train.TrainConfig(epochs=1, batch_size=8))
     finally:
         tracer.uninstall()
     totals = tracer.totals()
     expected = {"gradient": ("ttn.forward", "ttn.backward",
                              "model.batched_marginals"),
-                "joint": ("ttn.forward", "qsim.apply_gate", "qsim.apply_mcx")}
+                "joint": ("ttn.forward", "qsim.apply_gate", "qsim.apply_mcx"),
+                "train_run": ("train.full_gradient", "train.party_angle_gradients",
+                              "ttn.backward", "model.batched_marginals",
+                              "train.adam_step")}
     for phase, names in expected.items():
         for name in names:
             calls = totals.get((phase, name), {"calls": 0})["calls"]
             assert calls > 0, f"{name} recorded no calls in {phase}"
+    # The benchmark divides circuit rows by full_gradient calls: one call per
+    # mini-batch, not per sample.
+    for name in ("train.full_gradient", "train.adam_step"):
+        assert totals[("train_run", name)]["calls"] == 3

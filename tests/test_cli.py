@@ -240,6 +240,53 @@ def test_csv_num_classes_must_match_the_two_label_classes(tmp_path):
         load_config(write_yaml(tmp_path / "c3.yaml", text))
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
+    # TrainConfig itself accepts epochs=0 (a run that trains nothing); the
+    # command would have no final epoch to report.
+    csv = make_csv(tmp_path / "d.csv")
+    config = csv_config(tmp_path, csv, epochs=epochs)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == "error: config.train.epochs: must be >= 1\n"
+
+
+@pytest.mark.parametrize("widths", ["10", "[]", "[3, 0]", "[3.0, 3]", "[true, 5]"])
+def test_csv_widths_must_be_a_list_of_positive_integers(tmp_path, capsys, widths):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "w.yaml",
+                        with_line(text, "dataset", f"  widths: {widths}"))
+    assert run_cli("train", "--config", config) == 1
+    value = yaml.safe_load(widths)
+    assert capsys.readouterr().err == (
+        "error: config.dataset.widths: must be a non-empty list of positive "
+        f"integers, got {value!r}\n")
+
+
+@pytest.mark.parametrize("label_map,message", [
+    ("{'0': 0, '1': 2}", "value 2 of '1' is not a class in 0..1"),
+    ("{'0': -1, '1': 1}", "value -1 of '0' is not a class in 0..1"),
+    ("{'0': 0, '1': 1.0}", "value 1.0 of '1' is not a class in 0..1"),
+    ("{'0': false, '1': true}", "value False of '0' is not a class in 0..1"),
+    ("[0, 1]", "must be a mapping of label cells to classes 0..1, got [0, 1]"),
+], ids=["above", "negative", "float", "bool", "not_a_mapping"])
+def test_csv_label_map_values_must_be_classes(tmp_path, capsys, label_map, message):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "lm.yaml",
+                        with_line(text, "dataset", f"  label_map: {label_map}"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: config.dataset.label_map: {message}\n"
+
+
+def test_csv_label_map_within_classes_is_accepted(tmp_path):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "lm.yaml",
+                        with_line(text, "dataset", "  label_map: {'0': 1, '1': 0}"))
+    assert load_config(config).dataset["label_map"] == {"0": 1, "1": 0}
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
                          ids=lambda p: p.stem)
 def test_shipped_config_passes_validation(tmp_path, path):

@@ -181,6 +181,15 @@ def test_uniform_plausibilities_give_uniform_probabilities():
     assert pred.predicted_class == 0  # tie broken toward lowest index
 
 
+def test_prediction_of_a_batch_keeps_one_row_per_sample():
+    plaus = np.array([[0.9, 0.2], [0.1, 0.7], [0.5, 0.5]])
+    pred = model.predict(plaus)
+    for row, p in zip(plaus, pred.probabilities):
+        assert np.array_equal(p, model.predict(row).probabilities)
+    assert pred.predicted_class.tolist() == [0, 1, 0]
+    assert isinstance(model.predict(plaus[1]).predicted_class, int)
+
+
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(10)
     pred = model.predict(rng.uniform(0, 1, size=4))
@@ -214,11 +223,14 @@ def test_loss_lower_bound_four_classes():
 
 # --- batched evaluator -----------------------------------------------------
 
-@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("batch", [1, 7, "past_chunk"])
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
-    # At n = 2 the ring 0->1->0 composes two CNOTs on the same pair.
+    # At n = 2 the ring 0->1->0 composes two CNOTs on the same pair.  The
+    # "past_chunk" batch holds more rows than one chunk of CHUNK_AMPLITUDES.
+    if batch == "past_chunk":
+        batch = (model.CHUNK_AMPLITUDES >> n) + 3
     rng = np.random.default_rng(12)
     enc = rng.uniform(0, np.pi, size=(batch, n))
     vqc = rng.uniform(-np.pi, np.pi, size=(batch, blocks, n, 3))

@@ -145,6 +145,149 @@ def test_gradient_locality_across_parties():
         assert np.allclose(b, a)
 
 
+# --- mini-batches ----------------------------------------------------------
+
+def batch_of(rng, models, b, num_classes=2):
+    blocks = [rng.uniform(0, 1, size=(b, m.ttn.in_size)) for m in models]
+    return blocks, np.eye(num_classes)[rng.integers(0, num_classes, size=b)]
+
+
+def assert_grads_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) < tol
+
+
+# (input_dims, output_dims, blocks, parties): the breast-cancer topology, and
+# an 8-qubit one whose 2A shifted rows of a single sample outgrow a chunk.
+GRADIENT_TOPOLOGIES = {"breast_cancer": ((2, 5), (2, 2), 1, 3),
+                       "eight_qubits": ((2, 3, 2), (2, 2, 2), 1, 2)}
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+@pytest.mark.parametrize("topology", GRADIENT_TOPOLOGIES)
+def test_batch_gradient_is_the_sum_of_per_sample_gradients(topology, b):
+    input_dims, output_dims, blocks, parties = GRADIENT_TOPOLOGIES[topology]
+    rng = np.random.default_rng(16)
+    models = make_parties(rng, parties, input_dims, output_dims, blocks)
+    sample, labels = batch_of(rng, models, b)
+    if b == 64:  # the shift rows of the batch span several chunks
+        angles = models[0].n_qubits * (1 + 3 * blocks)
+        assert b * 2 * angles << models[0].n_qubits > 4 * model.CHUNK_AMPLITUDES
+    loss, grads, pred = train.full_gradient(models, sample, labels)
+    per_sample = [train.full_gradient(models, [x[i] for x in sample], labels[i])
+                  for i in range(b)]
+    assert loss.shape == (b,) and pred.probabilities.shape == (b, 2)
+    for i, (loss_i, grads_i, pred_i) in enumerate(per_sample):
+        assert isinstance(loss_i, float) and isinstance(pred_i.predicted_class, int)
+        assert abs(loss[i] - loss_i) < 1e-12
+        assert np.max(np.abs(pred.probabilities[i] - pred_i.probabilities)) < 1e-12
+    for k in range(parties):
+        assert_grads_close(grads[k], [sum(g[k][j] for _, g, _ in per_sample)
+                                      for j in range(len(grads[k]))])
+
+
+def test_finite_difference_mode_on_a_batch_sums_per_sample_gradients():
+    rng = np.random.default_rng(17)
+    models = make_parties(rng)
+    sample, labels = batch_of(rng, models, 3)
+    cfg = TrainConfig(grad_mode="finite_difference")
+    loss, grads, _ = train.full_gradient(models, sample, labels, cfg)
+    per_sample = [train.full_gradient_fd(models, [x[i] for x in sample], labels[i])
+                  for i in range(3)]
+    assert np.allclose(loss, [l for l, _, _ in per_sample], rtol=0, atol=1e-12)
+    for k in range(2):
+        assert_grads_close(grads[k], [sum(g[k][j] for _, g, _ in per_sample)
+                                      for j in range(len(grads[k]))], tol=1e-8)
+
+
+def test_parties_of_one_circuit_shape_share_one_circuit_call(monkeypatch):
+    calls = []
+    real = train.batched_marginals
+
+    def counting(enc, vqc, num_classes):
+        calls.append(len(enc))
+        return real(enc, vqc, num_classes)
+
+    monkeypatch.setattr(train, "batched_marginals", counting)
+    rng = np.random.default_rng(18)
+    models = make_parties(rng, num_parties=3)
+    sample, _ = batch_of(rng, models, 5)
+    marginals, _ = train.forward_pass(models, [x[0] for x in sample])
+    assert calls == [3] and marginals.shape == (3, 2)
+    batch_marginals, _ = train.forward_pass(models, sample)
+    assert calls == [3, 15] and batch_marginals.shape == (3, 5, 2)
+    assert np.max(np.abs(batch_marginals[:, 0] - marginals)) < 1e-12
+
+
+def test_forward_pass_mixes_circuit_shapes():
+    rng = np.random.default_rng(19)
+    models = (make_parties(rng, 1, blocks=2) + make_parties(rng, 1)
+              + make_parties(rng, 1, output_dims=(2, 2)))
+    sample, _ = batch_of(rng, models, 4)
+    marginals, _ = train.forward_pass(models, sample)
+    for i in range(4):
+        for k, m in enumerate(models):
+            cache = model.party_features(m, sample[k][i])
+            one = model.batched_marginals(2.0 * cache["x_tilde"][None],
+                                          m.vqc_angles[None], 2)[0]
+            assert np.max(np.abs(marginals[k, i] - one)) < 1e-12
+
+
+@pytest.mark.parametrize("eval_mode", ["factorized", "joint"])
+def test_batch_prediction_matches_per_sample_predictions(eval_mode):
+    rng = np.random.default_rng(20)
+    trainable = train.EvidentialTrainable(make_parties(rng), eval_mode)
+    sample, _ = batch_of(rng, trainable.models, 5)
+    pred = trainable.predict(sample)
+    for i in range(5):
+        one = trainable.predict([x[i] for x in sample])
+        assert np.max(np.abs(pred.probabilities[i] - one.probabilities)) < 1e-12
+
+
+def test_ce_loss_of_a_batch_is_per_row():
+    plaus = np.array([[0.9, 0.2], [0.1, 0.7]])
+    pred = model.predict(plaus)
+    labels = np.array([[1.0, 0.0], [1.0, 0.0]])
+    losses = train.ce_loss(pred, labels, check_bound=True)
+    assert losses.shape == (2,)
+    for row, label, loss in zip(plaus, labels, losses):
+        assert loss == train.ce_loss(model.predict(row), label)
+    with pytest.raises(ValueError):
+        train.ce_loss(pred, labels[0])
+    # One row below the quantum floor trips the check for the batch.
+    bad = Prediction(plaus, np.array([[0.5, 0.5], [0.99, 0.01]]))
+    with pytest.raises(AssertionError):
+        train.ce_loss(bad, labels, check_bound=True)
+
+
+def test_train_run_matches_a_per_sample_reference_loop():
+    # The reference sums per-sample gradients over each mini-batch, as the
+    # training loop did before it passed whole mini-batches.
+    config = TrainConfig(epochs=2, batch_size=16, seed=3)
+    ds = synthetic_dataset(np.random.default_rng(22), n=40)
+    models = make_parties(np.random.default_rng(23))
+    reference = make_parties(np.random.default_rng(23))
+    _, trace = train.train_run(models, ds, config)
+    params = [p for m in reference for p in train.party_parameters(m)]
+    opt = OptimizerState.for_params(params)
+    for epoch, record in enumerate(trace.records):
+        losses = []
+        for batch in data.batch_indices(ds.num_samples, 16, 3, epoch):
+            grad_sum = [np.zeros_like(p) for p in params]
+            for i in batch:
+                loss, grads, _ = train.full_gradient(reference, ds.sample(i),
+                                                     ds.labels[i])
+                losses.append(loss)
+                for gs, g in zip(grad_sum, (g for pg in grads for g in pg)):
+                    gs += g
+            train.adam_step(opt, params, [g / len(batch) for g in grad_sum], config)
+        assert abs(record.loss - np.mean(losses)) < 1e-12
+    trained = [p for m in models for p in train.party_parameters(m)]
+    assert_grads_close(trained, params, tol=1e-10)
+
+
 # --- Adam ------------------------------------------------------------------
 
 def test_adam_zero_gradient_leaves_params_unchanged():

@@ -140,6 +140,38 @@ def test_materialize_respects_capacity():
         ttn.materialize_dense(p)
 
 
+def test_forward_rejects_input_of_more_than_two_axes():
+    p = random_params([2, 3], [2, 2], 2, np.random.default_rng(9))
+    with pytest.raises(ValueError):
+        ttn.ttn_forward(p, np.zeros((2, 2, 6)))
+
+
+@pytest.mark.parametrize("input_dims,output_dims", [
+    ([5], [3]), ([2, 5], [2, 2]), ([2, 7, 7, 2], [1, 2, 2, 1])])
+def test_rows_match_per_row_forward_and_summed_backward(input_dims, output_dims):
+    # A (B, d) input is B independent inputs; the backward pass over (B, out)
+    # upstream rows is the sum of the B per-row gradients.
+    rng = np.random.default_rng(14)
+    p = random_params(input_dims, output_dims, 2, rng)
+    x = rng.normal(size=(7, p.in_size))
+    up = rng.normal(size=(7, p.out_size))
+    y = ttn.ttn_forward(p, x)
+    assert y.shape == (7, p.out_size)
+    for row, xi in zip(y, x):
+        assert np.max(np.abs(row - ttn.ttn_forward(p, xi))) < 1e-12
+    per_row = [ttn.ttn_backward(p, xi, ui) for xi, ui in zip(x, up)]
+    for l, g in enumerate(ttn.ttn_backward(p, x, up)):
+        assert g.shape == p.cores[l].shape
+        assert np.max(np.abs(g - sum(grads[l] for grads in per_row))) < 1e-12
+
+
+def test_backward_rejects_upstream_rows_not_matching_inputs():
+    rng = np.random.default_rng(15)
+    p = random_params([2, 3], [2, 2], 2, rng)
+    with pytest.raises(ValueError, match="upstream"):
+        ttn.ttn_backward(p, rng.normal(size=(7, 6)), rng.normal(size=(6, 4)))
+
+
 # --- backward --------------------------------------------------------------
 
 def test_zero_upstream_gives_zero_gradients():
