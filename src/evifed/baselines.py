@@ -215,7 +215,7 @@ class MeasureVqcModel(MeasureAverageModel):
         return out.reshape(z.shape[:-1] + (self.num_classes,))
 
     def _server_backward(self, marginals, d_out):
-        # Parameter shift over the server circuit: encoding angles first
+        # Angle gradients of the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
         d_enc_server, d_server = party_angle_gradients(
             2.0 * _concat_parties(marginals), self.server_angles,

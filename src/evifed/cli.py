@@ -10,10 +10,11 @@ an unknown or missing required key at the top level or in ``dataset`` or
 is rejected, never trained with a silent default.  So is a value of the
 wrong type (a bool is no number; PyYAML reads ``1e-8`` as a string, so write
 ``1.0e-8``), a ``num_classes`` other than the dataset's class count, a
-``classes`` filter that leaves a split empty, a non-default ``grad_mode`` or
-``eval_mode`` for a baseline kind, and a CSV label other than 0 or 1 where no
-``label_map`` is given.  Output directory precedence: ``--out`` flag, then the
-``EVIFED_OUT_DIR`` environment variable, then the config's ``out_dir``.
+``classes`` filter that leaves a split empty, a non-default ``eval_mode`` for
+a baseline kind, an unquoted ``label_map`` key (CSV label cells are text),
+and a CSV label other than 0 or 1 where no ``label_map`` is given.  Output
+directory precedence: ``--out`` flag, then the ``EVIFED_OUT_DIR`` environment
+variable, then the config's ``out_dir``.
 
 Config schema (all keys lowercase)::
 
@@ -49,7 +50,6 @@ Config schema (all keys lowercase)::
       epochs: 20
       seed: 0
       eval_mode: factorized | joint
-      grad_mode: parameter_shift | finite_difference
       adam_betas: [0.9, 0.999]
       adam_epsilon: 1.0e-8
     out_dir: runs/exp1
@@ -57,6 +57,7 @@ Config schema (all keys lowercase)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -94,6 +95,8 @@ CONFIG_KEYS = {
     "parties": (("input_dims", "output_dims", "num_classes"),
                 ("rank", "vqc_blocks")),
 }
+# Values of the optional ``parties`` keys when a config leaves them out.
+PARTY_DEFAULTS = {"rank": 2, "vqc_blocks": 2}
 DATASET_FILE_KEYS = {"idx": ("train_images", "train_labels",
                              "test_images", "test_labels"),
                      "csv": ("path",)}
@@ -189,22 +192,31 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"config.dataset.label_map: must be a mapping of "
                               f"label cells to classes 0..{top}, got {label_map!r}")
         for cell, value in label_map.items():
+            if not isinstance(cell, str):
+                raise ConfigError(f"config.dataset.label_map: key {cell!r} is not "
+                                  f"a string; quote it, since label cells are "
+                                  f"read as text")
             if not (train.is_integer(value) and 0 <= value <= top):
                 raise ConfigError(f"config.dataset.label_map: value {value!r} of "
                                   f"{cell!r} is not a class in 0..{top}")
+    train_section = raw.get("train", {})
+    if not isinstance(train_section, dict):
+        raise ConfigError("config.train: must be a mapping")
+    train_fields = {f.name for f in dataclasses.fields(train.TrainConfig)}
+    for key in train_section:
+        if key not in train_fields:
+            raise ConfigError(f"config.train.{key}: unknown field")
     try:
-        train_cfg = train.TrainConfig(**raw.get("train", {}))
+        train_cfg = train.TrainConfig(**train_section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.train: {exc}") from exc
     # TrainConfig accepts 0 epochs (a run that trains nothing), but a command
     # reports its final epoch.
     if train_cfg.epochs < 1:
         raise ConfigError("config.train.epochs: must be >= 1")
-    for key in ("grad_mode", "eval_mode"):
-        value = getattr(train_cfg, key)
-        if model_kind != "eviqvfl" and value != getattr(train.TrainConfig, key):
-            raise ConfigError(f"config.train.{key}: {value} applies to "
-                              f"model_kind eviqvfl only")
+    if model_kind != "eviqvfl" and train_cfg.eval_mode != train.TrainConfig.eval_mode:
+        raise ConfigError(f"config.train.eval_mode: {train_cfg.eval_mode} applies "
+                          f"to model_kind eviqvfl only")
     return ExperimentConfig(dataset=dataset, model_kind=model_kind,
                             parties=parties, train=train_cfg,
                             out_dir=raw.get("out_dir", "."))
@@ -274,9 +286,9 @@ def _party_widths(cfg: ExperimentConfig) -> list[int]:
 
 
 def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
-    p = cfg.parties
+    p = {**PARTY_DEFAULTS, **cfg.parties}
     return PartyModel.random_init(list(p["input_dims"]), list(p["output_dims"]),
-                                  int(p.get("rank", 2)), int(p.get("vqc_blocks", 2)),
+                                  int(p["rank"]), int(p["vqc_blocks"]),
                                   int(p["num_classes"]), rng)
 
 
@@ -376,6 +388,24 @@ def load_party_models(path) -> list[PartyModel]:
     return models
 
 
+def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
+    """Raise ValueError naming the dump and the first party whose TT dims,
+    TT ranks, VQC blocks or class count differ from ``config.parties``."""
+    want = {**PARTY_DEFAULTS, **parties}
+    for k, m in enumerate(models):
+        found = {"input_dims": m.ttn.input_dims, "output_dims": m.ttn.output_dims,
+                 "vqc_blocks": m.blocks, "num_classes": m.num_classes}
+        for key, value in found.items():
+            if value != want[key]:
+                raise ValueError(f"{path}: party {k} has {key} {value}, "
+                                 f"config.parties.{key} is {want[key]}")
+        # Every inner TT rank is the configured rank; one mode has none.
+        ranks = m.ttn.op_ranks[1:-1]
+        if any(r != want["rank"] for r in ranks):
+            raise ValueError(f"{path}: party {k} has TT ranks {ranks}, "
+                             f"config.parties.rank is {want['rank']}")
+
+
 # --- commands --------------------------------------------------------------
 
 def _resolve_out_dir(cfg: ExperimentConfig, args) -> str:
@@ -432,6 +462,7 @@ def cmd_inspect(args) -> int:
     if len(models) != test_set.num_parties:
         raise ValueError(f"{args.model}: dump holds {len(models)} parties, the "
                          f"config's dataset has {test_set.num_parties}")
+    check_dump_topology(args.model, models, cfg.parties)
     if not 0 <= args.sample < test_set.num_samples:
         print(f"sample index {args.sample} out of range "
               f"(test set has {test_set.num_samples})", file=sys.stderr)

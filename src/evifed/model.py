@@ -4,8 +4,8 @@ A party maps its raw feature block through the TT layer, squashes the result
 into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
 ring): gate by gate on one state in ``party_forward``, or in
-``batched_marginals`` for many angle settings at once, each qubit's rotations
-per block fused into one unitary.  Amplitudes change only inside ``qsim``.
+``circuit_rows`` for many angle settings at once, each qubit's rotations per
+block fused into one unitary.  Amplitudes change only inside ``qsim``.
 The server fuses party outputs either through the explicit multi-controlled-X
 joint circuit (reference semantics) or through the factorized product of
 per-party marginals; commonality multiplicativity makes the two exactly
@@ -180,27 +180,37 @@ def loss_lower_bound(num_classes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched circuit evaluation.  Training evaluates the same party circuit at
-# dozens of shifted angle settings per sample; running them as rows of one
-# (batch, 2^n) array amortizes the per-gate overhead, and fusing each qubit's
-# rotations within a block (gates on different qubits commute) cuts the
-# sweeps over the array.  Equality with the gate-by-gate path is pinned by
-# tests.
+# Batched circuit evaluation.  A mini-batch's circuits run as rows of one
+# (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
+# rotations within a block are fused into one unitary (gates on different
+# qubits commute), which cuts the sweeps over the array.  ``circuit_rows``
+# runs every such batch: ``batched_marginals`` reads marginals off its rows,
+# and train.party_angle_gradients runs its adjoint sweep back from them.
+# Equality with the gate-by-gate path is pinned by tests.
 
-# Amplitudes one kernel pass holds at most: batched_marginals runs its rows
-# in chunks of this size, and train.party_angle_gradients builds a
-# mini-batch's shift rows in chunks of the same size, so thousands of circuit
-# rows never sit in memory at once.  2^12 complex amplitudes are 64 KiB; at
-# 4 qubits, 2^13 was no faster and doubled the peak working set.
+# Amplitudes one kernel pass holds at most: batched_marginals and
+# train.party_angle_gradients run their rows in chunks of this size, so a
+# large batch never sits in memory at once.  2^12 complex amplitudes are
+# 64 KiB; at 4 qubits, 2^13 was no faster and doubled the peak working set.
 CHUNK_AMPLITUDES = 1 << 12
 
 
-def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
-    """Each block's RZ RY RX per qubit and row as one unitary, block 0 times
-    the Ry encoding: shape (blocks, n, B, 2, 2).  Products of rotations have
-    the form [[u, -conj(v)], [v, conj(u)]], so only (u, v) is computed;
-    np.matmul would pay a BLAS call per 2x2 matrix."""
-    half = np.moveaxis(np.asarray(vqc_angles, dtype=np.float64), 0, 2) / 2.0
+def _su2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The unitaries [[u, -conj(v)], [v, conj(u)]], shape u.shape + (2, 2)."""
+    return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
+
+
+def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
+                     ) -> list[np.ndarray]:
+    """Each block's RZ RY RX per qubit as one unitary, block 0 times the Ry
+    encoding of each row: one (n, R, 2, 2) array per block.
+
+    ``vqc_angles`` is (B, blocks, n, 3), one setting per row (R = B), or
+    (blocks, n, 3) shared by every row (R = 1 past block 0).  Products of
+    rotations have the form [[u, -conj(v)], [v, conj(u)]], so only (u, v) is
+    computed; np.matmul would pay a BLAS call per 2x2 matrix."""
+    vqc = np.asarray(vqc_angles, dtype=np.float64)
+    half = np.moveaxis(vqc.reshape((-1,) + vqc.shape[-3:]), 0, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
     # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
     # u by e^{-iz/2} and v by e^{iz/2}.
@@ -208,8 +218,25 @@ def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarr
     u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
     v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
     ce, se = np.cos(enc_angles.T / 2.0), np.sin(enc_angles.T / 2.0)
-    u[0], v[0] = u[0] * ce - np.conj(v[0]) * se, v[0] * ce + np.conj(u[0]) * se
-    return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
+    first = _su2(u[0] * ce - np.conj(v[0]) * se, v[0] * ce + np.conj(u[0]) * se)
+    return [first] + [_su2(ub, vb) for ub, vb in zip(u[1:], v[1:])]
+
+
+def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
+                 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run Ry(enc_angles) and the VQC blocks from |0...0> on every row.
+
+    enc_angles: (B, n); vqc_angles: (B, blocks, n, 3) or shared (blocks, n, 3).
+    Returns the final (B, 2^n) amplitude rows and the fused unitaries of
+    ``_fused_rotations``, which a reverse sweep undoes block by block.
+    """
+    fused = _fused_rotations(enc_angles, vqc_angles)
+    amps = qsim.new_zero_rows(*enc_angles.shape)
+    for block in fused:
+        for q, u in enumerate(block):
+            qsim.apply_unitary_rows(amps, q, u)
+        amps = qsim.apply_cnot_ring(amps)
+    return amps, fused
 
 
 def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
@@ -225,17 +252,7 @@ def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
     b, n = enc_angles.shape
     step = max(1, CHUNK_AMPLITUDES >> n)
     return np.concatenate([
-        _chunk_marginals(enc_angles[i:i + step], vqc_angles[i:i + step],
-                         num_classes)
+        qsim.prob_one_rows(circuit_rows(enc_angles[i:i + step],
+                                        vqc_angles[i:i + step])[0],
+                           range(num_classes))
         for i in range(0, b, step)])
-
-
-def _chunk_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    b, n = enc_angles.shape
-    amps = qsim.new_zero_rows(b, n)
-    for block in _fused_rotations(enc_angles, vqc_angles):
-        for q in range(n):
-            qsim.apply_unitary_rows(amps, q, block[q])
-        amps = qsim.apply_cnot_ring(amps)
-    return qsim.prob_one_rows(amps, range(num_classes))

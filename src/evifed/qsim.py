@@ -9,6 +9,7 @@ gates are basis gathers.  No 2^n x 2^n matrices are ever materialized.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -151,16 +152,28 @@ def apply_mcx(state: Statevector, controls, target: int) -> Statevector:
     return state
 
 
-def apply_cnot_ring(amps: np.ndarray) -> np.ndarray:
-    """CNOT(q, q+1 mod n) for q = 0 .. n-1 on every row of (B, 2^n) ``amps``,
-    composed into one gather; returns the new rows."""
-    n = amps.shape[1].bit_length() - 1
+@functools.lru_cache(maxsize=None)
+def _cnot_ring_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOT ring on ``n`` qubits composed into one gather, and the gather
+    that undoes it; read-only, since every caller shares them.  The cache
+    holds at most one entry per register size, each no larger than one
+    amplitude row of that size."""
     idx = perm = np.arange(1 << n)
     for q in range(n):
         cbit, tbit = _bit(n, q), _bit(n, (q + 1) % n)
         # Gathers compose right to left: after a then b, row[i] = old[a[b[i]]].
         perm = perm[np.where(idx & cbit, idx ^ tbit, idx)]
-    return amps[:, perm]
+    inverse = np.empty_like(perm)
+    inverse[perm] = idx
+    perm.flags.writeable = inverse.flags.writeable = False
+    return perm, inverse
+
+
+def apply_cnot_ring(amps: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """CNOT(q, q+1 mod n) for q = 0 .. n-1 on every row of (B, 2^n) ``amps``,
+    as one cached gather, or its inverse; returns the new rows."""
+    n = amps.shape[1].bit_length() - 1
+    return amps[:, _cnot_ring_gathers(n)[inverse]]
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:

@@ -1,21 +1,23 @@
 """End-to-end gradient training.
 
-Gradients for quantum angles use the exact parameter-shift rule
-(E(t + pi/2) - E(t - pi/2)) / 2, valid for every Pauli rotation in the
-circuits here (generators with eigenvalues +-1/2).  They flow through the
-factorized fusion -- the product of per-party class marginals -- whose exact
-equality with the joint circuit is established separately.  TT-core gradients
-chain the encoding-angle shifts through the squash activation into the exact
-multilinear backward pass.
+Gradients for quantum angles are exact, by adjoint differentiation (Jones &
+Gacon, arXiv:2009.02823): one forward sweep of a circuit row and one reverse
+sweep give the derivative of every angle, equal to the parameter-shift rule
+(E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds them to.  They flow
+through the factorized fusion -- the product of per-party class marginals --
+whose exact equality with the joint circuit is established separately.
+TT-core gradients chain the encoding-angle derivatives through the squash
+activation into the exact multilinear backward pass.
 
 The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
 mini-batch.  Per party that is one TT forward and one TT backward; the
 forward circuits of all parties with one circuit shape run as rows of one
-``batched_marginals`` call, and each sample's shifted rows are built and run
-a chunk at a time (``model.CHUNK_AMPLITUDES``).  Losses and predictions keep
-the sample axis; gradients are summed over it.  A single sample, one (d,)
-block per party, gives a float loss and a one-sample ``Prediction``.
+``batched_marginals`` call, and each party's adjoint sweeps run on one row
+per sample, a chunk at a time (``model.CHUNK_AMPLITUDES``).  Losses and
+predictions keep the sample axis; gradients are summed over it.  A single
+sample, one (d,) block per party, gives a float loss and a one-sample
+``Prediction``.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     eval_mode: str = "factorized"  # or "joint"
-    grad_mode: str = "parameter_shift"  # or "finite_difference"
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_epsilon: float = 1e-8
 
@@ -78,8 +79,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.eval_mode not in ("factorized", "joint"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
-        if self.grad_mode not in ("parameter_shift", "finite_difference"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 
 
 @dataclass
@@ -191,41 +190,83 @@ def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Predi
     return model_mod.predict(model_mod.fuse_factorized(marginals))
 
 
+def _generator_axes(vqc_angles: np.ndarray) -> np.ndarray:
+    """(blocks, n, 4, 3): for RX, RY, RZ and block 0's Ry encoding of each
+    fused gate U = RZ RY RX Ry(enc), the Bloch axis a of the generator moved
+    past U, so that dU/dangle = -i/2 (a . sigma) U.  The axes depend on the
+    VQC angles alone, never on the encoding."""
+    cx, cy, cz = np.moveaxis(np.cos(vqc_angles), -1, 0)
+    sx, sy, sz = np.moveaxis(np.sin(vqc_angles), -1, 0)
+    zero, one = np.zeros_like(cx), np.ones_like(cx)
+    return np.stack([np.stack(axis, axis=-1) for axis in (
+        (cy * cz, cy * sz, -sy),                            # RZ RY X RY^+ RZ^+
+        (-sz, cz, zero),                                    # RZ Y RZ^+
+        (zero, zero, one),                                  # Z
+        (sx * sy * cz - cx * sz, sx * sy * sz + cx * cz, sx * cy),  # U Y U^+
+    )], axis=-2)
+
+
+def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
+    """Im Tr(sigma_j W) for j = X, Y, Z per row, where the 2x2 cross matrix
+    W[a, b] sums phi[..a..] mu[..b..] over the other qubits: (B, 3)."""
+    b = len(phi)
+    w = np.einsum("xiar,xibr->xab", phi.reshape(b, 1 << qubit, 2, -1),
+                  mu.reshape(b, 1 << qubit, 2, -1))
+    return np.stack([(w[:, 0, 1] + w[:, 1, 0]).imag,
+                     (w[:, 0, 1] - w[:, 1, 0]).real,
+                     (w[:, 0, 0] - w[:, 1, 1]).imag], axis=-1)
+
+
 def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
                           num_classes: int, dL_dmarg: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter-shift gradients of the loss wrt the angles of one circuit:
+    """Adjoint-method gradients of the loss wrt the angles of one circuit:
     Ry(enc_angles), then the (blocks, n, 3) VQC blocks, read out as the first
     ``num_classes`` qubit marginals (a party or the measure_then_vqc server).
 
     ``enc_angles`` is one sample's (n,) or a batch's (B, n), and ``dL_dmarg``
     the loss gradient wrt the marginals, (C,) or (B, C), with everything else
     frozen.  Returns (d/d encoding angle, per sample; d/d vqc angle, summed
-    over the samples).  Each sample's 2A shifted rows (A angles) are built and
-    run a chunk of samples at a time, within ``model.CHUNK_AMPLITUDES``.
+    over the samples), equal to the parameter-shift rule's.
+
+    One forward sweep gives each row's final state phi.  The loss is then
+    <phi|O|phi> for the diagonal O = sum_c dL/dmarg_c P(qubit c = 1), and
+    lambda = O phi.  Walking the blocks backwards, both phi and lambda undo
+    the CNOT ring and then each fused gate U; between the two, each qubit's
+    cross matrix W = sum phi conj(lambda)^T gives every angle of U its
+    derivative Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.
+    The sweep carries mu = conj(lambda), which undoes U by U^T.  Rows run a
+    chunk at a time, within ``model.CHUNK_AMPLITUDES``.
     """
     enc_angles = np.asarray(enc_angles, dtype=np.float64)
+    vqc_angles = np.asarray(vqc_angles, dtype=np.float64)
     n = enc_angles.shape[-1]
     enc = enc_angles.reshape(-1, n)
     dL_dmarg = np.reshape(dL_dmarg, (len(enc), num_classes))
-    base = np.concatenate([enc, np.broadcast_to(vqc_angles.reshape(-1),
-                                                (len(enc), vqc_angles.size))],
-                          axis=1)
-    a = base.shape[1]
-    # Rows 2i / 2i+1 of a sample shift its angle i by +pi/2 / -pi/2.
-    shifts = np.kron(np.eye(a), [[np.pi / 2], [-np.pi / 2]])
-    step = max(1, model_mod.CHUNK_AMPLITUDES // ((2 * a) << n))
-    dL_dangle = np.empty_like(base)
-    for s in range(0, len(base), step):
-        rows = (base[s:s + step, None] + shifts).reshape(-1, a)
-        marg = batched_marginals(rows[:, :n],
-                                 rows[:, n:].reshape((-1,) + vqc_angles.shape),
-                                 num_classes).reshape(-1, a, 2, num_classes)
-        dmarg_dangle = (marg[:, :, 0] - marg[:, :, 1]) / 2.0  # (samples, A, C)
-        dL_dangle[s:s + step] = np.einsum("sac,sc->sa", dmarg_dangle,
-                                          dL_dmarg[s:s + step])
-    return (dL_dangle[:, :n].reshape(enc_angles.shape),
-            dL_dangle[:, n:].sum(axis=0).reshape(vqc_angles.shape))
+    axes = _generator_axes(vqc_angles)
+    # qubit_set[c, i] = 1 where basis state i has qubit c set.
+    qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
+    step = max(1, model_mod.CHUNK_AMPLITUDES >> n)
+    d_enc = np.empty_like(enc)
+    d_vqc = np.zeros_like(vqc_angles)
+    for s in range(0, len(enc), step):
+        phi, fused = model_mod.circuit_rows(enc[s:s + step], vqc_angles)
+        # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
+        # which raised the training loop's peak RSS.
+        mu = np.einsum("rc,ci->ri", dL_dmarg[s:s + step], qubit_set) * np.conj(phi)
+        for k in reversed(range(len(fused))):
+            phi = qsim.apply_cnot_ring(phi, inverse=True)
+            mu = qsim.apply_cnot_ring(mu, inverse=True)
+            traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)])
+            d_vqc[k] += np.einsum("qaj,qj->qa", axes[k, :, :3], traces.sum(axis=1))
+            if k == 0:
+                d_enc[s:s + step] = np.einsum("qj,qrj->rq", axes[0, :, 3], traces)
+                break
+            for q, u in enumerate(fused[k]):
+                u_t = np.swapaxes(u, -1, -2)
+                qsim.apply_unitary_rows(phi, q, np.conj(u_t))
+                qsim.apply_unitary_rows(mu, q, u_t)
+    return d_enc.reshape(enc_angles.shape), d_vqc
 
 
 def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
@@ -246,7 +287,7 @@ def party_parameters(m: PartyModel) -> list[np.ndarray]:
 
 
 def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
-                  label: np.ndarray, config: TrainConfig | None = None
+                  label: np.ndarray
                   ) -> tuple[float | np.ndarray, list[list[np.ndarray]], Prediction]:
     """Loss, per-party gradients (TT cores then VQC angles), and prediction.
 
@@ -254,8 +295,6 @@ def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
     or (B, d) blocks with (B, C) labels: the loss and the prediction then
     keep the sample axis, and the gradients are summed over it.
     """
-    if config is not None and config.grad_mode == "finite_difference":
-        return full_gradient_fd(models, sample, label)
     marginals, caches = forward_pass(models, sample)
     pred = model_mod.predict(model_mod.fuse_factorized(marginals))
     loss = ce_loss(pred, label, check_bound=True)
@@ -374,7 +413,7 @@ class EvidentialTrainable:
         return model_mod.predict(plaus.reshape(np.shape(sample[0])[:-1] + (-1,)))
 
     def loss_and_gradients(self, sample, label, config):
-        loss, party_grads, pred = full_gradient(self.models, sample, label, config)
+        loss, party_grads, pred = full_gradient(self.models, sample, label)
         return loss, [g for pg in party_grads for g in pg], pred
 
 

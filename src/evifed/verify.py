@@ -2,9 +2,9 @@
 
 Each suite packages the oracle checks behind the package's central claims
 (fusion-circuit equals classical combination, teleportation is the identity
-channel, shift-rule gradients match finite differences, ...) so they can run
-both under pytest and as a standalone CLI gate.  Every check reports its
-worst-case deviation against an explicit tolerance.
+channel, adjoint gradients match the shift rule and finite differences, ...)
+so they can run both under pytest and as a standalone CLI gate.  Every check
+reports its worst-case deviation against an explicit tolerance.
 """
 from __future__ import annotations
 
@@ -355,9 +355,9 @@ def suite_teleport() -> list[CheckResult]:
 
 # --- gradients suite -------------------------------------------------------
 
-def check_shift_vs_finite_difference(trials: int = 3, seed: int = 51,
-                                     input_dims=(2, 3), output_dims=(1, 3),
-                                     num_parties: int = 2) -> CheckResult:
+def check_adjoint_vs_finite_difference(trials: int = 3, seed: int = 51,
+                                       input_dims=(2, 3), output_dims=(1, 3),
+                                       num_parties: int = 2) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -367,13 +367,13 @@ def check_shift_vs_finite_difference(trials: int = 3, seed: int = 51,
         sample = [rng.uniform(0, 1, size=d) for _ in range(num_parties)]
         label = np.zeros(models[0].num_classes)
         label[int(rng.integers(models[0].num_classes))] = 1.0
-        _, shift_grads, _ = train.full_gradient(models, sample, label)
+        _, adjoint_grads, _ = train.full_gradient(models, sample, label)
         _, fd_grads, _ = train.full_gradient_fd(models, sample, label)
-        for pg_s, pg_f in zip(shift_grads, fd_grads):
+        for pg_s, pg_f in zip(adjoint_grads, fd_grads):
             for gs, gf in zip(pg_s, pg_f):
                 scale = np.maximum(np.abs(gf), 1e-6)
                 worst = max(worst, float(np.max(np.abs(gs - gf) / scale)))
-    return CheckResult("shift-rule gradients match finite differences",
+    return CheckResult("adjoint gradients match finite differences",
                        worst, 1e-4)
 
 
@@ -392,8 +392,54 @@ def check_single_angle_closed_form(seed: int = 52) -> CheckResult:
                        worst, 1e-12)
 
 
+def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
+                               num_classes: int, dL_dmarg: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for train.party_angle_gradients, same arguments and returns:
+    the parameter-shift rule, one forward row per +-pi/2 shift of each of a
+    sample's A angles, 2A rows per sample."""
+    enc_angles = np.asarray(enc_angles, dtype=np.float64)
+    n = enc_angles.shape[-1]
+    enc = enc_angles.reshape(-1, n)
+    dL_dmarg = np.reshape(dL_dmarg, (len(enc), num_classes))
+    base = np.concatenate([enc, np.broadcast_to(vqc_angles.reshape(-1),
+                                                (len(enc), vqc_angles.size))],
+                          axis=1)
+    a = base.shape[1]
+    # Rows 2i / 2i+1 of a sample shift its angle i by +pi/2 / -pi/2.
+    rows = (base[:, None] + np.kron(np.eye(a), [[np.pi / 2], [-np.pi / 2]])
+            ).reshape(-1, a)
+    marg = model.batched_marginals(rows[:, :n],
+                                   rows[:, n:].reshape((-1,) + vqc_angles.shape),
+                                   num_classes).reshape(-1, a, 2, num_classes)
+    dL_dangle = np.einsum("sac,sc->sa", (marg[:, :, 0] - marg[:, :, 1]) / 2.0,
+                          dL_dmarg)
+    return (dL_dangle[:, :n].reshape(enc_angles.shape),
+            dL_dangle[:, n:].sum(axis=0).reshape(vqc_angles.shape))
+
+
+def check_adjoint_vs_parameter_shift(trials: int = 30, seed: int = 53
+                                     ) -> CheckResult:
+    """Random circuits of 2..6 qubits, 1..3 blocks and 2..3 read-out classes."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(2, 7))
+        num_classes = int(rng.integers(2, min(n, 3) + 1))
+        rows = int(rng.integers(1, 9))
+        enc = rng.uniform(-np.pi, np.pi, size=(rows, n))
+        vqc = rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 4)), n, 3))
+        dL_dmarg = rng.normal(size=(rows, num_classes))
+        for got, want in zip(
+                train.party_angle_gradients(enc, vqc, num_classes, dL_dmarg),
+                shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)):
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    return CheckResult("adjoint gradients match parameter shift", worst, 1e-10)
+
+
 def suite_gradients() -> list[CheckResult]:
-    return [check_single_angle_closed_form(), check_shift_vs_finite_difference()]
+    return [check_single_angle_closed_form(), check_adjoint_vs_parameter_shift(),
+            check_adjoint_vs_finite_difference()]
 
 
 def run_suite(name: str) -> list[CheckResult]:

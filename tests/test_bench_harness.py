@@ -60,3 +60,7 @@ def test_tracer_records_every_traced_layer():
     # mini-batch, not per sample.
     for name in ("train.full_gradient", "train.adam_step"):
         assert totals[("train_run", name)]["calls"] == 3
+    # Training runs one circuit row per sample and party, the forward one:
+    # the adjoint sweeps reuse it, and no shifted rows run.
+    assert tracer.counts[("train_run", "model.batched_marginals",
+                          "gradient_rows")] == 20 * len(models)

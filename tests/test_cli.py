@@ -214,8 +214,7 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("key,value", [("grad_mode", "finite_difference"),
-                                       ("eval_mode", "joint")])
+@pytest.mark.parametrize("key,value", [("eval_mode", "joint")])
 @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
 def test_eviqvfl_only_train_modes_rejected_for_baselines(tmp_path, kind, key, value):
     csv = make_csv(tmp_path / "d.csv")
@@ -228,6 +227,26 @@ def test_eviqvfl_only_train_modes_rejected_for_baselines(tmp_path, kind, key, va
     with pytest.raises(ConfigError, match=rf"^config\.train\.{key}: {value} "
                                           "applies to model_kind eviqvfl only$"):
         load_config(config)
+
+
+@pytest.mark.parametrize("value", ["parameter_shift", "finite_difference"])
+def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, value):
+    # Training always uses adjoint gradients; the old selector is not a field.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "gm.yaml",
+                        with_line(text, "train", f"  grad_mode: {value}"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == "error: config.train.grad_mode: unknown field\n"
+
+
+def test_train_section_must_be_a_mapping(tmp_path, capsys):
+    csv = make_csv(tmp_path / "d.csv")
+    raw = yaml.safe_load(Path(csv_config(tmp_path, csv)).read_text())
+    raw["train"] = ["epochs"]
+    config = write_yaml(tmp_path / "tm.yaml", yaml.safe_dump(raw))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == "error: config.train: must be a mapping\n"
 
 
 def test_csv_num_classes_must_match_the_two_label_classes(tmp_path):
@@ -277,6 +296,21 @@ def test_csv_label_map_values_must_be_classes(tmp_path, capsys, label_map, messa
                         with_line(text, "dataset", f"  label_map: {label_map}"))
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == f"error: config.dataset.label_map: {message}\n"
+
+
+@pytest.mark.parametrize("label_map,key", [
+    ("{0: 0, 1: 1}", "0"), ("{'0': 0, 1: 1}", "1"), ("{yes: 1, 'no': 0}", "True"),
+], ids=["int", "one_int", "yaml_bool"])
+def test_csv_label_map_keys_must_be_strings(tmp_path, capsys, label_map, key):
+    # CSV label cells are text, so an unquoted 0 would never match one.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "lm.yaml",
+                        with_line(text, "dataset", f"  label_map: {label_map}"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: config.dataset.label_map: key {key} is not a string; quote "
+        "it, since label cells are read as text\n")
 
 
 def test_csv_label_map_within_classes_is_accepted(tmp_path):
@@ -404,6 +438,32 @@ def test_inspect_rejects_party_count_mismatch(tmp_path, capsys, monkeypatch):
                    "--model", str(path), "--sample", "0") == 1
     assert capsys.readouterr() == ("", f"error: {path}: dump holds 2 parties, "
                                        "the config's dataset has 3\n")
+
+
+# The breast-cancer topology: input_dims [2, 5], output_dims [2, 2], rank 2,
+# vqc_blocks 1, num_classes 2.  Each case changes one field of every party.
+DUMP_TOPOLOGY_CASES = {
+    "input_dims": (([2, 3], [2, 2], 2, 1, 2), "input_dims [2, 3]", "[2, 5]"),
+    "output_dims": (([2, 5], [4, 1], 2, 1, 2), "output_dims [4, 1]", "[2, 2]"),
+    "rank": (([2, 5], [2, 2], 3, 1, 2), "TT ranks [3]", "2"),
+    "vqc_blocks": (([2, 5], [2, 2], 2, 2, 2), "vqc_blocks 2", "1"),
+    "num_classes": (([2, 5], [2, 2], 2, 1, 3), "num_classes 3", "2"),
+}
+
+
+@pytest.mark.parametrize("field", DUMP_TOPOLOGY_CASES)
+def test_inspect_rejects_dump_topology_mismatch(tmp_path, capsys, monkeypatch,
+                                                field):
+    topology, found, expected = DUMP_TOPOLOGY_CASES[field]
+    rng = np.random.default_rng(6)
+    path = tmp_path / "model.txt"
+    save_party_models(path, [PartyModel.random_init(*topology, rng)
+                             for _ in range(3)])
+    monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
+    assert run_cli("inspect", "--config", "configs/breast_cancer.yaml",
+                   "--model", str(path), "--sample", "0") == 1
+    assert capsys.readouterr() == ("", f"error: {path}: party 0 has {found}, "
+                                       f"config.parties.{field} is {expected}\n")
 
 
 # --- dataset construction --------------------------------------------------

@@ -1,11 +1,13 @@
-"""Training loop: loss, parameter-shift gradients, Adam, determinism."""
+"""Training loop: loss, adjoint and parameter-shift gradients, Adam,
+determinism."""
 import numpy as np
 import pytest
 
-from evifed import data, model, qsim, train
+from evifed import baselines, data, model, qsim, train
 from evifed.model import PartyModel, Prediction, softmax
 from evifed.qsim import Gate
 from evifed.train import OptimizerState, TrainConfig, TrainTrace
+from evifed.verify import shift_rule_angle_gradients
 
 
 def make_parties(rng, num_parties=2, input_dims=(2, 3), output_dims=(1, 3),
@@ -113,19 +115,6 @@ def test_full_gradient_matches_finite_differences():
             assert np.max(np.abs(gs - gf) / scale) < 1e-4
 
 
-def test_grad_mode_finite_difference_is_selectable():
-    rng = np.random.default_rng(2)
-    models = make_parties(rng, num_parties=1)
-    sample = [rng.uniform(0, 1, size=6)]
-    label = np.array([1.0, 0.0])
-    cfg = TrainConfig(grad_mode="finite_difference")
-    loss_fd, grads_fd, _ = train.full_gradient(models, sample, label, cfg)
-    loss_ps, grads_ps, _ = train.full_gradient(models, sample, label)
-    assert loss_fd == pytest.approx(loss_ps)
-    for gf, gp in zip(grads_fd[0], grads_ps[0]):
-        assert np.allclose(gf, gp, rtol=1e-4, atol=1e-7)
-
-
 def test_gradient_locality_across_parties():
     # With the other parties' marginals cached, party 0's gradient is
     # unaffected by perturbing party 1's parameters.
@@ -145,6 +134,51 @@ def test_gradient_locality_across_parties():
         assert np.allclose(b, a)
 
 
+# --- adjoint gradients -----------------------------------------------------
+
+def assert_matches_parameter_shift(enc, vqc, num_classes, dL_dmarg):
+    got = train.party_angle_gradients(enc, vqc, num_classes, dL_dmarg)
+    want = shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) < 1e-10
+
+
+# (qubits, blocks, classes); a circuit reads out at most one class per qubit.
+ADJOINT_CASES = [(n, blocks, c) for n in (2, 3, 4, 6) for blocks in (1, 2, 3)
+                 for c in (2, 3) if c <= n]
+
+
+@pytest.mark.parametrize("n,blocks,num_classes", ADJOINT_CASES)
+def test_adjoint_gradients_match_parameter_shift(n, blocks, num_classes):
+    rng = np.random.default_rng(100 * n + 10 * blocks + num_classes)
+    enc = rng.uniform(-np.pi, np.pi, size=(5, n))
+    vqc = rng.uniform(-np.pi, np.pi, size=(blocks, n, 3))
+    dL_dmarg = rng.normal(size=(5, num_classes))
+    assert_matches_parameter_shift(enc, vqc, num_classes, dL_dmarg)
+    # One sample: (n,) encoding angles and (C,) marginal gradients.
+    assert_matches_parameter_shift(enc[0], vqc, num_classes, dL_dmarg[0])
+
+
+def test_adjoint_gradients_match_parameter_shift_across_chunks():
+    n = 4
+    rows = (model.CHUNK_AMPLITUDES >> n) + 3  # one full chunk and a partial one
+    rng = np.random.default_rng(21)
+    assert_matches_parameter_shift(rng.uniform(-np.pi, np.pi, size=(rows, n)),
+                                   rng.uniform(-np.pi, np.pi, size=(2, n, 3)), 2,
+                                   rng.normal(size=(rows, 2)))
+
+
+def test_adjoint_gradients_match_parameter_shift_on_the_vqc_server():
+    # measure_then_vqc's server: 3 parties x 2 classes re-encoded on 6 qubits.
+    rng = np.random.default_rng(22)
+    server = baselines.MeasureVqcModel.random_init(make_parties(rng, 3), rng)
+    marginals = rng.uniform(0, 1, size=(3, 7, 2))
+    assert_matches_parameter_shift(2.0 * baselines._concat_parties(marginals),
+                                   server.server_angles, 2,
+                                   rng.normal(size=(7, 2)))
+
+
 # --- mini-batches ----------------------------------------------------------
 
 def batch_of(rng, models, b, num_classes=2):
@@ -160,7 +194,7 @@ def assert_grads_close(got, want, tol=1e-12):
 
 
 # (input_dims, output_dims, blocks, parties): the breast-cancer topology, and
-# an 8-qubit one whose 2A shifted rows of a single sample outgrow a chunk.
+# an 8-qubit one whose 64-sample batch spans several chunks of rows.
 GRADIENT_TOPOLOGIES = {"breast_cancer": ((2, 5), (2, 2), 1, 3),
                        "eight_qubits": ((2, 3, 2), (2, 2, 2), 1, 2)}
 
@@ -172,9 +206,8 @@ def test_batch_gradient_is_the_sum_of_per_sample_gradients(topology, b):
     rng = np.random.default_rng(16)
     models = make_parties(rng, parties, input_dims, output_dims, blocks)
     sample, labels = batch_of(rng, models, b)
-    if b == 64:  # the shift rows of the batch span several chunks
-        angles = models[0].n_qubits * (1 + 3 * blocks)
-        assert b * 2 * angles << models[0].n_qubits > 4 * model.CHUNK_AMPLITUDES
+    if b == 64 and topology == "eight_qubits":  # the rows span several chunks
+        assert b << models[0].n_qubits > 2 * model.CHUNK_AMPLITUDES
     loss, grads, pred = train.full_gradient(models, sample, labels)
     per_sample = [train.full_gradient(models, [x[i] for x in sample], labels[i])
                   for i in range(b)]
@@ -192,8 +225,7 @@ def test_finite_difference_mode_on_a_batch_sums_per_sample_gradients():
     rng = np.random.default_rng(17)
     models = make_parties(rng)
     sample, labels = batch_of(rng, models, 3)
-    cfg = TrainConfig(grad_mode="finite_difference")
-    loss, grads, _ = train.full_gradient(models, sample, labels, cfg)
+    loss, grads, _ = train.full_gradient_fd(models, sample, labels)
     per_sample = [train.full_gradient_fd(models, [x[i] for x in sample], labels[i])
                   for i in range(3)]
     assert np.allclose(loss, [l for l, _, _ in per_sample], rtol=0, atol=1e-12)
