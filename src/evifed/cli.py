@@ -483,7 +483,9 @@ def cmd_inspect(args) -> int:
     combined = evidence.ccr_combine(bbas)
     print("combined BBA:")
     for subset in range(1 << num_classes):
-        print(f"  m[{subset:0{num_classes}b}] = {combined.masses[subset]:.6f}")
+        # The combination is unnormalized, so m(empty set) is the conflict.
+        label = "  (conflict)" if subset == 0 else ""
+        print(f"  m[{subset:0{num_classes}b}] = {combined.masses[subset]:.6f}{label}")
 
     joint = model.fuse_joint_circuit(states, num_classes)
     factorized = model.fuse_factorized(

@@ -3,13 +3,14 @@
 A party maps its raw feature block through the TT layer, squashes the result
 into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
-ring): gate by gate on one state in ``party_forward``, or in
-``circuit_rows`` for many angle settings at once, each qubit's rotations per
-block fused into one unitary.  Amplitudes change only inside ``qsim``.
-The server fuses party outputs either through the explicit multi-controlled-X
-joint circuit (reference semantics) or through the factorized product of
-per-party marginals; commonality multiplicativity makes the two exactly
-equal, and the test suite holds them to that.
+ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
+with each qubit's rotations per block fused into one unitary;
+``party_forward`` is its one-row case.  Amplitudes change only inside
+``qsim``.  The server fuses party outputs either through the explicit
+multi-controlled-X joint circuit (reference semantics; the |0>^C result
+register comes first, then the party registers) or through the factorized
+product of per-party marginals; commonality multiplicativity makes the two
+exactly equal, and the test suite holds them to that.
 """
 from __future__ import annotations
 
@@ -71,28 +72,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def vqc_block_gates(vqc_angles: np.ndarray) -> list[Gate]:
-    """Per block: Rx/Ry/Rz on every qubit, then the CNOT ring 0->1->...->0."""
-    gates = []
-    n = vqc_angles.shape[1]
-    for block in vqc_angles:
-        for q in range(n):
-            gates.append(Gate("RX", [q], angle=float(block[q][0])))
-            gates.append(Gate("RY", [q], angle=float(block[q][1])))
-            gates.append(Gate("RZ", [q], angle=float(block[q][2])))
-        for q in range(n):
-            gates.append(Gate("CNOT", [(q + 1) % n], controls=[q]))
-    return gates
-
-
-def party_circuit_gates(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> list[Gate]:
-    """Gate sequence: Ry encoding, then the repeated variational blocks."""
-    n = len(enc_angles)
-    gates = [Gate("RY", [q], angle=float(enc_angles[q])) for q in range(n)]
-    gates.extend(vqc_block_gates(vqc_angles))
-    return gates
-
-
 def party_features(model: PartyModel, x: np.ndarray) -> dict:
     """TT layer then squash on one feature block (d,) or on (B, d) rows; the
     cache feeds the backward pass.
@@ -106,12 +85,11 @@ def party_features(model: PartyModel, x: np.ndarray) -> dict:
 
 
 def party_forward(model: PartyModel, x: np.ndarray) -> tuple[Statevector, dict]:
-    """Run one party's full pipeline; the cache feeds the backward pass."""
+    """Run one party's full pipeline, as one row of ``circuit_rows``; the
+    cache feeds the backward pass."""
     cache = party_features(model, x)
-    state = qsim.new_zero_state(model.n_qubits)
-    for gate in party_circuit_gates(2.0 * cache["x_tilde"], model.vqc_angles):
-        qsim.apply_gate(state, gate)
-    return state, cache
+    amps, _ = circuit_rows(2.0 * cache["x_tilde"][None, :], model.vqc_angles)
+    return Statevector(model.n_qubits, amps[0]), cache
 
 
 def party_marginals(state: Statevector, num_classes: int) -> np.ndarray:
@@ -134,22 +112,22 @@ def fuse_joint_state(states: list[Statevector], num_classes: int
                      ) -> tuple[Statevector, list[int]]:
     """Build the joint fusion circuit state; returns it plus the result qubits.
 
-    Layout: party registers in order, then a |0>^C result register.  One MCX
-    per class, controlled by qubit c of every party, targeting result qubit c.
+    Layout: a |0>^C result register (qubits 0..C-1), then the party registers
+    in order.  One MCX per class, controlled by qubit c of every party,
+    targets result qubit c.  The result qubits are the most significant, so
+    each one's qubit-1 half is a contiguous run of amplitudes.
     """
     total = sum(s.num_qubits for s in states) + num_classes
     if total > qsim.MAX_QUBITS:
         raise qsim.CapacityError(f"joint circuit needs {total} qubits")
-    joint = states[0].copy()
-    for s in states[1:]:
+    joint = qsim.new_zero_state(num_classes)
+    for s in states:
         joint = qsim.tensor_product(joint, s)
-    joint = qsim.tensor_product(joint, qsim.new_zero_state(num_classes))
-    offsets = np.cumsum([0] + [s.num_qubits for s in states])
-    result_base = int(offsets[-1])
+    offsets = np.cumsum([num_classes] + [s.num_qubits for s in states[:-1]])
     for c in range(num_classes):
-        controls = [int(off) + c for off in offsets[:-1]]
-        qsim.apply_mcx(joint, controls, result_base + c)
-    return joint, list(range(result_base, result_base + num_classes))
+        controls = [int(off) + c for off in offsets]
+        qsim.apply_gate(joint, Gate("MCX", [c], controls=controls))
+    return joint, list(range(num_classes))
 
 
 def fuse_joint_circuit(states: list[Statevector], num_classes: int) -> np.ndarray:
@@ -184,9 +162,11 @@ def loss_lower_bound(num_classes: int) -> float:
 # (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
 # rotations within a block are fused into one unitary (gates on different
 # qubits commute), which cuts the sweeps over the array.  ``circuit_rows``
-# runs every such batch: ``batched_marginals`` reads marginals off its rows,
-# and train.party_angle_gradients runs its adjoint sweep back from them.
-# Equality with the gate-by-gate path is pinned by tests.
+# runs every party circuit: ``batched_marginals`` reads marginals off its
+# rows, ``party_forward`` takes its one row, and train.party_angle_gradients
+# runs its adjoint sweep back from them.  ``run_blocks`` starts the blocks
+# from given rows, as the barren-plateau diagnostic's monolithic circuit
+# does.  Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: batched_marginals and
 # train.party_angle_gradients run their rows in chunks of this size, so a
@@ -200,8 +180,8 @@ def _su2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
 
 
-def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
-                     ) -> list[np.ndarray]:
+def fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
+                    ) -> list[np.ndarray]:
     """Each block's RZ RY RX per qubit as one unitary, block 0 times the Ry
     encoding of each row: one (n, R, 2, 2) array per block.
 
@@ -222,21 +202,26 @@ def _fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
     return [first] + [_su2(ub, vb) for ub, vb in zip(u[1:], v[1:])]
 
 
+def run_blocks(amps: np.ndarray, fused: list[np.ndarray]) -> np.ndarray:
+    """Run fused blocks (``fused_rotations``) on given (B, 2^n) rows: each
+    block's unitaries in place, then the CNOT ring.  Returns the new rows."""
+    for block in fused:
+        for q, u in enumerate(block):
+            qsim.apply_unitary_rows(amps, q, u)
+        amps = qsim.apply_cnot_ring(amps)
+    return amps
+
+
 def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
                  ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run Ry(enc_angles) and the VQC blocks from |0...0> on every row.
 
     enc_angles: (B, n); vqc_angles: (B, blocks, n, 3) or shared (blocks, n, 3).
     Returns the final (B, 2^n) amplitude rows and the fused unitaries of
-    ``_fused_rotations``, which a reverse sweep undoes block by block.
+    ``fused_rotations``, which a reverse sweep undoes block by block.
     """
-    fused = _fused_rotations(enc_angles, vqc_angles)
-    amps = qsim.new_zero_rows(*enc_angles.shape)
-    for block in fused:
-        for q, u in enumerate(block):
-            qsim.apply_unitary_rows(amps, q, u)
-        amps = qsim.apply_cnot_ring(amps)
-    return amps, fused
+    fused = fused_rotations(enc_angles, vqc_angles)
+    return run_blocks(qsim.new_zero_rows(*enc_angles.shape), fused), fused
 
 
 def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,

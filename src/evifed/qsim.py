@@ -4,8 +4,10 @@ Convention used everywhere in this package: qubit 0 is the *most significant*
 bit of a basis-state label, so the basis label ``x1 x2 ... xn`` reads
 left-to-right as qubit 0 ... n-1.  One in-place kernel, ``apply_unitary_rows``,
 applies a single-qubit unitary to a (B, 2^n) array of amplitude rows, one 2x2
-for all rows or one per row; a ``Statevector`` is the case B = 1.  X-type
-gates are basis gathers.  No 2^n x 2^n matrices are ever materialized.
+for all rows or one per row; a ``Statevector`` is the case B = 1.  An MCX
+swaps two slices of the (2,)*n view of the amplitudes; the CNOT ring of the
+batched circuits is one cached basis gather.  No 2^n x 2^n matrices are ever
+materialized.
 """
 from __future__ import annotations
 
@@ -139,16 +141,19 @@ def apply_mcx(state: Statevector, controls, target: int) -> Statevector:
     if target in controls:
         raise ValueError("target must not be a control")
     _check_indices(state.num_qubits, controls + [target])
-    n = state.num_qubits
-    cmask = 0
+    # Basic indexing on the (2,)*n view: both slices are views, so the swap
+    # moves only the amplitudes it flips and builds no index arrays.
+    index: list = [slice(None)] * state.num_qubits
     for c in controls:
-        cmask |= _bit(n, c)
-    tbit = _bit(n, target)
-    idx = np.arange(1 << n)
-    i0 = idx[((idx & cmask) == cmask) & ((idx & tbit) == 0)]
-    i1 = i0 | tbit
-    amps = state.amplitudes
-    amps[i0], amps[i1] = amps[i1], amps[i0].copy()
+        index[c] = 1
+    index[target] = 0
+    zero = tuple(index)
+    index[target] = 1
+    one = tuple(index)
+    amps = state.amplitudes.reshape((2,) * state.num_qubits)
+    flipped = amps[zero].copy()
+    amps[zero] = amps[one]
+    amps[one] = flipped
     return state
 
 
@@ -179,9 +184,7 @@ def apply_cnot_ring(amps: np.ndarray, inverse: bool = False) -> np.ndarray:
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply ``gate`` in place and return the (mutated) state."""
     _check_indices(state.num_qubits, gate.targets + gate.controls)
-    if gate.kind == "MCX":
-        return apply_mcx(state, gate.controls, gate.targets[0])
-    if gate.kind == "CNOT":
+    if gate.kind in ("MCX", "CNOT"):
         return apply_mcx(state, gate.controls, gate.targets[0])
     u = _single_qubit_unitary(gate.kind, gate.angle)
     rows = state.amplitudes.reshape(1, -1)
@@ -193,7 +196,9 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 def prob_one(state: Statevector, qubit: int) -> float:
     """Probability that ``qubit`` measures to 1 (projective expectation)."""
     _check_indices(state.num_qubits, [qubit])
-    return float(prob_one_rows(state.amplitudes.reshape(1, -1), [qubit])[0, 0])
+    # The qubit-1 half as (re, im) float pairs: no |amp|^2 temporary.
+    half = state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1].view(np.float64)
+    return float(np.einsum("ij,ij->", half, half))
 
 
 def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
@@ -261,7 +266,7 @@ def tensor_product(a: Statevector, b: Statevector) -> Statevector:
     n = a.num_qubits + b.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"combined register of {n} qubits exceeds capacity {MAX_QUBITS}")
-    return Statevector(n, np.kron(a.amplitudes, b.amplitudes))
+    return Statevector(n, np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

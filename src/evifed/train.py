@@ -507,6 +507,9 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         fusion_blocks = max(2, total_qubits // 2)
         fusion_angles = rng.uniform(-np.pi, np.pi,
                                     size=(fusion_blocks, total_qubits, 3))
+        # Zero encoding angles: the fusion circuit has no Ry encoding.
+        fusion = model_mod.fused_rotations(np.zeros((1, total_qubits)),
+                                           fusion_angles)
 
         def mono_plaus(theta: float) -> np.ndarray:
             old = models[0].vqc_angles[0, 0, 0]
@@ -517,9 +520,8 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
             st = states[0]
             for other in states[1:]:
                 st = qsim.tensor_product(st, other)
-            for gate in model_mod.vqc_block_gates(fusion_angles):
-                qsim.apply_gate(st, gate)
-            return np.array([qsim.prob_one(st, c) for c in range(num_classes)])
+            rows = model_mod.run_blocks(st.amplitudes.reshape(1, -1), fusion)
+            return qsim.prob_one_rows(rows, range(num_classes))[0]
 
         theta = models[0].vqc_angles[0, 0, 0]
         dL_dpl = model_mod.predict(mono_plaus(theta)).probabilities - label

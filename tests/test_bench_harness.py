@@ -48,7 +48,10 @@ def test_tracer_records_every_traced_layer():
     totals = tracer.totals()
     expected = {"gradient": ("ttn.forward", "ttn.backward",
                              "model.batched_marginals"),
-                "joint": ("ttn.forward", "qsim.apply_gate", "qsim.apply_mcx"),
+                "joint": ("ttn.forward", "model.party_forward",
+                          "model.fuse_joint_state", "qsim.apply_gate",
+                          "qsim.apply_mcx", "qsim.tensor_product",
+                          "qsim.prob_one"),
                 "train_run": ("train.full_gradient", "train.party_angle_gradients",
                               "ttn.backward", "model.batched_marginals",
                               "train.adam_step")}

@@ -636,6 +636,12 @@ def test_inspect_prints_bbas_and_matching_plausibilities(tmp_path, capsys):
     assert "party 0 output BBA" in out
     assert "combined BBA" in out
     assert "prediction: class" in out
+    # Only the combined BBA's empty-set line names the conflict mass.
+    lines = out.splitlines()
+    combined = lines.index("combined BBA:")
+    assert lines[combined + 1].startswith("  m[00] = ")
+    assert lines[combined + 1].endswith("  (conflict)")
+    assert sum("(conflict)" in line for line in lines) == 1
     for line in out.splitlines():
         if line.strip().startswith("class "):
             _, _, joint_word, joint, fact_word, fact = line.split()

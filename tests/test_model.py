@@ -7,6 +7,7 @@ from evifed.evidence import MassFunction
 from evifed.model import PartyModel, Prediction
 from evifed.qsim import Gate, Statevector
 from evifed.ttn import TTLayerParams
+from gate_oracle import party_circuit_state
 
 
 def random_state(n, rng):
@@ -52,9 +53,7 @@ def test_zero_angles_and_quarter_pi_features_give_cnot_ring_of_plus():
     m.vqc_angles[...] = 0.0
     n = m.n_qubits
     enc = np.full(n, 2 * (np.pi / 4))
-    state = qsim.new_zero_state(n)
-    for gate in model.party_circuit_gates(enc, m.vqc_angles):
-        qsim.apply_gate(state, gate)
+    state = Statevector(n, model.circuit_rows(enc[None, :], m.vqc_angles)[0][0])
     expect = qsim.new_zero_state(n)
     for q in range(n):
         qsim.apply_gate(expect, Gate("H", [q]))
@@ -67,9 +66,8 @@ def test_zero_features_zero_angles_leave_vacuum():
     rng = np.random.default_rng(2)
     m = make_party(rng, blocks=1)
     m.vqc_angles[...] = 0.0
-    state = qsim.new_zero_state(m.n_qubits)
-    for gate in model.party_circuit_gates(np.zeros(m.n_qubits), m.vqc_angles):
-        qsim.apply_gate(state, gate)
+    state = Statevector(m.n_qubits, model.circuit_rows(
+        np.zeros((1, m.n_qubits)), m.vqc_angles)[0][0])
     assert np.allclose(state.amplitudes[0], 1.0)
 
 
@@ -79,6 +77,19 @@ def test_party_forward_output_is_normalized():
     state, cache = model.party_forward(m, rng.uniform(0, 1, size=m.ttn.in_size))
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
     assert set(cache) >= {"x", "pre_activation", "x_tilde"}
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("output_dims", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_party_forward_matches_gate_by_gate_circuit(output_dims, blocks):
+    # n = 2, 3, 4 and 6 qubits; the rows driver against one gate at a time.
+    rng = np.random.default_rng(13)
+    m = PartyModel.random_init((2, 3), output_dims, 2, blocks, 2, rng,
+                               angle_scale=np.pi)
+    state, cache = model.party_forward(m, rng.uniform(0, 1, size=m.ttn.in_size))
+    expect = party_circuit_state(2.0 * cache["x_tilde"], m.vqc_angles)
+    assert state.num_qubits == m.n_qubits
+    assert np.allclose(state.amplitudes, expect.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_party_forward_rejects_wrong_feature_length():
@@ -154,6 +165,17 @@ def test_fusion_modes_agree_on_random_parties():
         fact = model.fuse_factorized(
             [model.party_marginals(s, num_classes) for s in states])
         assert np.max(np.abs(joint - fact)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_joint_fusion_leaves_party_states_unchanged(k):
+    rng = np.random.default_rng(10)
+    states = [random_state(int(rng.integers(2, 5)), rng) for _ in range(k)]
+    before = [s.amplitudes.copy() for s in states]
+    for fuse in (model.fuse_joint_circuit, model.result_register_distribution):
+        fuse(states, 2)
+        for s, amps in zip(states, before):
+            assert np.array_equal(s.amplitudes, amps)
 
 
 def test_result_register_decodes_to_classical_combination():
@@ -236,9 +258,7 @@ def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
     vqc = rng.uniform(-np.pi, np.pi, size=(batch, blocks, n, 3))
     got = model.batched_marginals(enc, vqc, 2)
     for b in range(batch):
-        state = qsim.new_zero_state(n)
-        for gate in model.party_circuit_gates(enc[b], vqc[b]):
-            qsim.apply_gate(state, gate)
+        state = party_circuit_state(enc[b], vqc[b])
         assert np.allclose(got[b], model.party_marginals(state, 2), atol=1e-12)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from evifed import qsim
 from evifed.qsim import CapacityError, DegenerateMeasurementError, Gate, Statevector
+from gate_oracle import mcx_by_index_sets
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -156,12 +157,42 @@ def test_mcx_permutes_amplitudes_by_basis_map():
         assert s.amplitudes[label] == before[src]
 
 
+@st.composite
+def mcx_cases(draw):
+    """A seed, a register of 2..10 qubits, and controls and target drawn in
+    any order from a permutation of its qubits."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n - 1))
+    return draw(st.integers(0, 2**32 - 1)), n, order[:k], order[k]
+
+
+@given(mcx_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mcx_matches_index_set_oracle(case):
+    seed, n, controls, target = case
+    s = random_state(n, np.random.default_rng(seed))
+    expect = mcx_by_index_sets(s.amplitudes, controls, target)
+    qsim.apply_mcx(s, controls, target)
+    assert np.array_equal(s.amplitudes, expect)
+
+
 def test_mcx_rejects_target_in_controls():
     with pytest.raises(ValueError):
         qsim.apply_mcx(qsim.new_zero_state(3), [0, 1], 1)
 
 
 # --- measurement expectations ---------------------------------------------
+
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_prob_one_sums_the_qubit_one_half(n, seed):
+    s = random_state(n, np.random.default_rng(seed))
+    labels = np.arange(1 << n)
+    for q in range(n):
+        half = s.amplitudes[(labels >> (n - 1 - q)) & 1 == 1]
+        assert abs(qsim.prob_one(s, q) - np.sum(np.abs(half) ** 2)) <= 1e-12
+
 
 def test_prob_one_equal_superposition():
     s = qsim.apply_gate(qsim.new_zero_state(1), Gate("H", [0]))
@@ -260,6 +291,16 @@ def test_tensor_product_norm_multiplies(seed):
     b = Statevector(1, rng.normal(size=2) + 1j * rng.normal(size=2))
     combined = qsim.tensor_product(a, b)
     assert combined.norm() == pytest.approx(a.norm() * b.norm())
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_tensor_product_is_bitwise_kron(na, nb, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_state(na, rng), random_state(nb, rng)
+    combined = qsim.tensor_product(a, b)
+    assert combined.num_qubits == na + nb
+    assert np.array_equal(combined.amplitudes, np.kron(a.amplitudes, b.amplitudes))
 
 
 def test_fidelity_of_identical_states_is_one():

@@ -8,6 +8,7 @@ from evifed.model import PartyModel, Prediction, softmax
 from evifed.qsim import Gate
 from evifed.train import OptimizerState, TrainConfig, TrainTrace
 from evifed.verify import shift_rule_angle_gradients
+from gate_oracle import party_circuit_state, run_gates, vqc_block_gates
 
 
 def make_parties(rng, num_parties=2, input_dims=(2, 3), output_dims=(1, 3),
@@ -87,10 +88,7 @@ def test_shift_rule_matches_finite_difference_on_three_qubit_circuit():
     def expectation(theta):
         a = angles.copy()
         a[0, 1, 2] = theta
-        s = qsim.new_zero_state(3)
-        from evifed.model import vqc_block_gates
-        for g in vqc_block_gates(a):
-            qsim.apply_gate(s, g)
+        s = run_gates(qsim.new_zero_state(3), vqc_block_gates(a))
         return qsim.prob_one(s, 0)
 
     theta0 = float(angles[0, 1, 2])
@@ -484,10 +482,10 @@ def test_barren_plateau_reports_true_gradient_variances():
         fusion_angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
 
         def mono_loss():
-            a, b = [model.party_forward(m, x)[0] for m, x in zip(models, sample)]
-            st = qsim.tensor_product(a, b)
-            for gate in model.vqc_block_gates(fusion_angles):
-                qsim.apply_gate(st, gate)
+            a, b = [party_circuit_state(2.0 * model.party_features(m, x)["x_tilde"],
+                                        m.vqc_angles)
+                    for m, x in zip(models, sample)]
+            st = run_gates(qsim.tensor_product(a, b), vqc_block_gates(fusion_angles))
             plaus = [qsim.prob_one(st, c) for c in range(2)]
             return train.ce_loss(model.predict(plaus), label)
 
