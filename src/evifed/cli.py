@@ -2,21 +2,15 @@
 
 Experiments are described by a YAML config (schema below); every command is
 deterministic given the config and seed, so rerunning reproduces outputs
-byte for byte.  A validation failure in a config field, a dataset file or a
-model dump ends a command with one ``error:`` line naming the file and the
-field or line, and exit status 1.  That includes a YAML syntax error, and
-an unknown or missing required key at the top level or in ``dataset`` or
-``parties`` (``CONFIG_KEYS``; ``train`` takes TrainConfig's fields): a typo
-is rejected, never trained with a silent default.  So is a value of the
-wrong type (a bool is no number; PyYAML reads ``1e-8`` as a string, so write
-``1.0e-8``), a ``num_classes`` other than the dataset's class count, a
-``classes`` filter that leaves a split empty, a non-default ``eval_mode`` for
-a baseline kind, an unquoted ``label_map`` key (CSV label cells are text),
-and a CSV label other than 0 or 1 where no ``label_map`` is given.  Output
-directory precedence: ``--out`` flag, then the ``EVIFED_OUT_DIR`` environment
-variable, then the config's ``out_dir``.
+byte for byte.  A bad config value, dataset file or model dump ends a
+command with one ``error:`` line naming the file and the field or line, and
+exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
+typo or a value of the wrong type or range never trains with a silent
+default (a bool is no number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as
+a string).  Output directory precedence: ``--out``, ``EVIFED_OUT_DIR``, then
+the config's ``out_dir``.
 
-Config schema (all keys lowercase)::
+Config schema (all keys lowercase; an optional key shows its default)::
 
     dataset:
       kind: idx | csv
@@ -25,38 +19,38 @@ Config schema (all keys lowercase)::
       train_labels: path
       test_images: path
       test_labels: path
-      classes: [3, 6]        # digit subset, mapped to labels 0..C-1 in order
-      max_train_samples: 2000
-      max_test_samples: 500
+      classes: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # distinct digits -> labels 0..C-1
+      max_train_samples: 2000   # positive int; a seeded draw of that many
+      max_test_samples: 500     # positive int
       # kind: csv
       path: file.csv
-      feature_columns: [colA, colB, ...]
-      label_column: target
-      label_map: {M: 1, B: 0}   # optional; default labels already 0/1
-      balance: false            # balanced_subsample before splitting
-      test_fraction: 0.2
-      widths: [10, 10, 10]      # per-party feature widths, file order
-    model_kind: eviqvfl | classical_average | classical_fuse |
-                measure_then_average | measure_then_vqc
+      feature_columns: [colA, colB, ...]  # non-empty list of header names
+      label_column: target      # header name
+      label_map: {M: 1, B: 0}   # quoted cell -> 0 or 1; default: cells are 0/1
+      balance: false            # bool; balanced_subsample before splitting
+      test_fraction: 0.2        # number in (0, 1)
+      widths: [10, 10, 10]      # per-party widths in file order; sum = #columns
+    model_kind: eviqvfl         # or one of baselines.BASELINE_KINDS
     parties:
       input_dims: [2, 7, 7, 2]  # TT input factorization, product = d_k
-      output_dims: [3, 2]       # TT output factorization, product = n_k
-      rank: 2
-      vqc_blocks: 2
-      num_classes: 2
+      output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes
+      rank: 2                   # positive int
+      vqc_blocks: 2             # positive int
+      num_classes: 2            # the dataset's class count
     train:
-      learning_rate: 0.05
-      batch_size: 64
-      epochs: 20
-      seed: 0
-      eval_mode: factorized | joint
-      adam_betas: [0.9, 0.999]
-      adam_epsilon: 1.0e-8
-    out_dir: runs/exp1
+      learning_rate: 0.05       # finite number > 0
+      batch_size: 64            # positive int
+      epochs: 20                # positive int
+      seed: 0                   # int >= 0; --seed overrides it
+      eval_mode: factorized     # or joint (model_kind eviqvfl only)
+      adam_betas: [0.9, 0.999]  # two finite numbers
+      adam_epsilon: 1.0e-8      # finite number
+    out_dir: .                  # directory path
 """
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import math
 import os
@@ -83,23 +77,62 @@ class ConfigError(ValueError):
 
 # --- configuration ---------------------------------------------------------
 
-# (required, optional) keys per config section; the dataset section's depend
-# on its kind.  ``train:`` is checked by TrainConfig's fields.
-CONFIG_KEYS = {
-    "config": (("dataset", "parties"), ("model_kind", "train", "out_dir")),
-    "dataset.idx": (("kind", "train_images", "train_labels", "test_images",
-                     "test_labels"),
-                    ("classes", "max_train_samples", "max_test_samples")),
-    "dataset.csv": (("kind", "path", "feature_columns", "label_column", "widths"),
-                    ("label_map", "balance", "test_fraction")),
-    "parties": (("input_dims", "output_dims", "num_classes"),
-                ("rank", "vqc_blocks")),
+def _list_of(item_ok):
+    return lambda v: isinstance(v, list) and v != [] and all(map(item_ok, v))
+
+
+# Every config key, as section -> key -> (default, predicate, message).  Keys
+# are checked in table order, so a missing dataset file is named before the
+# keys that read it.  A REQUIRED key has no default.
+REQUIRED = object()
+_POSITIVE_INT = (lambda v: train.is_integer(v) and v >= 1,
+                 "must be a positive integer, got {!r}")
+_POSITIVE_INTS = (_list_of(_POSITIVE_INT[0]),
+                  "must be a non-empty list of positive integers, got {!r}")
+_MAPPING = (lambda v: isinstance(v, dict), "must be a mapping")
+_FILE = (lambda v: isinstance(v, str) and os.path.exists(v), "file not found: {}")
+CONFIG_SCHEMA = {
+    "config": {  # ExperimentConfig's fields
+        "model_kind": ("eviqvfl", lambda v: v in MODEL_KINDS, "unknown kind {!r}"),
+        "dataset": (REQUIRED, *_MAPPING),
+        "parties": (REQUIRED, *_MAPPING),
+        "train": ({}, *_MAPPING),
+        "out_dir": (".", lambda v: isinstance(v, str),
+                    "must be a directory path, got {!r}"),
+    },
+    "parties": {
+        "input_dims": (REQUIRED, *_POSITIVE_INTS),
+        "output_dims": (REQUIRED, *_POSITIVE_INTS),
+        "num_classes": (REQUIRED, *_POSITIVE_INT),
+        "rank": (2, *_POSITIVE_INT),
+        "vqc_blocks": (2, *_POSITIVE_INT),
+    },
+    "dataset": {"kind": (REQUIRED, lambda v: v in ("idx", "csv"), "unknown kind {!r}")},
+    "dataset.idx": {
+        **{key: (REQUIRED, *_FILE) for key in ("train_images", "train_labels",
+                                                "test_images", "test_labels")},
+        "classes": (list(range(10)),
+                    lambda v: _list_of(train.is_integer)(v) and len(set(v)) == len(v),
+                    "must be a non-empty list of distinct integers, got {!r}"),
+        "max_train_samples": (2000, *_POSITIVE_INT),
+        "max_test_samples": (500, *_POSITIVE_INT),
+    },
+    "dataset.csv": {
+        "path": (REQUIRED, *_FILE),
+        "feature_columns": (REQUIRED, _list_of(lambda c: isinstance(c, str)),
+                            "must be a non-empty list of column names, got {!r}"),
+        "label_column": (REQUIRED, lambda v: isinstance(v, str),
+                         "must be a column name, got {!r}"),
+        "widths": (REQUIRED, *_POSITIVE_INTS),
+        "label_map": (None, _MAPPING[0],
+                      "must be a mapping of label cells to classes 0..1, got {!r}"),
+        "balance": (False, lambda v: type(v) is bool, "must be true or false, got {!r}"),
+        "test_fraction": (0.2, lambda v: train.is_finite_number(v) and 0 < v < 1,
+                          "must be a number in (0, 1), got {!r}"),
+    },
+    "train": {f.name: (f.default, lambda v: True, "")  # TrainConfig checks these
+              for f in dataclasses.fields(train.TrainConfig)},
 }
-# Values of the optional ``parties`` keys when a config leaves them out.
-PARTY_DEFAULTS = {"rank": 2, "vqc_blocks": 2}
-DATASET_FILE_KEYS = {"idx": ("train_images", "train_labels",
-                             "test_images", "test_labels"),
-                     "csv": ("path",)}
 
 
 @dataclass
@@ -108,48 +141,37 @@ class ExperimentConfig:
     model_kind: str
     parties: dict
     train: train.TrainConfig
-    out_dir: str = "."
+    out_dir: str
 
 
-def _require(section: dict, key: str, path: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: must be a mapping")
-    if key not in section:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return section[key]
-
-
-def _check_keys(section: dict, table: str, path: str) -> None:
-    """Reject missing required keys, then unknown keys."""
-    required, optional = CONFIG_KEYS[table]
-    for key in required:
-        _require(section, key, path)
+def _walk(section: dict, path: str, *tables: str) -> None:
+    """Check ``section`` key by key in table order; fill in absent defaults."""
+    known = set()
+    for table in tables:  # "dataset.{kind}" reads a key an earlier table checked
+        rows = CONFIG_SCHEMA[table.format_map(section)]
+        known.update(rows)
+        for key, (default, ok, message) in rows.items():
+            if key not in section:
+                if default is REQUIRED:
+                    raise ConfigError(f"{path}.{key}: required field missing")
+                section[key] = copy.deepcopy(default)
+            elif not ok(section[key]):
+                raise ConfigError(f"{path}.{key}: {message.format(section[key])}")
     for key in section:
-        if key not in required + optional:
+        if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _check_positive_int_list(value, path: str) -> None:
-    if not (isinstance(value, list) and value
-            and all(train.is_integer(v) and v >= 1 for v in value)):
-        raise ConfigError(f"{path}: must be a non-empty list of "
-                          f"positive integers, got {value!r}")
-
-
-def validate_party_topology(parties: dict, path: str = "config.parties") -> None:
-    _check_keys(parties, "parties", path)
-    for key in ("input_dims", "output_dims"):
-        _check_positive_int_list(parties[key], f"{path}.{key}")
-    for key in ("num_classes", "rank", "vqc_blocks"):
-        value = parties.get(key, 1)
-        if not (train.is_integer(value) and value >= 1):
-            raise ConfigError(f"{path}.{key}: must be a positive integer, got {value!r}")
-    num_classes = parties["num_classes"]
-    n_qubits = math.prod(parties["output_dims"])
+def validate_party_topology(parties: dict) -> None:
+    _walk(parties, "config.parties", "parties")
+    modes, factors = len(parties["input_dims"]), len(parties["output_dims"])
+    if factors != modes:
+        raise ConfigError(f"config.parties.output_dims: has {factors} factors, "
+                          f"input_dims has {modes}")
+    num_classes, n_qubits = parties["num_classes"], math.prod(parties["output_dims"])
     if n_qubits < num_classes:
-        raise ConfigError(
-            f"{path}.output_dims: product {n_qubits} is fewer qubits than "
-            f"{path}.num_classes={num_classes}")
+        raise ConfigError(f"config.parties.output_dims: product {n_qubits} is fewer "
+                          f"qubits than config.parties.num_classes={num_classes}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -161,72 +183,57 @@ def load_config(path) -> ExperimentConfig:
                               f"{' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    _check_keys(raw, "config", "config")
+    _walk(raw, "config", "config")
     dataset, parties = raw["dataset"], raw["parties"]
-    model_kind = raw.get("model_kind", "eviqvfl")
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"config.model_kind: unknown kind {model_kind!r}")
     validate_party_topology(parties)
-    kind = _require(dataset, "kind", "config.dataset")
-    if kind not in ("idx", "csv"):
-        raise ConfigError(f"config.dataset.kind: unknown kind {kind!r}")
-    # Files first, so a wrong path is named before the keys that read it.
-    for key in DATASET_FILE_KEYS[kind]:
-        p = _require(dataset, key, "config.dataset")
-        if not os.path.exists(p):
-            raise ConfigError(f"config.dataset.{key}: file not found: {p}")
-    _check_keys(dataset, f"dataset.{kind}", "config.dataset")
-    classes = dataset.get("classes", list(range(10))) if kind == "idx" else [0, 1]
-    if not (isinstance(classes, list) and classes and all(map(train.is_integer, classes))
-            and len(set(classes)) == len(classes)):
-        raise ConfigError(f"config.dataset.classes: must be a non-empty list of "
-                          f"distinct integers, got {classes!r}")
+    _walk(dataset, "config.dataset", "dataset", "dataset.{kind}")
+    classes = dataset["classes"] if dataset["kind"] == "idx" else [0, 1]
     if parties["num_classes"] != len(classes):
         raise ConfigError(f"config.parties.num_classes: {parties['num_classes']} "
                           f"differs from the dataset's {len(classes)} classes")
-    if kind == "csv":
-        _check_positive_int_list(dataset["widths"], "config.dataset.widths")
-        label_map = dataset.get("label_map", {})
-        top = len(classes) - 1
-        if not isinstance(label_map, dict):
-            raise ConfigError(f"config.dataset.label_map: must be a mapping of "
-                              f"label cells to classes 0..{top}, got {label_map!r}")
-        for cell, value in label_map.items():
+    if dataset["kind"] == "csv":
+        for cell, value in (dataset["label_map"] or {}).items():
             if not isinstance(cell, str):
-                raise ConfigError(f"config.dataset.label_map: key {cell!r} is not "
-                                  f"a string; quote it, since label cells are "
-                                  f"read as text")
-            if not (train.is_integer(value) and 0 <= value <= top):
+                raise ConfigError(f"config.dataset.label_map: key {cell!r} is not a "
+                                  "string; quote it, since label cells are read as text")
+            if not (train.is_integer(value) and 0 <= value <= 1):
                 raise ConfigError(f"config.dataset.label_map: value {value!r} of "
-                                  f"{cell!r} is not a class in 0..{top}")
-    train_section = raw.get("train", {})
-    if not isinstance(train_section, dict):
-        raise ConfigError("config.train: must be a mapping")
-    train_fields = {f.name for f in dataclasses.fields(train.TrainConfig)}
-    for key in train_section:
-        if key not in train_fields:
-            raise ConfigError(f"config.train.{key}: unknown field")
+                                  f"{cell!r} is not a class in 0..1")
+        widths, columns = dataset["widths"], dataset["feature_columns"]
+        if sum(widths) != len(columns):
+            raise ConfigError(f"config.dataset.widths: {widths} sum to {sum(widths)}, "
+                              f"not the {len(columns)} feature_columns")
+    _walk(raw["train"], "config.train", "train")
     try:
-        train_cfg = train.TrainConfig(**train_section)
-    except (TypeError, ValueError) as exc:
+        train_cfg = train.TrainConfig(**raw["train"])
+    except ValueError as exc:
         raise ConfigError(f"config.train: {exc}") from exc
-    # TrainConfig accepts 0 epochs (a run that trains nothing), but a command
-    # reports its final epoch.
+    # TrainConfig allows 0 epochs (nothing to train); a command reports its last.
     if train_cfg.epochs < 1:
         raise ConfigError("config.train.epochs: must be >= 1")
+    model_kind = raw["model_kind"]
     if model_kind != "eviqvfl" and train_cfg.eval_mode != train.TrainConfig.eval_mode:
         raise ConfigError(f"config.train.eval_mode: {train_cfg.eval_mode} applies "
                           f"to model_kind eviqvfl only")
-    return ExperimentConfig(dataset=dataset, model_kind=model_kind,
-                            parties=parties, train=train_cfg,
-                            out_dir=raw.get("out_dir", "."))
+    return ExperimentConfig(**{**raw, "train": train_cfg})
+
+
+def _load_seeded(args) -> ExperimentConfig:
+    """The config at ``args.config``, its training seed replaced by ``--seed``."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        try:
+            cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed {args.seed}: {exc}") from None
+    return cfg
 
 
 # --- dataset construction --------------------------------------------------
 
-def _limit(ds: data.VerticalDataset, max_n: int | None, seed: int, salt: int
+def _limit(ds: data.VerticalDataset, max_n: int, seed: int, salt: int
            ) -> data.VerticalDataset:
-    if max_n is None or ds.num_samples <= max_n:
+    if ds.num_samples <= max_n:
         return ds
     rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
     return ds.subset(rng.permutation(ds.num_samples)[:max_n])
@@ -247,7 +254,7 @@ def build_datasets(cfg: ExperimentConfig, seed: int
                    ) -> tuple[data.VerticalDataset, data.VerticalDataset]:
     ds = cfg.dataset
     if ds["kind"] == "idx":
-        classes = list(ds.get("classes", list(range(10))))
+        classes = list(ds["classes"])
         tr_img, tr_lab = data.load_idx_images(ds["train_images"], ds["train_labels"])
         te_img, te_lab = data.load_idx_images(ds["test_images"], ds["test_labels"])
         train_set = _idx_to_dataset(tr_img, tr_lab, classes)
@@ -256,25 +263,23 @@ def build_datasets(cfg: ExperimentConfig, seed: int
             if split.num_samples == 0:
                 raise ConfigError(f"config.dataset.classes: no {name} sample "
                                   f"has a label in {classes}")
-        train_set = _limit(train_set, ds.get("max_train_samples", 2000), seed, 1)
-        test_set = _limit(test_set, ds.get("max_test_samples", 500), seed, 2)
+        train_set = _limit(train_set, ds["max_train_samples"], seed, 1)
+        test_set = _limit(test_set, ds["max_test_samples"], seed, 2)
         return train_set, test_set
 
     features, labels = data.load_tabular_csv(
         ds["path"], list(ds["feature_columns"]), ds["label_column"],
-        label_map=ds.get("label_map"))
-    if ds.get("balance", False):
+        label_map=ds["label_map"])
+    if ds["balance"]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
         features, labels = data.balanced_subsample(features, labels, rng)
     raw = data.VerticalDataset([features], data.one_hot(labels, 2))
-    train_raw, test_raw = data.train_test_split(
-        raw, float(ds.get("test_fraction", 0.2)), seed)
+    train_raw, test_raw = data.train_test_split(raw, ds["test_fraction"], seed)
     train_feat, test_feat = data.standardize(train_raw.party_blocks[0],
                                              test_raw.party_blocks[0])
-    widths = list(ds["widths"])
-    return (data.VerticalDataset(data.vertical_split(train_feat, widths),
+    return (data.VerticalDataset(data.vertical_split(train_feat, ds["widths"]),
                                  train_raw.labels),
-            data.VerticalDataset(data.vertical_split(test_feat, widths),
+            data.VerticalDataset(data.vertical_split(test_feat, ds["widths"]),
                                  test_raw.labels))
 
 
@@ -286,10 +291,9 @@ def _party_widths(cfg: ExperimentConfig) -> list[int]:
 
 
 def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
-    p = {**PARTY_DEFAULTS, **cfg.parties}
+    p = cfg.parties
     return PartyModel.random_init(list(p["input_dims"]), list(p["output_dims"]),
-                                  int(p["rank"]), int(p["vqc_blocks"]),
-                                  int(p["num_classes"]), rng)
+                                  p["rank"], p["vqc_blocks"], p["num_classes"], rng)
 
 
 def build_party_models(cfg: ExperimentConfig, rng) -> list[PartyModel]:
@@ -309,7 +313,7 @@ def build_trainable(cfg: ExperimentConfig, rng):
     if cfg.model_kind == "eviqvfl":
         return build_party_models(cfg, rng)
     widths = _party_widths(cfg)
-    num_classes = int(cfg.parties["num_classes"])
+    num_classes = cfg.parties["num_classes"]
     if cfg.model_kind in ("measure_then_average", "measure_then_vqc"):
         return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,
                                         quantum_models=build_party_models(cfg, rng))
@@ -343,7 +347,7 @@ def save_party_models(path, models: list[PartyModel]) -> None:
 def load_party_models(path) -> list[PartyModel]:
     """Inverse of save_party_models; a malformed dump raises ValueError
     naming the file and the 1-based line at fault."""
-    with open(path) as f:
+    with open(path, errors="replace") as f:  # a stray byte fails parsing at its line
         lines = f.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model dump (missing {MODEL_MAGIC!r} header)")
@@ -362,6 +366,8 @@ def load_party_models(path) -> list[PartyModel]:
         values = np.array([float(v) for v in next_fields()])
         if values.size != math.prod(shape):
             raise ValueError(f"{values.size} values do not fill shape {shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]}")
         return values.reshape(shape)
 
     models = []
@@ -391,19 +397,18 @@ def load_party_models(path) -> list[PartyModel]:
 def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
     """Raise ValueError naming the dump and the first party whose TT dims,
     TT ranks, VQC blocks or class count differ from ``config.parties``."""
-    want = {**PARTY_DEFAULTS, **parties}
     for k, m in enumerate(models):
         found = {"input_dims": m.ttn.input_dims, "output_dims": m.ttn.output_dims,
                  "vqc_blocks": m.blocks, "num_classes": m.num_classes}
         for key, value in found.items():
-            if value != want[key]:
+            if value != parties[key]:
                 raise ValueError(f"{path}: party {k} has {key} {value}, "
-                                 f"config.parties.{key} is {want[key]}")
+                                 f"config.parties.{key} is {parties[key]}")
         # Every inner TT rank is the configured rank; one mode has none.
         ranks = m.ttn.op_ranks[1:-1]
-        if any(r != want["rank"] for r in ranks):
+        if any(r != parties["rank"] for r in ranks):
             raise ValueError(f"{path}: party {k} has TT ranks {ranks}, "
-                             f"config.parties.rank is {want['rank']}")
+                             f"config.parties.rank is {parties['rank']}")
 
 
 # --- commands --------------------------------------------------------------
@@ -415,9 +420,7 @@ def _resolve_out_dir(cfg: ExperimentConfig, args) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    cfg = _load_seeded(args)
     out_dir = _resolve_out_dir(cfg, args)
     train_set, test_set = build_datasets(cfg, cfg.train.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 0]))
@@ -444,21 +447,18 @@ def cmd_train(args) -> int:
 
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
-        print(f"{status}  {r.name}: worst deviation {r.worst:.3e} "
-              f"(tolerance {r.tolerance:.0e})")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: worst deviation "
+              f"{r.worst:.3e} (tolerance {r.tolerance:.0e})")
+    failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return 1 if failed else 0
 
 
 def cmd_inspect(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.train.seed
+    cfg = _load_seeded(args)
     models = load_party_models(args.model)
-    _, test_set = build_datasets(cfg, seed)
+    _, test_set = build_datasets(cfg, cfg.train.seed)
     if len(models) != test_set.num_parties:
         raise ValueError(f"{args.model}: dump holds {len(models)} parties, the "
                          f"config's dataset has {test_set.num_parties}")
@@ -529,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training experiment")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None,
-                         help="override the config's training seed")
+    p_train.add_argument("--seed", type=int, help="override the config's training seed")
     p_train.add_argument("--out", default=None, help="output directory")
     p_train.set_defaults(func=cmd_train)
 
@@ -545,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--model", required=True, help="model dump path")
     p_inspect.add_argument("--sample", type=int, required=True,
                            help="test-set sample index")
-    p_inspect.add_argument("--seed", type=int, default=None)
+    p_inspect.add_argument("--seed", type=int)
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_export = sub.add_parser("export-curves",

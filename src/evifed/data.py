@@ -8,6 +8,7 @@ from the training split only (variance floor 1e-12 for constant columns).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file; the message carries the failing byte offset."""
+    """Malformed IDX file; the message names the file and the byte offset."""
 
 
 @dataclass
@@ -55,11 +56,13 @@ class VerticalDataset:
 
 
 def _read_exact(f, count: int, offset: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise IdxFormatError(f"truncated {what} at byte offset {offset}: "
-                             f"wanted {count} bytes, got {len(data)}")
-    return data
+    # The size a header declares is checked against the file before any
+    # read, so a huge claim allocates nothing.
+    held = max(os.fstat(f.fileno()).st_size - offset, 0)
+    if count > held:
+        raise IdxFormatError(f"{f.name}: truncated {what} at byte offset {offset}: "
+                             f"wanted {count} bytes, got {held}")
+    return f.read(count)
 
 
 def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
@@ -68,18 +71,21 @@ def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
         header = _read_exact(f, 16, 0, "image header")
         magic, n, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"bad image magic {magic:#010x} at byte offset 0")
+            raise IdxFormatError(f"{image_path}: bad image magic {magic:#010x} "
+                                 f"at byte offset 0")
         payload = _read_exact(f, n * rows * cols, 16, "image payload")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
     with open(label_path, "rb") as f:
         header = _read_exact(f, 8, 0, "label header")
         magic, n_labels = struct.unpack(">II", header)
         if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"bad label magic {magic:#010x} at byte offset 0")
+            raise IdxFormatError(f"{label_path}: bad label magic {magic:#010x} "
+                                 f"at byte offset 0")
         payload = _read_exact(f, n_labels, 8, "label payload")
     labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     if n_labels != n:
-        raise IdxFormatError(f"image/label count mismatch: {n} vs {n_labels}")
+        raise IdxFormatError(f"{label_path}: image/label count mismatch: "
+                             f"{n} vs {n_labels}")
     return images.astype(np.float64) / 255.0, labels
 
 
@@ -130,7 +136,7 @@ def load_tabular_csv(path, feature_columns: list[str], label_column: str,
     """
     rows = []
     labels = []
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="replace") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: missing header row")

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError(f"adam_betas must be two finite numbers, got {betas!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.eval_mode not in ("factorized", "joint"):

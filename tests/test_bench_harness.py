@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import evifed
-from evifed import data, train
+from evifed import cli, data, train
 from evifed.model import PartyModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -24,10 +24,16 @@ def load_tracer_module():
     return module
 
 
-def test_tracer_records_every_traced_layer():
-    # Each call runs in its own tracer phase, as on the benchmark's training
-    # and joint workloads, so one path cannot cover for the other.
+def test_tracer_records_every_traced_layer(tmp_path):
+    # Each call runs in its own tracer phase, as on the benchmark's set-up,
+    # training and joint workloads, so one path cannot cover for the other.
     rng = np.random.default_rng(0)
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,b,target\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(10)))
+    config = tmp_path / "c.yaml"
+    config.write_text(f"dataset: {{kind: csv, path: {csv}, feature_columns: [a, b], "
+                      "label_column: target, widths: [1, 1]}\n"
+                      "parties: {input_dims: [1], output_dims: [2], num_classes: 2}\n")
     models = [PartyModel.random_init([2, 3], [2, 1], 2, 1, 2, rng)
               for _ in range(2)]
     sample = [rng.uniform(0, 1, size=6) for _ in models]
@@ -37,6 +43,8 @@ def test_tracer_records_every_traced_layer():
     tracer = load_tracer_module().Tracer(evifed)
     tracer.install()
     try:
+        tracer.phase = "setup"
+        cli.build_datasets(cli.load_config(config), seed=0)
         tracer.phase = "gradient"
         train.full_gradient(models, sample, np.array([1.0, 0.0]))
         tracer.phase = "joint"
@@ -46,7 +54,8 @@ def test_tracer_records_every_traced_layer():
     finally:
         tracer.uninstall()
     totals = tracer.totals()
-    expected = {"gradient": ("ttn.forward", "ttn.backward",
+    expected = {"setup": ("data.load", "cli.build_datasets"),
+                "gradient": ("ttn.forward", "ttn.backward",
                              "model.batched_marginals"),
                 "joint": ("ttn.forward", "model.party_forward",
                           "model.fuse_joint_state", "qsim.apply_gate",

@@ -160,26 +160,33 @@ def test_missing_csv_dataset_key_rejected(tmp_path, capsys, key):
 
 
 def test_config_schema_docstring_matches_key_table():
-    block = cli.__doc__.split("Config schema (all keys lowercase)::\n")[1]
+    block = cli.__doc__.split("an optional key shows its default)::\n")[1]
     schema = yaml.safe_load(textwrap.dedent(block))
-
-    def keys(section):
-        required, optional = cli.CONFIG_KEYS[section]
-        return set(required) | set(optional)
-
-    assert set(schema) == keys("config")
-    assert set(schema["dataset"]) == keys("dataset.idx") | keys("dataset.csv")
-    assert set(schema["parties"]) == keys("parties")
+    table = cli.CONFIG_SCHEMA
+    assert set(schema) == set(table["config"])
+    assert set(schema["dataset"]) == (set(table["dataset"]) | set(table["dataset.idx"])
+                                      | set(table["dataset.csv"]))
+    assert set(schema["parties"]) == set(table["parties"])
     assert set(schema["train"]) == {f.name for f in
                                     dataclasses.fields(train.TrainConfig)}
+    assert set(schema["train"]) == set(table["train"])
+    # Each optional key's documented value is its default (the train
+    # section's mapping and label_map's absent map excepted).
+    for section, doc in (("config", schema), ("parties", schema["parties"]),
+                         ("dataset.idx", schema["dataset"]),
+                         ("dataset.csv", schema["dataset"]), ("train", schema["train"])):
+        for key, (default, _, _) in table[section].items():
+            if default is not cli.REQUIRED and key not in ("train", "label_map"):
+                default = list(default) if isinstance(default, tuple) else default
+                assert doc[key] == default, f"{section}.{key}"
 
 
 def with_line(text, section, line):
-    """Config ``text`` with ``line`` under ``section:``, replacing the line
-    that set the same key before."""
+    """Config ``text`` with ``line`` under ``section:`` (at the end for the
+    top level, ``config``), replacing the line that set the same key before."""
     key = line.split(":")[0]
     lines = [ln for ln in text.splitlines() if ln.split(":")[0] != key]
-    at = lines.index(f"{section}:") + 1
+    at = len(lines) if section == "config" else lines.index(f"{section}:") + 1
     return "\n".join(lines[:at] + [line] + lines[at:]) + "\n"
 
 
@@ -200,6 +207,21 @@ WRONG_TYPE_CASES = [
     ("parties", "  rank: 2.5", "config.parties.rank: must be a positive integer, got 2.5"),
     ("parties", "  vqc_blocks: true",
      "config.parties.vqc_blocks: must be a positive integer, got True"),
+    ("train", "  seed: -1", "config.train: seed must be >= 0"),
+    ("dataset", "  test_fraction: '0.2'",
+     "config.dataset.test_fraction: must be a number in (0, 1), got '0.2'"),
+    ("dataset", "  test_fraction: 1.5",
+     "config.dataset.test_fraction: must be a number in (0, 1), got 1.5"),
+    ("dataset", "  balance: 'no'",
+     "config.dataset.balance: must be true or false, got 'no'"),
+    ("dataset", "  balance: 1", "config.dataset.balance: must be true or false, got 1"),
+    ("dataset", "  feature_columns: f0", "config.dataset.feature_columns: must be a "
+     "non-empty list of column names, got 'f0'"),
+    ("dataset", "  label_column: 3", "config.dataset.label_column: must be a column "
+     "name, got 3"),
+    ("dataset", "  widths: [3, 2]",
+     "config.dataset.widths: [3, 2] sum to 5, not the 6 feature_columns"),
+    ("config", "out_dir: 5", "config.out_dir: must be a directory path, got 5"),
 ]
 
 
@@ -238,6 +260,19 @@ def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, value):
                         with_line(text, "train", f"  grad_mode: {value}"))
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == "error: config.train.grad_mode: unknown field\n"
+
+
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_negative_seed_flag_is_one_error_line(tmp_path, capsys, command):
+    # The flag overrides a validated config, so it is checked on its own.
+    csv = make_csv(tmp_path / "d.csv")
+    config = csv_config(tmp_path, csv)
+    path, _ = _dump_lines(tmp_path)
+    argv = ["--config", config, "--seed", "-1"]
+    if command == "inspect":
+        argv += ["--model", str(path), "--sample", "0"]
+    assert run_cli(command, *argv) == 1
+    assert capsys.readouterr().err == "error: --seed -1: seed must be >= 0\n"
 
 
 def test_train_section_must_be_a_mapping(tmp_path, capsys):
@@ -327,7 +362,9 @@ def test_shipped_config_passes_validation(tmp_path, path):
     # The MNIST and credit-card files are absent offline; empty stand-ins
     # let every check that needs no file content run.
     raw = yaml.safe_load(path.read_text())
-    for key in cli.DATASET_FILE_KEYS[raw["dataset"]["kind"]]:
+    table = cli.CONFIG_SCHEMA[f"dataset.{raw['dataset']['kind']}"]
+    for key in (k for k, (_, _, message) in table.items()
+                if message.startswith("file not found")):
         (tmp_path / key).write_text("")
         raw["dataset"][key] = str(tmp_path / key)
     config = tmp_path / path.name
@@ -339,6 +376,17 @@ def test_topology_rejects_too_few_qubits():
     with pytest.raises(ConfigError, match="fewer qubits"):
         validate_party_topology(
             {"input_dims": [4], "output_dims": [2], "num_classes": 4})
+
+
+def test_topology_rejects_factor_count_mismatch(tmp_path, capsys):
+    # The TT layer pairs each input factor with one output factor.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "tt.yaml",
+                        with_line(text, "parties", "  output_dims: [2, 1]"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == ("error: config.parties.output_dims: has 2 "
+                                       "factors, input_dims has 1\n")
 
 
 def test_topology_rejects_nonpositive_dims():
@@ -410,6 +458,17 @@ def test_model_dump_rejects_value_count_shape_mismatch(tmp_path):
     lines[4] = lines[4] + " 0.5"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"model\.txt:5: 9 values do not fill"):
+        load_party_models(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_model_dump_rejects_non_finite_value(tmp_path, value):
+    path, lines = _dump_lines(tmp_path)
+    fields = lines[4].split()
+    fields[1] = value
+    lines[4] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"model\.txt:5: non-finite value {value}$"):
         load_party_models(path)
 
 
@@ -491,7 +550,7 @@ dataset:
 {dataset_lines}
 parties:
   input_dims: [2, 7, 7, 2]
-  output_dims: [2, 2]
+  output_dims: [1, 2, 2, 1]
   num_classes: 2
 """)
 
@@ -520,6 +579,21 @@ def test_idx_classes_and_num_classes_checked_at_load(tmp_path, capsys, dataset_l
     config = idx_config(tmp_path, [3, 6, 1], dataset_lines=dataset_lines)
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line,shown", [
+    ("  max_train_samples: '10'", "'10'"), ("  max_train_samples: 2.5", "2.5"),
+    ("  max_train_samples: -5", "-5"), ("  max_train_samples: true", "True"),
+    ("  max_test_samples: 0", "0"), ("  max_test_samples: null", "None"),
+], ids=["train_str", "train_float", "train_negative", "train_bool", "test_zero",
+        "test_null"])
+def test_idx_sample_caps_must_be_positive_integers(tmp_path, capsys, line, shown):
+    config = idx_config(tmp_path, [3, 6, 3, 6],
+                        dataset_lines=f"  classes: [3, 6]\n{line}")
+    assert run_cli("train", "--config", config) == 1
+    key = line.split(":")[0].strip()
+    assert capsys.readouterr().err == (f"error: config.dataset.{key}: must be a "
+                                       f"positive integer, got {shown}\n")
 
 
 @pytest.mark.parametrize("split,train_labels,test_labels", [

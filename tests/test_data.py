@@ -1,5 +1,6 @@
 """Data loading: IDX files, quadrant partition, CSV, splits, batching."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ def test_idx_truncated_payload_raises(tmp_path):
     img_path.write_bytes(img_path.read_bytes()[:-10])
     with pytest.raises(IdxFormatError, match="truncated"):
         data.load_idx_images(img_path, lab_path)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_declared_size_past_end_of_file_reads_nothing(tmp_path, which):
+    # A 32-byte file whose header declares far more than it holds: the check
+    # is made against the file size, before any payload buffer exists.
+    img_path, lab_path = tmp_path / "img.idx", tmp_path / "lab.idx"
+    data.write_idx_images(img_path, lab_path, np.zeros((1, 28, 28)), np.zeros(1))
+    if which == "images":
+        img_path.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 0xFFFFFFFF,
+                                         0xFFFFFFFF, 0xFFFFFFFF) + bytes(16))
+        offset = 16
+    else:
+        lab_path.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 1 << 26)
+                             + bytes(24))
+        offset = 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxFormatError, match=f"at byte offset {offset}:"):
+            data.load_idx_images(img_path, lab_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- quadrant partition ----------------------------------------------------
