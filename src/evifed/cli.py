@@ -33,7 +33,8 @@ Config schema (all keys lowercase; an optional key shows its default)::
     model_kind: eviqvfl         # or one of baselines.BASELINE_KINDS
     parties:
       input_dims: [2, 7, 7, 2]  # TT input factorization, product = d_k
-      output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes
+      output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes,
+                                # and n_k * d_k <= ttn.DENSE_CAP
       rank: 2                   # positive int
       vqc_blocks: 2             # positive int
       num_classes: 2            # the dataset's class count
@@ -62,7 +63,7 @@ import yaml
 
 from . import baselines, data, evidence, model, qsim, train, verify
 from .model import PartyModel
-from .ttn import TTLayerParams
+from .ttn import DENSE_CAP, TTLayerParams
 from .verify import SUITES
 
 OUT_DIR_ENV = "EVIFED_OUT_DIR"
@@ -172,6 +173,11 @@ def validate_party_topology(parties: dict) -> None:
     if n_qubits < num_classes:
         raise ConfigError(f"config.parties.output_dims: product {n_qubits} is fewer "
                           f"qubits than config.parties.num_classes={num_classes}")
+    d = math.prod(parties["input_dims"])
+    if d * n_qubits > DENSE_CAP:
+        raise ConfigError(f"config.parties.input_dims: the TT operator would hold "
+                          f"{n_qubits} x {d} = {n_qubits * d} entries, more than "
+                          f"ttn.DENSE_CAP={DENSE_CAP}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -203,6 +209,11 @@ def load_config(path) -> ExperimentConfig:
         if sum(widths) != len(columns):
             raise ConfigError(f"config.dataset.widths: {widths} sum to {sum(widths)}, "
                               f"not the {len(columns)} feature_columns")
+    d = math.prod(parties["input_dims"])
+    for k, w in enumerate(_party_widths(dataset)):
+        if w != d:
+            raise ConfigError(f"config.parties.input_dims: product {d} does not "
+                              f"match party {k}'s feature width {w}")
     _walk(raw["train"], "config.train", "train")
     try:
         train_cfg = train.TrainConfig(**raw["train"])
@@ -285,9 +296,9 @@ def build_datasets(cfg: ExperimentConfig, seed: int
 
 # --- model construction ----------------------------------------------------
 
-def _party_widths(cfg: ExperimentConfig) -> list[int]:
+def _party_widths(dataset: dict) -> list[int]:
     """Feature width per party: the CSV split, or four 14x14 image quadrants."""
-    return list(cfg.dataset["widths"]) if cfg.dataset["kind"] == "csv" else [196] * 4
+    return list(dataset["widths"]) if dataset["kind"] == "csv" else [196] * 4
 
 
 def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
@@ -297,14 +308,9 @@ def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
 
 
 def build_party_models(cfg: ExperimentConfig, rng) -> list[PartyModel]:
-    widths = _party_widths(cfg)
-    d = int(np.prod(cfg.parties["input_dims"]))
-    for k, w in enumerate(widths):
-        if w != d:
-            raise ConfigError(
-                f"config.parties.input_dims: product {d} does not match party "
-                f"{k}'s feature width {w}")
-    return [_random_party(cfg, rng) for _ in widths]
+    """One random party per feature block; ``load_config`` has matched each
+    block's width to the ``input_dims`` product."""
+    return [_random_party(cfg, rng) for _ in _party_widths(cfg.dataset)]
 
 
 def build_trainable(cfg: ExperimentConfig, rng):
@@ -312,7 +318,7 @@ def build_trainable(cfg: ExperimentConfig, rng):
     wraps it as EvidentialTrainable), else a baseline."""
     if cfg.model_kind == "eviqvfl":
         return build_party_models(cfg, rng)
-    widths = _party_widths(cfg)
+    widths = _party_widths(cfg.dataset)
     num_classes = cfg.parties["num_classes"]
     if cfg.model_kind in ("measure_then_average", "measure_then_vqc"):
         return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,

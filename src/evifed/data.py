@@ -117,15 +117,6 @@ def quadrant_partition(images: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def reassemble_quadrants(blocks: list[np.ndarray]) -> np.ndarray:
-    """Inverse of quadrant_partition (test oracle)."""
-    n = blocks[0].shape[0]
-    tl, tr, bl, br = (b.reshape(n, 14, 14) for b in blocks)
-    top = np.concatenate([tl, tr], axis=2)
-    bottom = np.concatenate([bl, br], axis=2)
-    return np.concatenate([top, bottom], axis=1)
-
-
 def load_tabular_csv(path, feature_columns: list[str], label_column: str,
                      label_map: dict[str, int] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,10 @@
 
 Each transferred qubit consumes one EPR pair and two classical bits.  The
 measured qubits are projected out immediately, so the register keeps its
-logical size throughout a session.  Because the protocol is the identity
-channel, a relabeling shortcut (`logical_transfer`) is offered for training;
-its equivalence with the full circuit simulation is proven by tests, never
-assumed.
+logical size throughout a session.  The protocol is the identity channel:
+the tests prove that the full circuit simulation leaves the register as a
+plain relabeling would.  No training path teleports; fusion reads the
+party registers directly.
 
 Message line format (logging/replay): ``session_id,qubit_index,b1,b2``.
 """
@@ -98,12 +98,6 @@ def teleport_register(state: Statevector, qubits, rng
         state, msg = teleport_qubit(state, q, rng)
         messages.append(msg)
     return state, messages
-
-
-def logical_transfer(state: Statevector, qubits) -> Statevector:
-    """Training fast path: relabel qubits as server-held, no circuit at all."""
-    qsim._check_indices(state.num_qubits, list(qubits))
-    return state.copy()
 
 
 @dataclass

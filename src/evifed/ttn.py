@@ -1,12 +1,15 @@
 """Tensor-train linear layer.
 
-The trainable operator is a chain of four-index cores; the dense input vector
-is contracted with the cores directly (row-major reshape, first mode slowest).
-Contracting the dense input is mathematically identical to first putting the
-input in exact TT form, and at the feature sizes used here (<= 196 values)
-there is no reason to approximate.
+The trainable operator is a chain of four-index cores (row-major reshape,
+first mode slowest).  The layer is linear in its input, so each forward call
+contracts the cores once into the dense (out, in) operator and applies it to
+every row with one ``einsum``.  The operator is at most 4 x 196 on the
+shipped configs; ``DENSE_CAP`` bounds its entries, and configs that exceed it
+are rejected where the party topology is validated.
 
-Backward passes are exact contractions: the layer is multilinear.
+Backward passes are exact contractions: the layer is multilinear in its
+cores.  The rows enter only through the (out, in) gradient of the operator,
+so the contractions with the cores cost the same at every batch size.
 """
 from __future__ import annotations
 
@@ -41,11 +44,11 @@ class TTLayerParams:
 
     @property
     def in_size(self) -> int:
-        return int(np.prod(self.input_dims))
+        return math.prod(self.input_dims)
 
     @property
     def out_size(self) -> int:
-        return int(np.prod(self.output_dims))
+        return math.prod(self.output_dims)
 
     @classmethod
     def random_init(cls, input_dims, output_dims, internal_rank, rng,
@@ -68,37 +71,29 @@ def ttn_param_count(params: TTLayerParams) -> int:
 
 
 def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
-    """The layer applied to one input (d,) or to each row of (B, d)."""
+    """The layer applied to one input (d,) or to each row of (B, d): the
+    cores are contracted once per call, then applied to every row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != params.in_size:
         raise ValueError(f"input length {x.shape} does not match {params.in_size}")
-    # t carries (sample, left bond, remaining input modes flattened, produced
-    # output modes)
-    t = x.reshape(-1, 1, params.in_size, 1)
-    for core in params.cores:
-        r_prev, p, q, r_next = core.shape
-        t = t.reshape(t.shape[0], r_prev, p, -1, t.shape[-1])
-        t = np.einsum("rpqs,brpxy->bsxyq", core, t)
-        t = t.reshape(t.shape[0], r_next, t.shape[2], -1)
-    return t.reshape(x.shape[:-1] + (params.out_size,))
+    return np.einsum("QP,...P->...Q", materialize_dense(params), x)
 
 
-def _partial_dense(cores) -> np.ndarray:
-    """Contract a core chain into (r_left, prod Q, prod P, r_right)."""
-    r_left = cores[0].shape[0] if cores else 1
-    env = np.eye(r_left).reshape(r_left, 1, 1, r_left)
-    for core in cores:
-        env = np.einsum("aQPb,bpqc->aQqPpc", env, core)
-        a, Q, q, P, p, c = env.shape
-        env = env.reshape(a, Q * q, P * p, c)
-    return env
+def _check_capacity(params: TTLayerParams) -> None:
+    if params.in_size * params.out_size > DENSE_CAP:
+        raise ValueError(f"the {params.out_size} x {params.in_size} operator "
+                         f"exceeds DENSE_CAP={DENSE_CAP} entries")
 
 
 def materialize_dense(params: TTLayerParams) -> np.ndarray:
-    """Full (prod Q x prod P) operator matrix; test oracle for the contraction."""
-    if params.in_size * params.out_size > DENSE_CAP:
-        raise ValueError("dense materialization exceeds capacity")
-    return _partial_dense(params.cores)[0, :, :, 0]
+    """The dense (prod Q, prod P) operator that ``ttn_forward`` applies: the
+    cores contracted left to right, starting from core 0 itself."""
+    _check_capacity(params)
+    env = params.cores[0][0].transpose(1, 0, 2)  # (Q, P, r) so far
+    for core in params.cores[1:]:
+        (Q, P, _), (_, p, q, r) = env.shape, core.shape
+        env = np.einsum("QPa,apqb->QqPpb", env, core).reshape(Q * q, P * p, r)
+    return env[:, :, 0]
 
 
 def ttn_backward(params: TTLayerParams, x: np.ndarray,
@@ -106,26 +101,39 @@ def ttn_backward(params: TTLayerParams, x: np.ndarray,
     """Exact gradients dL/dcore_l for every l, given dL/dy.
 
     ``x`` is one input (d,) with ``upstream`` (out,), or (B, d) rows with
-    (B, out) upstream rows; the gradients are then summed over the rows, and
-    each core's environments are built once for all of them.
+    (B, out) upstream rows; the gradients are then summed over the rows.
+    The rows enter only through G = sum_b g_b x_b^T, the (out, in) gradient
+    of the operator, so the rest costs the same at every B.  Each core's
+    gradient is G contracted with its left and right environments (the
+    cores before and after it): the right ones are built once as suffix
+    products, and the left ones are absorbed into G one core at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != x.shape[:-1] + (params.out_size,):
         raise ValueError("upstream length does not match output size")
-    b = upstream.size // params.out_size
+    _check_capacity(params)
+    cores = params.cores
+    # einsum, not a BLAS matrix product: the first BLAS call maps packing
+    # buffers, which raised the benchmark's peak RSS by 0.5 MiB before.
+    h = np.einsum("bQ,bP->QP", upstream.reshape(-1, params.out_size),
+                  x.reshape(-1, params.in_size))[None]
+    # rights[l] is cores[l + 1:] contracted to (r_l, Q_right, P_right).
+    rights = [cores[-1][:, :, :, 0].transpose(0, 2, 1)]
+    for core in cores[-2:0:-1]:
+        (_, Q, P), (a, p, q, _) = rights[-1].shape, core.shape
+        rights.append(np.einsum("apqc,cQP->aqQpP", core, rights[-1])
+                      .reshape(a, q * Q, p * P))
+    rights.reverse()
     core_grads = []
-    for l in range(len(params.cores)):
-        left = _partial_dense(params.cores[:l])[0]      # (Qleft, Pleft, r_{l-1})
-        right = _partial_dense(params.cores[l + 1:])[..., 0]  # (r_l, Qright, Pright)
-        x4 = x.reshape(b, left.shape[1], params.input_dims[l], -1)
-        g4 = upstream.reshape(b, left.shape[0], params.output_dims[l], -1)
-        # Contract each side's environment first, then the samples with the
-        # rest.  At these sizes a BLAS matrix product is no faster, and its
-        # packing buffers raised the benchmark's peak RSS by 0.5 MiB.
-        xl = np.einsum("YPa,nPpR->nYRap", left, x4)
-        gr = np.einsum("bZR,nYqZ->nYRqb", right, g4)
-        core_grads.append(np.einsum("nYRap,nYRqb->apqb", xl, gr))
+    # h is G contracted with cores[:l], as (r_l, Q_rest, P_rest).
+    for core, right in zip(cores[:-1], rights):
+        a, p, q, _ = core.shape
+        h = h.reshape(a, q, right.shape[1], p, right.shape[2])
+        core_grads.append(np.einsum("aqQpP,cQP->apqc", h, right))
+        h = np.einsum("aqQpP,apqc->cQP", h, core)
+    # Nothing is left of the chain to the right of the last core.
+    core_grads.append(h.transpose(0, 2, 1)[:, :, :, None])
     return core_grads
 
 

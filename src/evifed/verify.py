@@ -8,7 +8,6 @@ reports its worst-case deviation against an explicit tolerance.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,20 +126,6 @@ def suite_qsim() -> list[CheckResult]:
 
 
 # --- evidence suite --------------------------------------------------------
-
-def ccr_tuple_enumeration(ms: list[evidence.MassFunction]) -> evidence.MassFunction:
-    """Raw K-tuple enumeration of the conjunctive rule; the test oracle."""
-    n = ms[0].frame_size
-    out = np.zeros(1 << n)
-    for focal in itertools.product(range(1 << n), repeat=len(ms)):
-        inter = (1 << n) - 1
-        weight = 1.0
-        for m, f in zip(ms, focal):
-            inter &= f
-            weight *= m.masses[f]
-        out[inter] += weight
-    return evidence.MassFunction(n, out)
-
 
 def check_combination_symmetry(trials: int = 200, seed: int = 21) -> CheckResult:
     rng = np.random.default_rng(seed)

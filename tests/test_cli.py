@@ -401,12 +401,43 @@ def test_topology_rejects_bad_rank():
             {"input_dims": [4], "output_dims": [2], "num_classes": 2, "rank": 0})
 
 
-def test_width_mismatch_caught_at_model_build(tmp_path):
+def test_topology_rejects_operator_over_dense_cap(tmp_path, capsys):
+    # The layer contracts its cores into one (out, in) operator per call.
     csv = make_csv(tmp_path / "d.csv")
-    cfg = load_config(csv_config(tmp_path, csv))
-    cfg.parties["input_dims"] = [4]  # parties hold 3 features each
+    text = with_line(Path(csv_config(tmp_path, csv)).read_text(), "parties",
+                     "  input_dims: [1000, 1001]")
+    config = write_yaml(tmp_path / "cap.yaml",
+                        with_line(text, "parties", "  output_dims: [1, 2]"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr() == ("", "error: config.parties.input_dims: the TT "
+                                       "operator would hold 2 x 1001000 = 2002000 "
+                                       "entries, more than ttn.DENSE_CAP=1000000\n")
+
+
+@pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+def test_width_mismatch_caught_at_load(tmp_path, kind):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv, model_kind=kind)).read_text()
+    # parties hold 3 features each
+    config = write_yaml(tmp_path / "w.yaml",
+                        with_line(text, "parties", "  input_dims: [4]"))
     with pytest.raises(ConfigError, match="does not match"):
-        cli.build_party_models(cfg, np.random.default_rng(0))
+        load_config(config)
+
+
+def test_inspect_checks_input_dims_against_party_widths(tmp_path, capsys):
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    assert run_cli("train", "--config", write_yaml(tmp_path / "a.yaml", text)) == 0
+    capsys.readouterr()
+    # The dump's parties take 3 features each; this split gives 1 and 5.
+    config = write_yaml(tmp_path / "b.yaml",
+                        with_line(text, "dataset", "  widths: [1, 5]"))
+    assert run_cli("inspect", "--config", config,
+                   "--model", str(tmp_path / "run" / "model.txt"),
+                   "--sample", "0") == 1
+    assert capsys.readouterr() == ("", "error: config.parties.input_dims: product 3 "
+                                       "does not match party 0's feature width 1\n")
 
 
 # --- model dump roundtrip --------------------------------------------------

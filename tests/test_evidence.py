@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from evifed import evidence
 from evifed.evidence import InvalidStateError, MassFunction
 from evifed.qsim import Statevector
+from oracle import ccr_tuple_enumeration
 
 
 def random_bba(n, rng):
@@ -76,7 +77,6 @@ def test_combination_routes_conflict_to_empty_set():
 
 
 def test_pairwise_fold_matches_tuple_enumeration():
-    from evifed.verify import ccr_tuple_enumeration
     rng = np.random.default_rng(2)
     ms = [random_bba(3, rng) for _ in range(3)]
     folded = evidence.ccr_combine(ms)

@@ -1,9 +1,10 @@
-"""Tensor-train layer: contraction, dense oracle, exact gradients, squash."""
+"""Tensor-train layer: contraction, dense operator, exact gradients, squash."""
 import numpy as np
 import pytest
 
 from evifed import ttn
 from evifed.ttn import TTLayerParams
+from oracle import ttn_backward_per_core, ttn_forward_chain
 
 
 def identity_params(dims):
@@ -75,12 +76,15 @@ def test_zero_cores_give_zero_output():
 
 
 def test_forward_matches_dense_oracle():
+    # The oracle contracts the input with one core at a time; the layer
+    # applies the contracted operator.
     rng = np.random.default_rng(3)
     for _ in range(25):
         p = random_params([2, 3, 2], [2, 2, 3], 2, rng)
         x = rng.normal(size=12)
-        dense = ttn.materialize_dense(p)
-        assert np.max(np.abs(ttn.ttn_forward(p, x) - dense @ x)) < 1e-10
+        expect = ttn_forward_chain(p, x)
+        assert np.max(np.abs(ttn.ttn_forward(p, x) - expect)) < 1e-10
+        assert np.max(np.abs(ttn.materialize_dense(p) @ x - expect)) < 1e-10
 
 
 def test_forward_matches_dense_oracle_at_full_scale():
@@ -88,8 +92,9 @@ def test_forward_matches_dense_oracle_at_full_scale():
     for _ in range(100):
         p = random_params([2, 7, 7, 2], [1, 2, 2, 1], 2, rng)
         x = rng.normal(size=196)
-        dense = ttn.materialize_dense(p)
-        assert np.max(np.abs(ttn.ttn_forward(p, x) - dense @ x)) < 1e-10
+        expect = ttn_forward_chain(p, x)
+        assert np.max(np.abs(ttn.ttn_forward(p, x) - expect)) < 1e-10
+        assert np.max(np.abs(ttn.materialize_dense(p) @ x - expect)) < 1e-10
 
 
 def test_forward_rejects_wrong_input_length():
@@ -130,7 +135,7 @@ def test_materialize_columns_match_basis_probes():
     for i in range(6):
         e = np.zeros(6)
         e[i] = 1.0
-        assert np.allclose(dense[:, i], ttn.ttn_forward(p, e))
+        assert np.allclose(dense[:, i], ttn_forward_chain(p, e))
 
 
 def test_materialize_respects_capacity():
@@ -138,6 +143,10 @@ def test_materialize_respects_capacity():
     p = random_params([40, 40], [40, 40], 1, rng)
     with pytest.raises(ValueError):
         ttn.materialize_dense(p)
+    with pytest.raises(ValueError, match="DENSE_CAP"):
+        ttn.ttn_forward(p, np.zeros(p.in_size))
+    with pytest.raises(ValueError, match="DENSE_CAP"):
+        ttn.ttn_backward(p, np.zeros(p.in_size), np.zeros(p.out_size))
 
 
 def test_forward_rejects_input_of_more_than_two_axes():
@@ -173,6 +182,24 @@ def test_backward_rejects_upstream_rows_not_matching_inputs():
 
 
 # --- backward --------------------------------------------------------------
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+@pytest.mark.parametrize("input_dims,output_dims", [
+    ([2, 7, 7, 2], [1, 2, 2, 1]), ([2, 5], [2, 2]), ([5], [3]), ([3, 4], [2, 3])])
+def test_backward_matches_per_core_environment_oracle(input_dims, output_dims, b):
+    # The oracle builds each core's environments from scratch and contracts
+    # every sample with them; the layer contracts the summed outer product.
+    rng = np.random.default_rng(16)
+    p = random_params(input_dims, output_dims, 3, rng)
+    x = rng.normal(size=(b, p.in_size))
+    up = rng.normal(size=(b, p.out_size))
+    expect = ttn_backward_per_core(p, x, up)
+    got = ttn.ttn_backward(p, x, up)
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.shape == e.shape
+        assert np.max(np.abs(g - e)) < 1e-12
+
 
 def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(10)
