@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PartyModel, Prediction, batched_marginals, predict, softmax
-from .train import EvidentialTrainable, TrainConfig, ce_loss, forward_pass, \
+from .train import EvidentialTrainable, ce_loss, forward_pass, \
     party_angle_gradients, party_gradients
 # Not called here: perfbench/tracer.py patches ttn_backward at this lookup
 # site too and fails if the name is missing.
@@ -121,7 +121,7 @@ class ClassicalAverageModel:
         logits = self._logits(sample)[0]
         return Prediction(logits, softmax(logits))
 
-    def loss_and_gradients(self, sample, label, config: TrainConfig):
+    def loss_and_gradients(self, sample, label):
         logits, party_logits, caches = self._logits(sample)
         pred = Prediction(logits, softmax(logits))
         loss = ce_loss(pred, label)
@@ -175,7 +175,7 @@ class MeasureAverageModel(EvidentialTrainable):
         marginals, _ = forward_pass(self.models, sample)
         return predict(self._server(marginals))
 
-    def loss_and_gradients(self, sample, label, config: TrainConfig):
+    def loss_and_gradients(self, sample, label):
         marginals, caches = forward_pass(self.models, sample)
         pred = predict(self._server(marginals))
         loss = ce_loss(pred, label, check_bound=True)
@@ -197,10 +197,9 @@ class MeasureVqcModel(MeasureAverageModel):
             raise ValueError("server circuit must be two blocks over K*C qubits")
 
     @classmethod
-    def random_init(cls, models: list[PartyModel], rng,
-                    angle_scale: float = np.pi / 8):
+    def random_init(cls, models: list[PartyModel], rng):
         n = len(models) * models[0].num_classes
-        return cls(models, rng.uniform(-angle_scale, angle_scale, (2, n, 3)))
+        return cls(models, rng.uniform(-np.pi / 8, np.pi / 8, (2, n, 3)))
 
     def parameters(self):
         return super().parameters() + [self.server_angles]

@@ -8,7 +8,8 @@ exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
 typo or a value of the wrong type or range never trains with a silent
 default (a bool is no number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as
 a string).  Output directory precedence: ``--out``, ``EVIFED_OUT_DIR``, then
-the config's ``out_dir``.
+the config's ``out_dir``.  Every section, ``train`` included, is checked by
+that one table; ``train.TrainConfig`` holds the checked values as plain data.
 
 Config schema (all keys lowercase; an optional key shows its default)::
 
@@ -43,7 +44,6 @@ Config schema (all keys lowercase; an optional key shows its default)::
       batch_size: 64            # positive int
       epochs: 20                # positive int
       seed: 0                   # int >= 0; --seed overrides it
-      eval_mode: factorized     # or joint (model_kind eviqvfl only)
       adam_betas: [0.9, 0.999]  # two finite numbers
       adam_epsilon: 1.0e-8      # finite number
     out_dir: .                  # directory path
@@ -54,6 +54,7 @@ import argparse
 import copy
 import dataclasses
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -78,6 +79,17 @@ class ConfigError(ValueError):
 
 # --- configuration ---------------------------------------------------------
 
+def is_integer(value) -> bool:
+    """An integer that is not a bool (config values come from YAML)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _list_of(item_ok):
     return lambda v: isinstance(v, list) and v != [] and all(map(item_ok, v))
 
@@ -86,12 +98,23 @@ def _list_of(item_ok):
 # are checked in table order, so a missing dataset file is named before the
 # keys that read it.  A REQUIRED key has no default.
 REQUIRED = object()
-_POSITIVE_INT = (lambda v: train.is_integer(v) and v >= 1,
+_POSITIVE_INT = (lambda v: is_integer(v) and v >= 1,
                  "must be a positive integer, got {!r}")
 _POSITIVE_INTS = (_list_of(_POSITIVE_INT[0]),
                   "must be a non-empty list of positive integers, got {!r}")
 _MAPPING = (lambda v: isinstance(v, dict), "must be a mapping")
 _FILE = (lambda v: isinstance(v, str) and os.path.exists(v), "file not found: {}")
+_TRAIN_CHECKS = {  # one per TrainConfig field; a field with none fails at import
+    "learning_rate": (lambda v: is_finite_number(v) and v > 0,
+                      "must be a finite number > 0, got {!r}"),
+    "batch_size": _POSITIVE_INT,
+    "epochs": _POSITIVE_INT,
+    "seed": (lambda v: is_integer(v) and v >= 0, "must be an integer >= 0, got {!r}"),
+    "adam_betas": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                   and all(map(is_finite_number, v)),
+                   "must be two finite numbers, got {!r}"),
+    "adam_epsilon": (is_finite_number, "must be a finite number, got {!r}"),
+}
 CONFIG_SCHEMA = {
     "config": {  # ExperimentConfig's fields
         "model_kind": ("eviqvfl", lambda v: v in MODEL_KINDS, "unknown kind {!r}"),
@@ -113,7 +136,7 @@ CONFIG_SCHEMA = {
         **{key: (REQUIRED, *_FILE) for key in ("train_images", "train_labels",
                                                 "test_images", "test_labels")},
         "classes": (list(range(10)),
-                    lambda v: _list_of(train.is_integer)(v) and len(set(v)) == len(v),
+                    lambda v: _list_of(is_integer)(v) and len(set(v)) == len(v),
                     "must be a non-empty list of distinct integers, got {!r}"),
         "max_train_samples": (2000, *_POSITIVE_INT),
         "max_test_samples": (500, *_POSITIVE_INT),
@@ -128,10 +151,10 @@ CONFIG_SCHEMA = {
         "label_map": (None, _MAPPING[0],
                       "must be a mapping of label cells to classes 0..1, got {!r}"),
         "balance": (False, lambda v: type(v) is bool, "must be true or false, got {!r}"),
-        "test_fraction": (0.2, lambda v: train.is_finite_number(v) and 0 < v < 1,
+        "test_fraction": (0.2, lambda v: is_finite_number(v) and 0 < v < 1,
                           "must be a number in (0, 1), got {!r}"),
     },
-    "train": {f.name: (f.default, lambda v: True, "")  # TrainConfig checks these
+    "train": {f.name: (f.default, *_TRAIN_CHECKS[f.name])  # TrainConfig's defaults
               for f in dataclasses.fields(train.TrainConfig)},
 }
 
@@ -202,7 +225,7 @@ def load_config(path) -> ExperimentConfig:
             if not isinstance(cell, str):
                 raise ConfigError(f"config.dataset.label_map: key {cell!r} is not a "
                                   "string; quote it, since label cells are read as text")
-            if not (train.is_integer(value) and 0 <= value <= 1):
+            if not (is_integer(value) and 0 <= value <= 1):
                 raise ConfigError(f"config.dataset.label_map: value {value!r} of "
                                   f"{cell!r} is not a class in 0..1")
         widths, columns = dataset["widths"], dataset["feature_columns"]
@@ -215,28 +238,16 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"config.parties.input_dims: product {d} does not "
                               f"match party {k}'s feature width {w}")
     _walk(raw["train"], "config.train", "train")
-    try:
-        train_cfg = train.TrainConfig(**raw["train"])
-    except ValueError as exc:
-        raise ConfigError(f"config.train: {exc}") from exc
-    # TrainConfig allows 0 epochs (nothing to train); a command reports its last.
-    if train_cfg.epochs < 1:
-        raise ConfigError("config.train.epochs: must be >= 1")
-    model_kind = raw["model_kind"]
-    if model_kind != "eviqvfl" and train_cfg.eval_mode != train.TrainConfig.eval_mode:
-        raise ConfigError(f"config.train.eval_mode: {train_cfg.eval_mode} applies "
-                          f"to model_kind eviqvfl only")
-    return ExperimentConfig(**{**raw, "train": train_cfg})
+    return ExperimentConfig(**{**raw, "train": train.TrainConfig(**raw["train"])})
 
 
 def _load_seeded(args) -> ExperimentConfig:
     """The config at ``args.config``, its training seed replaced by ``--seed``."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        try:
-            cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed {args.seed}: {exc}") from None
+        if args.seed < 0:  # argparse has made it an int
+            raise ConfigError(f"--seed {args.seed}: seed must be >= 0")
+        cfg.train.seed = args.seed
     return cfg
 
 

@@ -21,8 +21,6 @@ sample, one (d,) block per party, gives a float loss and a one-sample
 """
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,48 +37,15 @@ from .ttn import squash_grad, ttn_backward
 BOUND_SLACK = 1e-9
 
 
-def is_integer(value) -> bool:
-    """An integer that is not a bool (config values come from YAML)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_finite_number(value) -> bool:
-    """A finite real number that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass
 class TrainConfig:
+    """Training settings; ``cli.CONFIG_SCHEMA`` checks a config's values."""
     learning_rate: float = 0.05
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
-    eval_mode: str = "factorized"  # or "joint"
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_epsilon: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("learning_rate", "adam_epsilon"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        betas = self.adam_betas
-        if not (isinstance(betas, (list, tuple)) and len(betas) == 2
-                and all(map(is_finite_number, betas))):
-            raise ValueError(f"adam_betas must be two finite numbers, got {betas!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.eval_mode not in ("factorized", "joint"):
-            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
 
 
 @dataclass
@@ -385,7 +350,7 @@ class EvidentialTrainable:
     """The party ensemble under the trainable interface every model kind
     answers: ``parameters()`` (arrays the optimizer updates in place),
     ``party_param_counts()``, ``predict(sample)`` and
-    ``loss_and_gradients(sample, label, config)``.
+    ``loss_and_gradients(sample, label)``.
 
     A sample is one (d,) block per party, or (B, d) blocks for a batch of B
     samples with (B, C) labels.  For a batch, the loss and the prediction
@@ -414,7 +379,7 @@ class EvidentialTrainable:
             for row in rows])
         return model_mod.predict(plaus.reshape(np.shape(sample[0])[:-1] + (-1,)))
 
-    def loss_and_gradients(self, sample, label, config):
+    def loss_and_gradients(self, sample, label):
         loss, party_grads, pred = full_gradient(self.models, sample, label)
         return loss, [g for pg in party_grads for g in pg], pred
 
@@ -433,7 +398,7 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
     """
     trainable = models
     if isinstance(models, list):
-        trainable = EvidentialTrainable(models, eval_mode=config.eval_mode)
+        trainable = EvidentialTrainable(models)
     params = trainable.parameters()
     opt = OptimizerState.for_params(params)
     trace = TrainTrace()
@@ -444,8 +409,8 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
         for batch in batch_indices(train_set.num_samples, config.batch_size,
                                    config.seed, epoch):
             part = train_set.subset(batch)
-            loss, grads, pred = trainable.loss_and_gradients(
-                part.party_blocks, part.labels, config)
+            loss, grads, pred = trainable.loss_and_gradients(part.party_blocks,
+                                                             part.labels)
             losses.append(loss)
             hits += _hits(pred, part.labels)
             adam_step(opt, params, [g / len(batch) for g in grads], config)

@@ -137,11 +137,19 @@ def ttn_backward(params: TTLayerParams, x: np.ndarray,
     return core_grads
 
 
+def _logistic_denominator(y: np.ndarray) -> np.ndarray:
+    """1 + exp(-y).  exp(-y) is inf below y = -709.78 and 0 far above 0; these
+    IEEE limits give the logistic's exact 0 and 1, so they raise no warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 + np.exp(-np.asarray(y, dtype=np.float64))
+
+
 def squash(y: np.ndarray) -> np.ndarray:
-    """Elementwise logistic sigmoid scaled into (0, pi/2)."""
-    return (math.pi / 2) / (1.0 + np.exp(-np.asarray(y, dtype=np.float64)))
+    """Elementwise logistic sigmoid scaled into [0, pi/2], finite for every
+    finite input."""
+    return (math.pi / 2) / _logistic_denominator(y)
 
 
 def squash_grad(y: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-np.asarray(y, dtype=np.float64)))
+    s = 1.0 / _logistic_denominator(y)
     return (math.pi / 2) * s * (1.0 - s)

@@ -16,8 +16,6 @@ from . import evidence, model, qsim, teleport, train
 from .model import PartyModel
 from .qsim import Gate, Statevector
 
-SUITES = ("qsim", "evidence", "fusion", "teleport", "gradients")
-
 
 @dataclass
 class CheckResult:
@@ -47,13 +45,11 @@ def random_party(rng, input_dims=(2, 3), output_dims=(1, 3), rank=2,
 
 # --- qsim suite ------------------------------------------------------------
 
-_INVERSE = {
-    "X": lambda g: g, "Y": lambda g: g, "Z": lambda g: g, "H": lambda g: g,
-    "CNOT": lambda g: g, "MCX": lambda g: g,
-    "RX": lambda g: Gate(g.kind, g.targets, angle=-g.angle),
-    "RY": lambda g: Gate(g.kind, g.targets, angle=-g.angle),
-    "RZ": lambda g: Gate(g.kind, g.targets, angle=-g.angle),
-}
+def _inverse(g: Gate) -> Gate:
+    """A rotation by the negated angle; every other gate is its own inverse."""
+    if g.kind in qsim.ROTATION_KINDS:
+        return Gate(g.kind, g.targets, angle=-g.angle)
+    return g
 
 
 def _random_gate(n: int, rng) -> Gate:
@@ -76,7 +72,7 @@ def check_unitarity(trials: int = 100, seed: int = 11) -> CheckResult:
         ref = psi.copy()
         g = _random_gate(n, rng)
         qsim.apply_gate(psi, g)
-        qsim.apply_gate(psi, _INVERSE[g.kind](g))
+        qsim.apply_gate(psi, _inverse(g))
         worst = max(worst, float(np.max(np.abs(psi.amplitudes - ref.amplitudes))))
     return CheckResult("gate-then-inverse recovers input", worst, 1e-10)
 
@@ -427,16 +423,13 @@ def suite_gradients() -> list[CheckResult]:
             check_adjoint_vs_finite_difference()]
 
 
+SUITES = {"qsim": suite_qsim, "evidence": suite_evidence, "fusion": suite_fusion,
+          "teleport": suite_teleport, "gradients": suite_gradients}
+
+
 def run_suite(name: str) -> list[CheckResult]:
-    suites = {
-        "qsim": suite_qsim,
-        "evidence": suite_evidence,
-        "fusion": suite_fusion,
-        "teleport": suite_teleport,
-        "gradients": suite_gradients,
-    }
     if name == "all":
-        return [r for s in SUITES for r in suites[s]()]
-    if name not in suites:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return suites[name]()
+        return [r for suite in SUITES.values() for r in suite()]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
+    return SUITES[name]()

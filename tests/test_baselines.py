@@ -118,12 +118,11 @@ def test_classical_loss_gradients_match_finite_differences(kind):
     model = build_baseline(kind, [4, 3], 2, rng, party_budget=40)
     sample = [rng.normal(size=4), rng.normal(size=3)]
     label = np.array([0.0, 1.0])
-    config = TrainConfig()
 
-    _, analytic, _ = model.loss_and_gradients(sample, label, config)
+    _, analytic, _ = model.loss_and_gradients(sample, label)
 
     def scalar():
-        loss, _, _ = model.loss_and_gradients(sample, label, config)
+        loss, _, _ = model.loss_and_gradients(sample, label)
         return loss
 
     numeric = numeric_grads(scalar, model.parameters())
@@ -138,12 +137,11 @@ def test_quantum_baseline_gradients_match_finite_differences(kind):
     model = build_baseline(kind, [4, 4], 2, rng, quantum_models=models)
     sample = random_sample(rng, models)
     label = np.array([1.0, 0.0])
-    config = TrainConfig()
 
-    _, analytic, _ = model.loss_and_gradients(sample, label, config)
+    _, analytic, _ = model.loss_and_gradients(sample, label)
 
     def scalar():
-        loss, _, _ = model.loss_and_gradients(sample, label, config)
+        loss, _, _ = model.loss_and_gradients(sample, label)
         return loss
 
     numeric = numeric_grads(scalar, model.parameters(), eps=1e-5)
@@ -163,15 +161,14 @@ def test_batch_loss_and_gradients_match_per_sample_results(kind):
     b = 7
     sample = [rng.normal(size=(b, 4)) for _ in models]
     labels = np.eye(2)[rng.integers(0, 2, size=b)]
-    config = TrainConfig()
-    loss, grads, pred = trainable.loss_and_gradients(sample, labels, config)
+    loss, grads, pred = trainable.loss_and_gradients(sample, labels)
     assert loss.shape == (b,) and pred.probabilities.shape == (b, 2)
     assert np.max(np.abs(trainable.predict(sample).probabilities
                          - pred.probabilities)) < 1e-12
     summed = [np.zeros_like(p) for p in trainable.parameters()]
     for i in range(b):
         loss_i, grads_i, pred_i = trainable.loss_and_gradients(
-            [x[i] for x in sample], labels[i], config)
+            [x[i] for x in sample], labels[i])
         assert isinstance(loss_i, float) and isinstance(pred_i.predicted_class, int)
         assert abs(loss[i] - loss_i) < 1e-12
         assert np.max(np.abs(pred.probabilities[i] - pred_i.probabilities)) < 1e-12
@@ -209,8 +206,7 @@ def test_average_baseline_losses_respect_softmax_floor():
     for _ in range(20):
         sample = random_sample(rng, models)
         label = np.eye(2)[rng.integers(0, 2)]
-        loss, _, _ = model.loss_and_gradients(sample, label,
-                                              TrainConfig())
+        loss, _, _ = model.loss_and_gradients(sample, label)
         assert loss >= floor - 1e-12
 
 
@@ -235,7 +231,7 @@ def test_each_kind_trains_without_error(kind):
     sample = random_sample(rng, models)
     label = np.array([1.0, 0.0])
     for _ in range(15):
-        loss, grads, _ = model.loss_and_gradients(sample, label, config)
+        loss, grads, _ = model.loss_and_gradients(sample, label)
         losses.append(loss)
         train.adam_step(opt, model.parameters(), grads, config)
     assert losses[-1] < losses[0]

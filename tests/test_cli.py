@@ -181,6 +181,21 @@ def test_config_schema_docstring_matches_key_table():
                 assert doc[key] == default, f"{section}.{key}"
 
 
+def test_train_schema_rows_are_trainconfig_fields_with_their_defaults():
+    # A new TrainConfig field cannot skip the table's checks.
+    rows = cli.CONFIG_SCHEMA["train"]
+    fields = dataclasses.fields(train.TrainConfig)
+    assert list(rows) == [f.name for f in fields]
+    for f in fields:
+        assert rows[f.name][0] == f.default, f.name
+
+
+def test_no_schema_row_accepts_every_value():
+    for section, rows in cli.CONFIG_SCHEMA.items():
+        for key, (_, ok, message) in rows.items():
+            assert not ok(None) and message, f"{section}.{key}"
+
+
 def with_line(text, section, line):
     """Config ``text`` with ``line`` under ``section:`` (at the end for the
     top level, ``config``), replacing the line that set the same key before."""
@@ -192,12 +207,13 @@ def with_line(text, section, line):
 
 WRONG_TYPE_CASES = [
     ("train", "  adam_epsilon: 1e-8",
-     "config.train: adam_epsilon must be a finite number, got '1e-8'"),
+     "config.train.adam_epsilon: must be a finite number, got '1e-8'"),
     ("train", "  learning_rate: true",
-     "config.train: learning_rate must be a finite number, got True"),
-    ("train", "  epochs: 2.0", "config.train: epochs must be an integer, got 2.0"),
+     "config.train.learning_rate: must be a finite number > 0, got True"),
+    ("train", "  epochs: 2.0",
+     "config.train.epochs: must be a positive integer, got 2.0"),
     ("train", "  adam_betas: [0.9]",
-     "config.train: adam_betas must be two finite numbers, got [0.9]"),
+     "config.train.adam_betas: must be two finite numbers, got [0.9]"),
     ("parties", "  input_dims: 3", "config.parties.input_dims: must be a "
      "non-empty list of positive integers, got 3"),
     ("parties", "  output_dims: [2.0]", "config.parties.output_dims: must be a "
@@ -207,7 +223,7 @@ WRONG_TYPE_CASES = [
     ("parties", "  rank: 2.5", "config.parties.rank: must be a positive integer, got 2.5"),
     ("parties", "  vqc_blocks: true",
      "config.parties.vqc_blocks: must be a positive integer, got True"),
-    ("train", "  seed: -1", "config.train: seed must be >= 0"),
+    ("train", "  seed: -1", "config.train.seed: must be an integer >= 0, got -1"),
     ("dataset", "  test_fraction: '0.2'",
      "config.dataset.test_fraction: must be a number in (0, 1), got '0.2'"),
     ("dataset", "  test_fraction: 1.5",
@@ -236,30 +252,19 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("key,value", [("eval_mode", "joint")])
-@pytest.mark.parametrize("kind", cli.MODEL_KINDS)
-def test_eviqvfl_only_train_modes_rejected_for_baselines(tmp_path, kind, key, value):
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv, model_kind=kind)).read_text()
-    config = write_yaml(tmp_path / "mode.yaml",
-                        with_line(text, "train", f"  {key}: {value}"))
-    if kind == "eviqvfl":
-        assert getattr(load_config(config).train, key) == value
-        return
-    with pytest.raises(ConfigError, match=rf"^config\.train\.{key}: {value} "
-                                          "applies to model_kind eviqvfl only$"):
-        load_config(config)
-
-
-@pytest.mark.parametrize("value", ["parameter_shift", "finite_difference"])
-def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, value):
-    # Training always uses adjoint gradients; the old selector is not a field.
+@pytest.mark.parametrize("key,value", [("grad_mode", "parameter_shift"),
+                                       ("grad_mode", "finite_difference"),
+                                       ("eval_mode", "joint")],
+                         ids=["parameter_shift", "finite_difference", "eval_mode"])
+def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, key, value):
+    # Training always uses adjoint gradients and factorized evaluation; the
+    # old selectors are not fields.
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
     config = write_yaml(tmp_path / "gm.yaml",
-                        with_line(text, "train", f"  grad_mode: {value}"))
+                        with_line(text, "train", f"  {key}: {value}"))
     assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == "error: config.train.grad_mode: unknown field\n"
+    assert capsys.readouterr().err == f"error: config.train.{key}: unknown field\n"
 
 
 @pytest.mark.parametrize("command", ["train", "inspect"])
@@ -301,7 +306,8 @@ def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv, epochs=epochs)
     assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == "error: config.train.epochs: must be >= 1\n"
+    assert capsys.readouterr().err == \
+        f"error: config.train.epochs: must be a positive integer, got {epochs}\n"
 
 
 @pytest.mark.parametrize("widths", ["10", "[]", "[3, 0]", "[3.0, 3]", "[true, 5]"])

@@ -180,7 +180,9 @@ def test_one_mutated_field_is_one_error_line_or_a_run(inputs, kind):
         try:
             cli.load_config(config)
         except ConfigError as exc:
-            assert str(exc).startswith("config."), exc
+            # The base is valid, so a bad train value is the train key's error.
+            prefix = f"config.train.{key}: " if section == "train" else "config."
+            assert str(exc).startswith(prefix), exc
         inspect_one_line(config, dumps[kind])
 
     for field in fields(kind):

@@ -264,3 +264,19 @@ def test_squash_grad_matches_finite_difference():
     step = 1e-6
     fd = (ttn.squash(y + step) - ttn.squash(y - step)) / (2 * step)
     assert np.max(np.abs(ttn.squash_grad(y) - fd)) < 1e-8
+
+
+def test_squash_and_grad_saturate_without_overflow():
+    # exp(-y) overflowed below y = -709.78 (RuntimeWarning, then 0 anyway).
+    y = np.array([-1000.0, 0.0, 1000.0])
+    with np.errstate(all="raise"):
+        assert np.array_equal(ttn.squash(y), [0.0, np.pi / 4, np.pi / 2])
+        assert np.array_equal(ttn.squash_grad(y), [0.0, np.pi / 8, 0.0])
+
+
+def test_squash_keeps_the_logistic_formula_bit_for_bit():
+    y = np.concatenate([np.linspace(-709.0, 709.0, 4001),
+                        np.random.default_rng(14).normal(size=200) * 5])
+    s = 1.0 / (1.0 + np.exp(-y))
+    assert np.array_equal(ttn.squash(y), (np.pi / 2) / (1.0 + np.exp(-y)))
+    assert np.array_equal(ttn.squash_grad(y), (np.pi / 2) * s * (1.0 - s))
