@@ -165,22 +165,24 @@ class MeasureAverageModel(EvidentialTrainable):
     """Quantum parties, classically measured; server averages the marginals."""
 
     def _server(self, marginals):
-        return np.mean(marginals, axis=0)
+        """Server output, and what its backward needs (here nothing)."""
+        return np.mean(marginals, axis=0), None
 
-    def _server_backward(self, marginals, d_out):
+    def _server_backward(self, server_cache, d_out):
         """dL/d party marginals, one row per party, and the server's gradients."""
         return [d_out / len(self.models)] * len(self.models), []
 
     def predict(self, sample) -> Prediction:
         marginals, _ = forward_pass(self.models, sample)
-        return predict(self._server(marginals))
+        return predict(self._server(marginals)[0])
 
     def loss_and_gradients(self, sample, label):
         marginals, caches = forward_pass(self.models, sample)
-        pred = predict(self._server(marginals))
+        out, server_cache = self._server(marginals)
+        pred = predict(out)
         loss = ce_loss(pred, label, check_bound=True)
         d_marg, server_grads = self._server_backward(
-            marginals, pred.probabilities - label)
+            server_cache, pred.probabilities - label)
         grads = [g for m, cache, d in zip(self.models, caches, d_marg)
                  for g in party_gradients(m, cache, d)]
         return loss, grads + server_grads, pred
@@ -207,18 +209,18 @@ class MeasureVqcModel(MeasureAverageModel):
     def _server(self, marginals):
         z = _concat_parties(marginals)
         rows = z.reshape(-1, z.shape[-1])
-        out = batched_marginals(
+        out, amps, fused = batched_marginals(
             2.0 * rows,
             np.broadcast_to(self.server_angles, (len(rows),) + self.server_angles.shape),
             self.num_classes)
-        return out.reshape(z.shape[:-1] + (self.num_classes,))
+        return out.reshape(z.shape[:-1] + (self.num_classes,)), (amps, fused)
 
-    def _server_backward(self, marginals, d_out):
+    def _server_backward(self, server_cache, d_out):
         # Angle gradients of the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
+        amps, fused = server_cache
         d_enc_server, d_server = party_angle_gradients(
-            2.0 * _concat_parties(marginals), self.server_angles,
-            self.num_classes, d_out)
+            amps, fused, self.server_angles, d_out)
         return 2.0 * _split_parties(d_enc_server, len(self.models)), [d_server]
 
 

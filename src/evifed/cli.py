@@ -44,8 +44,8 @@ Config schema (all keys lowercase; an optional key shows its default)::
       batch_size: 64            # positive int
       epochs: 20                # positive int
       seed: 0                   # int >= 0; --seed overrides it
-      adam_betas: [0.9, 0.999]  # two finite numbers
-      adam_epsilon: 1.0e-8      # finite number
+      adam_betas: [0.9, 0.999]  # two numbers in [0, 1)
+      adam_epsilon: 1.0e-8      # finite number > 0
     out_dir: .                  # directory path
 """
 from __future__ import annotations
@@ -111,9 +111,10 @@ _TRAIN_CHECKS = {  # one per TrainConfig field; a field with none fails at impor
     "epochs": _POSITIVE_INT,
     "seed": (lambda v: is_integer(v) and v >= 0, "must be an integer >= 0, got {!r}"),
     "adam_betas": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                   and all(map(is_finite_number, v)),
-                   "must be two finite numbers, got {!r}"),
-    "adam_epsilon": (is_finite_number, "must be a finite number, got {!r}"),
+                   and all(is_finite_number(b) and 0 <= b < 1 for b in v),
+                   "must be two numbers in [0, 1), got {!r}"),
+    "adam_epsilon": (lambda v: is_finite_number(v) and v > 0,
+                     "must be a finite number > 0, got {!r}"),
 }
 CONFIG_SCHEMA = {
     "config": {  # ExperimentConfig's fields

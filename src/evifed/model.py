@@ -4,13 +4,14 @@ A party maps its raw feature block through the TT layer, squashes the result
 into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
 ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
-with each qubit's rotations per block fused into one unitary;
-``party_forward`` is its one-row case.  Amplitudes change only inside
-``qsim``.  The server fuses party outputs either through the explicit
-multi-controlled-X joint circuit (reference semantics; the |0>^C result
-register comes first, then the party registers) or through the factorized
-product of per-party marginals; commonality multiplicativity makes the two
-exactly equal, and the test suite holds them to that.
+with each qubit's rotations per block fused into one unitary, and block 0
+built as a product state; ``party_forward`` is its one-row case.
+Amplitudes change only inside ``qsim``.  The server fuses party outputs
+either through the explicit multi-controlled-X joint circuit (reference
+semantics; the |0>^C result register comes first, then the party registers)
+or through the factorized product of per-party marginals; commonality
+multiplicativity makes the two exactly equal, and the test suite holds them
+to that.
 """
 from __future__ import annotations
 
@@ -161,17 +162,22 @@ def loss_lower_bound(num_classes: int) -> float:
 # Batched circuit evaluation.  A mini-batch's circuits run as rows of one
 # (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
 # rotations within a block are fused into one unitary (gates on different
-# qubits commute), which cuts the sweeps over the array.  ``circuit_rows``
+# qubits commute), which cuts the sweeps over the array.  Every circuit starts
+# from |0...0>, and block 0 acts on single qubits before its CNOT ring, so
+# its state is a product state, built with no kernel sweep.  ``circuit_rows``
 # runs every party circuit: ``batched_marginals`` reads marginals off its
-# rows, ``party_forward`` takes its one row, and train.party_angle_gradients
-# runs its adjoint sweep back from them.  ``run_blocks`` starts the blocks
-# from given rows, as the barren-plateau diagnostic's monolithic circuit
-# does.  Equality with a gate-by-gate oracle is pinned by tests.
+# rows and hands the rows on, ``party_forward`` takes its one row, and
+# train.party_angle_gradients runs its reverse sweep back from the rows the
+# forward pass kept.  ``run_blocks`` runs whole blocks from given rows, as the
+# barren-plateau diagnostic's monolithic circuit does.  Equality with a
+# gate-by-gate oracle is pinned by tests.
 
-# Amplitudes one kernel pass holds at most: batched_marginals and
-# train.party_angle_gradients run their rows in chunks of this size, so a
-# large batch never sits in memory at once.  2^12 complex amplitudes are
-# 64 KiB; at 4 qubits, 2^13 was no faster and doubled the peak working set.
+# Amplitudes one kernel pass holds at most: circuit_rows and
+# train.party_angle_gradients sweep their rows in chunks of this size, so the
+# kernels' temporaries stay small however large the batch.  The finished rows
+# of a call are returned whole; training keeps them for one mini-batch.
+# 2^12 complex amplitudes are 64 KiB; at 4 qubits, 2^13 was no faster and
+# doubled the peak working set.
 CHUNK_AMPLITUDES = 1 << 12
 
 
@@ -218,26 +224,32 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
 
     enc_angles: (B, n); vqc_angles: (B, blocks, n, 3) or shared (blocks, n, 3).
     Returns the final (B, 2^n) amplitude rows and the fused unitaries of
-    ``fused_rotations``, which a reverse sweep undoes block by block.
+    ``fused_rotations``, which a reverse sweep undoes block by block.  Block
+    0's state is the product of its unitaries' first columns; the rows then
+    run a chunk of at most ``CHUNK_AMPLITUDES`` amplitudes at a time.
     """
     fused = fused_rotations(enc_angles, vqc_angles)
-    return run_blocks(qsim.new_zero_rows(*enc_angles.shape), fused), fused
+    b, n = enc_angles.shape
+    step = max(1, CHUNK_AMPLITUDES >> n)
+    amps = np.empty((b, 1 << n), dtype=np.complex128)
+    for s in range(0, b, step):
+        # Per-row unitaries go with their rows; shared ones (R = 1) broadcast.
+        blocks = [u[:, s:s + step] if u.shape[1] == b else u for u in fused]
+        first = qsim.apply_cnot_ring(qsim.product_rows(blocks[0][..., 0]))
+        amps[s:s + step] = run_blocks(first, blocks[1:])
+    return amps, fused
 
 
 def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
-                      num_classes: int) -> np.ndarray:
+                      num_classes: int
+                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Class marginals for a batch of (encoding, VQC) angle settings.
 
     enc_angles: (B, n) Ry rotation angles (already doubled features).
-    vqc_angles: (B, blocks, n, 3).
-    Returns (B, num_classes).  The rows run in chunks of at most
-    ``CHUNK_AMPLITUDES`` amplitudes (one row if a row alone is larger).
+    vqc_angles: (B, blocks, n, 3), or shared (blocks, n, 3).
+    Returns the (B, num_classes) marginals, then ``circuit_rows``' final rows
+    and fused unitaries, from which train.party_angle_gradients starts.
     """
-    enc_angles = np.asarray(enc_angles, dtype=np.float64)
-    b, n = enc_angles.shape
-    step = max(1, CHUNK_AMPLITUDES >> n)
-    return np.concatenate([
-        qsim.prob_one_rows(circuit_rows(enc_angles[i:i + step],
-                                        vqc_angles[i:i + step])[0],
-                           range(num_classes))
-        for i in range(0, b, step)])
+    amps, fused = circuit_rows(np.asarray(enc_angles, dtype=np.float64),
+                               vqc_angles)
+    return qsim.prob_one_rows(amps, range(num_classes)), amps, fused

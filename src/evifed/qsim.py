@@ -85,13 +85,17 @@ def new_zero_state(n: int) -> Statevector:
     """All-qubits-|0> state on ``n`` qubits."""
     if not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"qubit count {n} outside supported range [1, {MAX_QUBITS}]")
-    return Statevector(n, new_zero_rows(1, n)[0])
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[0] = 1.0
+    return Statevector(n, amps)
 
 
-def new_zero_rows(b: int, n: int) -> np.ndarray:
-    """``b`` amplitude rows, each the all-qubits-|0> state on ``n`` qubits."""
-    amps = np.zeros((b, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+def product_rows(qubit_states: np.ndarray) -> np.ndarray:
+    """(B, 2^n) rows of product states from (n, B, 2) ``qubit_states``: row b
+    is qubit_states[0, b] (x) ... (x) qubit_states[n-1, b]."""
+    amps = qubit_states[0]
+    for state in qubit_states[1:]:
+        amps = (amps[:, :, None] * state[:, None, :]).reshape(len(state), -1)
     return amps
 
 
@@ -196,17 +200,18 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 def prob_one(state: Statevector, qubit: int) -> float:
     """Probability that ``qubit`` measures to 1 (projective expectation)."""
     _check_indices(state.num_qubits, [qubit])
-    # The qubit-1 half as (re, im) float pairs: no |amp|^2 temporary.
-    half = state.amplitudes.reshape(1 << qubit, 2, -1)[:, 1].view(np.float64)
-    return float(np.einsum("ij,ij->", half, half))
+    return float(prob_one_rows(state.amplitudes.reshape(1, -1), [qubit])[0, 0])
 
 
 def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
     """P(qubit = 1) per row of (B, 2^n) ``amps``, per listed qubit: (B, len)."""
     b = amps.shape[0]
-    return np.stack([np.sum(np.abs(amps.reshape(b, 1 << q, 2, -1)[:, :, 1]) ** 2,
-                            axis=(1, 2))
-                     for q in qubits], axis=-1)
+    probs = []
+    for q in qubits:
+        # The qubit-1 half as (re, im) float pairs: no |amp|^2 temporary.
+        half = amps.reshape(b, 1 << q, 2, -1)[:, :, 1].view(np.float64)
+        probs.append(np.einsum("bij,bij->b", half, half))
+    return np.stack(probs, axis=-1)
 
 
 def marginal_probabilities(state: Statevector, qubits) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Gradients for quantum angles are exact, by adjoint differentiation (Jones &
 Gacon, arXiv:2009.02823): one forward sweep of a circuit row and one reverse
-sweep give the derivative of every angle, equal to the parameter-shift rule
+sweep that starts from the forward's final state give the derivative of
+every angle, equal to the parameter-shift rule
 (E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds them to.  They flow
 through the factorized fusion -- the product of per-party class marginals --
 whose exact equality with the joint circuit is established separately.
@@ -13,11 +14,12 @@ The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
 mini-batch.  Per party that is one TT forward and one TT backward; the
 forward circuits of all parties with one circuit shape run as rows of one
-``batched_marginals`` call, and each party's adjoint sweeps run on one row
-per sample, a chunk at a time (``model.CHUNK_AMPLITUDES``).  Losses and
-predictions keep the sample axis; gradients are summed over it.  A single
-sample, one (d,) block per party, gives a float loss and a one-sample
-``Prediction``.
+``batched_marginals`` call, which runs each row forward exactly once.  Each
+party's cache keeps its final rows for the mini-batch, and its adjoint sweep
+runs back from them, a chunk at a time (``model.CHUNK_AMPLITUDES``).
+Losses and predictions keep the sample axis; gradients are summed over it.
+A single sample, one (d,) block per party, gives a float loss and a
+one-sample ``Prediction``.
 """
 from __future__ import annotations
 
@@ -132,7 +134,10 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
                  ) -> tuple[np.ndarray, list[dict]]:
     """All party marginals, stacked (K, C), or (K, B, C) when every party's
     block is (B, d) rows; caches feed the backward pass.  Parties with the
-    same circuit shape run as rows of one ``batched_marginals`` call."""
+    same circuit shape run as rows of one ``batched_marginals`` call, and
+    each party's cache keeps its share of that call's final rows (``"rows"``)
+    and fused unitaries (``"fused"``) for the adjoint.  ``full_gradient``
+    drops the caches when it returns: rows live for one mini-batch."""
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
     groups: dict = {}
@@ -145,9 +150,11 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
         rows = len(enc) // len(ks)
         vqc = np.concatenate([np.broadcast_to(models[k].vqc_angles, (rows,) + shape)
                               for k in ks])
-        marg = batched_marginals(enc, vqc, num_classes)
-        for k, party_marg in zip(ks, np.split(marg, len(ks))):
-            marginals[k] = party_marg.reshape(
+        marg, amps, fused = batched_marginals(enc, vqc, num_classes)
+        for i, k in enumerate(ks):
+            mine = slice(i * rows, (i + 1) * rows)
+            caches[k].update(rows=amps[mine], fused=[u[:, mine] for u in fused])
+            marginals[k] = marg[mine].reshape(
                 caches[k]["x_tilde"].shape[:-1] + (num_classes,))
     return np.array(marginals), caches
 
@@ -184,44 +191,48 @@ def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
                      (w[:, 0, 0] - w[:, 1, 1]).imag], axis=-1)
 
 
-def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
-                          num_classes: int, dL_dmarg: np.ndarray
+def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
+                          vqc_angles: np.ndarray, dL_dmarg: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint-method gradients of the loss wrt the angles of one circuit:
-    Ry(enc_angles), then the (blocks, n, 3) VQC blocks, read out as the first
-    ``num_classes`` qubit marginals (a party or the measure_then_vqc server).
+    Ry(encoding angles), then the (blocks, n, 3) VQC blocks, read out as the
+    first C qubit marginals (a party or the measure_then_vqc server).
 
-    ``enc_angles`` is one sample's (n,) or a batch's (B, n), and ``dL_dmarg``
-    the loss gradient wrt the marginals, (C,) or (B, C), with everything else
-    frozen.  Returns (d/d encoding angle, per sample; d/d vqc angle, summed
-    over the samples), equal to the parameter-shift rule's.
+    ``rows`` (the final (B, 2^n) amplitudes) and ``fused`` (the fused
+    unitaries) are what ``model.batched_marginals`` returned for these rows
+    in the forward pass.  The VQC angles are shared by every row, so each
+    block is undone with row 0's unitaries, one 2x2 per qubit.  ``dL_dmarg``
+    is the loss gradient wrt the C marginals, (C,) for one sample or (B, C),
+    with everything else frozen.  Returns (d/d encoding angle, per sample,
+    (n,) or (B, n); d/d vqc angle, summed over the samples), equal to the
+    parameter-shift rule's.
 
-    One forward sweep gives each row's final state phi.  The loss is then
-    <phi|O|phi> for the diagonal O = sum_c dL/dmarg_c P(qubit c = 1), and
-    lambda = O phi.  Walking the blocks backwards, both phi and lambda undo
-    the CNOT ring and then each fused gate U; between the two, each qubit's
-    cross matrix W = sum phi conj(lambda)^T gives every angle of U its
-    derivative Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.
-    The sweep carries mu = conj(lambda), which undoes U by U^T.  Rows run a
-    chunk at a time, within ``model.CHUNK_AMPLITUDES``.
+    The loss is <phi|O|phi> for each final state phi and the diagonal
+    O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
+    blocks backwards, both phi and lambda undo the CNOT ring and then each
+    fused gate U; between the two, each qubit's cross matrix
+    W = sum phi conj(lambda)^T gives every angle of U its derivative
+    Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.  The sweep
+    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk at a
+    time, within ``model.CHUNK_AMPLITUDES``.
     """
-    enc_angles = np.asarray(enc_angles, dtype=np.float64)
     vqc_angles = np.asarray(vqc_angles, dtype=np.float64)
-    n = enc_angles.shape[-1]
-    enc = enc_angles.reshape(-1, n)
-    dL_dmarg = np.reshape(dL_dmarg, (len(enc), num_classes))
+    b, n = len(rows), rows.shape[1].bit_length() - 1
+    num_classes = np.shape(dL_dmarg)[-1]
+    dL = np.reshape(dL_dmarg, (b, num_classes))
     axes = _generator_axes(vqc_angles)
     # qubit_set[c, i] = 1 where basis state i has qubit c set.
     qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
     step = max(1, model_mod.CHUNK_AMPLITUDES >> n)
-    d_enc = np.empty_like(enc)
+    d_enc = np.empty((b, n))
     d_vqc = np.zeros_like(vqc_angles)
-    for s in range(0, len(enc), step):
-        phi, fused = model_mod.circuit_rows(enc[s:s + step], vqc_angles)
+    for s in range(0, b, step):
+        phi = rows[s:s + step]
         # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
         # which raised the training loop's peak RSS.
-        mu = np.einsum("rc,ci->ri", dL_dmarg[s:s + step], qubit_set) * np.conj(phi)
-        for k in reversed(range(len(fused))):
+        mu = np.einsum("rc,ci->ri", dL[s:s + step], qubit_set) * np.conj(phi)
+        for k in reversed(range(len(vqc_angles))):
+            # The gather copies, so the in-place undo below never writes rows.
             phi = qsim.apply_cnot_ring(phi, inverse=True)
             mu = qsim.apply_cnot_ring(mu, inverse=True)
             traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)])
@@ -229,21 +240,20 @@ def party_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
             if k == 0:
                 d_enc[s:s + step] = np.einsum("qj,qrj->rq", axes[0, :, 3], traces)
                 break
-            for q, u in enumerate(fused[k]):
-                u_t = np.swapaxes(u, -1, -2)
-                qsim.apply_unitary_rows(phi, q, np.conj(u_t))
-                qsim.apply_unitary_rows(mu, q, u_t)
-    return d_enc.reshape(enc_angles.shape), d_vqc
+            for q, u in enumerate(fused[k][:, 0]):
+                qsim.apply_unitary_rows(phi, q, np.conj(u.T))
+                qsim.apply_unitary_rows(mu, q, u.T)
+    return d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)), d_vqc
 
 
 def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
                     ) -> list[np.ndarray]:
     """One party's gradients (TT cores, then VQC angles) from dL/d marginals,
     chained through encoding angle = 2 x_tilde, the squash and the TT layer;
-    ``cache`` is the party's ``model.party_features`` output.  On a batch's
-    cache and (B, C) ``dL_dmarg`` the gradients are summed over the samples."""
-    d_enc, d_vqc = party_angle_gradients(2.0 * cache["x_tilde"], m.vqc_angles,
-                                         m.num_classes, dL_dmarg)
+    ``cache`` is the party's ``forward_pass`` cache.  On a batch's cache and
+    (B, C) ``dL_dmarg`` the gradients are summed over the samples."""
+    d_enc, d_vqc = party_angle_gradients(cache["rows"], cache["fused"],
+                                         m.vqc_angles, dL_dmarg)
     dL_dpre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
     return ttn_backward(m.ttn, cache["x"], dL_dpre) + [d_vqc]
 

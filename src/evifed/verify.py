@@ -376,9 +376,9 @@ def check_single_angle_closed_form(seed: int = 52) -> CheckResult:
 def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
                                num_classes: int, dL_dmarg: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for train.party_angle_gradients, same arguments and returns:
-    the parameter-shift rule, one forward row per +-pi/2 shift of each of a
-    sample's A angles, 2A rows per sample."""
+    """Reference for train.party_angle_gradients, with the same returns, from
+    the circuit's angles: the parameter-shift rule, one forward row per
+    +-pi/2 shift of each of a sample's A angles, 2A rows per sample."""
     enc_angles = np.asarray(enc_angles, dtype=np.float64)
     n = enc_angles.shape[-1]
     enc = enc_angles.reshape(-1, n)
@@ -392,7 +392,7 @@ def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
             ).reshape(-1, a)
     marg = model.batched_marginals(rows[:, :n],
                                    rows[:, n:].reshape((-1,) + vqc_angles.shape),
-                                   num_classes).reshape(-1, a, 2, num_classes)
+                                   num_classes)[0].reshape(-1, a, 2, num_classes)
     dL_dangle = np.einsum("sac,sc->sa", (marg[:, :, 0] - marg[:, :, 1]) / 2.0,
                           dL_dmarg)
     return (dL_dangle[:, :n].reshape(enc_angles.shape),
@@ -411,8 +411,9 @@ def check_adjoint_vs_parameter_shift(trials: int = 30, seed: int = 53
         enc = rng.uniform(-np.pi, np.pi, size=(rows, n))
         vqc = rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 4)), n, 3))
         dL_dmarg = rng.normal(size=(rows, num_classes))
+        _, amps, fused = model.batched_marginals(enc, vqc, num_classes)
         for got, want in zip(
-                train.party_angle_gradients(enc, vqc, num_classes, dL_dmarg),
+                train.party_angle_gradients(amps, fused, vqc, dL_dmarg),
                 shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)):
             worst = max(worst, float(np.max(np.abs(got - want))))
     return CheckResult("adjoint gradients match parameter shift", worst, 1e-10)

@@ -207,13 +207,13 @@ def with_line(text, section, line):
 
 WRONG_TYPE_CASES = [
     ("train", "  adam_epsilon: 1e-8",
-     "config.train.adam_epsilon: must be a finite number, got '1e-8'"),
+     "config.train.adam_epsilon: must be a finite number > 0, got '1e-8'"),
     ("train", "  learning_rate: true",
      "config.train.learning_rate: must be a finite number > 0, got True"),
     ("train", "  epochs: 2.0",
      "config.train.epochs: must be a positive integer, got 2.0"),
     ("train", "  adam_betas: [0.9]",
-     "config.train.adam_betas: must be two finite numbers, got [0.9]"),
+     "config.train.adam_betas: must be two numbers in [0, 1), got [0.9]"),
     ("parties", "  input_dims: 3", "config.parties.input_dims: must be a "
      "non-empty list of positive integers, got 3"),
     ("parties", "  output_dims: [2.0]", "config.parties.output_dims: must be a "
@@ -250,6 +250,25 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
     config = write_yaml(tmp_path / "typed.yaml", with_line(text, section, line))
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("  adam_betas: [0.9, 1.0]",
+     "adam_betas: must be two numbers in [0, 1), got [0.9, 1.0]"),
+    ("  adam_betas: [-0.1, 0.999]",
+     "adam_betas: must be two numbers in [0, 1), got [-0.1, 0.999]"),
+    ("  adam_epsilon: -1.0", "adam_epsilon: must be a finite number > 0, got -1.0"),
+    ("  adam_epsilon: 0.0", "adam_epsilon: must be a finite number > 0, got 0.0"),
+], ids=["beta2_one", "beta1_negative", "epsilon_negative", "epsilon_zero"])
+def test_train_rejects_adam_settings_outside_their_range(tmp_path, capsys, line,
+                                                         message):
+    # Adam needs each beta in [0, 1) and epsilon > 0: beta2 = 1 divides 0 by 0
+    # in the bias correction (loss nan), and epsilon <= 0 trains silently badly.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "adam.yaml", with_line(text, "train", line))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: config.train.{message}\n"
 
 
 @pytest.mark.parametrize("key,value", [("grad_mode", "parameter_shift"),

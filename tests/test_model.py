@@ -256,10 +256,26 @@ def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
     rng = np.random.default_rng(12)
     enc = rng.uniform(0, np.pi, size=(batch, n))
     vqc = rng.uniform(-np.pi, np.pi, size=(batch, blocks, n, 3))
-    got = model.batched_marginals(enc, vqc, 2)
+    got = model.batched_marginals(enc, vqc, 2)[0]
     for b in range(batch):
         state = party_circuit_state(enc[b], vqc[b])
         assert np.allclose(got[b], model.party_marginals(state, 2), atol=1e-12)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_circuit_rows_match_gate_oracle(n, blocks, batch, shared):
+    # Block 0 runs as a product state from per-row or shared VQC angles.
+    rng = np.random.default_rng(100 * n + 10 * blocks + batch)
+    enc = rng.uniform(-np.pi, np.pi, size=(batch, n))
+    vqc = rng.uniform(-np.pi, np.pi,
+                      size=(blocks, n, 3) if shared else (batch, blocks, n, 3))
+    rows, _ = model.circuit_rows(enc, vqc)
+    for b in range(batch):
+        want = party_circuit_state(enc[b], vqc if shared else vqc[b])
+        assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
 
 
 # --- module-wide properties ------------------------------------------------

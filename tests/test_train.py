@@ -135,7 +135,10 @@ def test_gradient_locality_across_parties():
 # --- adjoint gradients -----------------------------------------------------
 
 def assert_matches_parameter_shift(enc, vqc, num_classes, dL_dmarg):
-    got = train.party_angle_gradients(enc, vqc, num_classes, dL_dmarg)
+    # The adjoint starts from the forward rows, as every training caller's does.
+    _, rows, fused = model.batched_marginals(np.reshape(enc, (-1, vqc.shape[1])),
+                                             vqc, num_classes)
+    got = train.party_angle_gradients(rows, fused, vqc, dL_dmarg)
     want = shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -251,6 +254,41 @@ def test_parties_of_one_circuit_shape_share_one_circuit_call(monkeypatch):
     assert np.max(np.abs(batch_marginals[:, 0] - marginals)) < 1e-12
 
 
+def count_fused_rotations(monkeypatch):
+    """Rows of every ``model.fused_rotations`` call, one entry per call."""
+    calls = []
+    real = model.fused_rotations
+
+    def counting(enc, vqc):
+        calls.append(len(enc))
+        return real(enc, vqc)
+
+    monkeypatch.setattr(model, "fused_rotations", counting)
+    return calls
+
+
+def test_each_forward_circuit_runs_once_per_gradient(monkeypatch):
+    # One fused_rotations call per circuit-shape group, the forward's: the
+    # adjoint sweeps start from its rows and unitaries.
+    rng = np.random.default_rng(23)
+    models = make_parties(rng, 2, blocks=2) + make_parties(rng, 1)
+    sample, labels = batch_of(rng, models, 6)
+    calls = count_fused_rotations(monkeypatch)
+    train.full_gradient(models, sample, labels)
+    assert calls == [12, 6]
+
+
+def test_vqc_server_circuit_runs_once_per_gradient(monkeypatch):
+    # measure_then_vqc: the parties' one shape group, then the server circuit;
+    # the server's backward reuses the rows of its forward.
+    rng = np.random.default_rng(24)
+    server = baselines.MeasureVqcModel.random_init(make_parties(rng, 3), rng)
+    sample, labels = batch_of(rng, server.models, 5)
+    calls = count_fused_rotations(monkeypatch)
+    server.loss_and_gradients(sample, labels)
+    assert calls == [15, 5]
+
+
 def test_forward_pass_mixes_circuit_shapes():
     rng = np.random.default_rng(19)
     models = (make_parties(rng, 1, blocks=2) + make_parties(rng, 1)
@@ -261,7 +299,7 @@ def test_forward_pass_mixes_circuit_shapes():
         for k, m in enumerate(models):
             cache = model.party_features(m, sample[k][i])
             one = model.batched_marginals(2.0 * cache["x_tilde"][None],
-                                          m.vqc_angles[None], 2)[0]
+                                          m.vqc_angles[None], 2)[0][0]
             assert np.max(np.abs(marginals[k, i] - one)) < 1e-12
 
 
