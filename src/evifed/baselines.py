@@ -209,10 +209,8 @@ class MeasureVqcModel(MeasureAverageModel):
     def _server(self, marginals):
         z = _concat_parties(marginals)
         rows = z.reshape(-1, z.shape[-1])
-        out, amps, fused = batched_marginals(
-            2.0 * rows,
-            np.broadcast_to(self.server_angles, (len(rows),) + self.server_angles.shape),
-            self.num_classes)
+        out, amps, fused = batched_marginals(2.0 * rows, self.server_angles[None],
+                                             self.num_classes)
         return out.reshape(z.shape[:-1] + (self.num_classes,)), (amps, fused)
 
     def _server_backward(self, server_cache, d_out):

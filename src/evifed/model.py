@@ -162,15 +162,17 @@ def loss_lower_bound(num_classes: int) -> float:
 # Batched circuit evaluation.  A mini-batch's circuits run as rows of one
 # (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
 # rotations within a block are fused into one unitary (gates on different
-# qubits commute), which cuts the sweeps over the array.  Every circuit starts
-# from |0...0>, and block 0 acts on single qubits before its CNOT ring, so
-# its state is a product state, built with no kernel sweep.  ``circuit_rows``
-# runs every party circuit: ``batched_marginals`` reads marginals off its
-# rows and hands the rows on, ``party_forward`` takes its one row, and
-# train.party_angle_gradients runs its reverse sweep back from the rows the
-# forward pass kept.  ``run_blocks`` runs whole blocks from given rows, as the
-# barren-plateau diagnostic's monolithic circuit does.  Equality with a
-# gate-by-gate oracle is pinned by tests.
+# qubits commute), which cuts the sweeps over the array.  Rows come in runs
+# that share one VQC setting (one party's angles), so a later block's
+# unitaries are built once per setting and each kernel pass takes one 2x2 per
+# run.  Every circuit starts from |0...0>, and block 0 acts on single qubits
+# before its CNOT ring, so its state is a product state, built with no kernel
+# sweep.  ``circuit_rows`` runs every party circuit: ``batched_marginals``
+# reads marginals off its rows and hands the rows on, ``party_forward`` takes
+# its one row, and train.party_angle_gradients runs its reverse sweep back
+# from the rows the forward pass kept.  ``run_blocks`` runs whole blocks from
+# given rows, as the barren-plateau diagnostic's monolithic circuit does.
+# Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and
 # train.party_angle_gradients sweep their rows in chunks of this size, so the
@@ -189,23 +191,31 @@ def _su2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
                     ) -> list[np.ndarray]:
     """Each block's RZ RY RX per qubit as one unitary, block 0 times the Ry
-    encoding of each row: one (n, R, 2, 2) array per block.
+    encoding of each row: an (n, B, 2, 2) array for block 0, then one
+    (n, S, 2, 2) array per later block.
 
-    ``vqc_angles`` is (B, blocks, n, 3), one setting per row (R = B), or
-    (blocks, n, 3) shared by every row (R = 1 past block 0).  Products of
-    rotations have the form [[u, -conj(v)], [v, conj(u)]], so only (u, v) is
-    computed; np.matmul would pay a BLAS call per 2x2 matrix."""
-    vqc = np.asarray(vqc_angles, dtype=np.float64)
-    half = np.moveaxis(vqc.reshape((-1,) + vqc.shape[-3:]), 0, 2) / 2.0
+    ``vqc_angles`` is (S, blocks, n, 3), one setting for each run of B/S
+    consecutive rows; the unitaries of blocks >= 1 are built once per
+    setting.  Products of rotations have the form [[u, -conj(v)],
+    [v, conj(u)]], so only (u, v) is computed; np.matmul would pay a BLAS
+    call per 2x2 matrix."""
+    if len(enc_angles) % len(vqc_angles):
+        raise ValueError(f"{len(enc_angles)} rows do not split into "
+                         f"{len(vqc_angles)} runs")
+    half = np.moveaxis(vqc_angles, 0, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
     # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
     # u by e^{-iz/2} and v by e^{iz/2}.
     phase = c[..., 2] - 1j * s[..., 2]
     u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
     v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
-    ce, se = np.cos(enc_angles.T / 2.0), np.sin(enc_angles.T / 2.0)
-    first = _su2(u[0] * ce - np.conj(v[0]) * se, v[0] * ce + np.conj(u[0]) * se)
-    return [first] + [_su2(ub, vb) for ub, vb in zip(u[1:], v[1:])]
+    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
+    half_enc = enc_angles.T.reshape(u.shape[1:] + (-1,)) / 2.0
+    ce, se = np.cos(half_enc), np.sin(half_enc)
+    u0, v0 = u[0, ..., None], v[0, ..., None]
+    first = _su2(u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se)
+    return [first.reshape(enc_angles.shape[::-1] + (2, 2))] + [
+        _su2(ub, vb) for ub, vb in zip(u[1:], v[1:])]
 
 
 def run_blocks(amps: np.ndarray, fused: list[np.ndarray]) -> np.ndarray:
@@ -222,21 +232,28 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
                  ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run Ry(enc_angles) and the VQC blocks from |0...0> on every row.
 
-    enc_angles: (B, n); vqc_angles: (B, blocks, n, 3) or shared (blocks, n, 3).
-    Returns the final (B, 2^n) amplitude rows and the fused unitaries of
-    ``fused_rotations``, which a reverse sweep undoes block by block.  Block
-    0's state is the product of its unitaries' first columns; the rows then
-    run a chunk of at most ``CHUNK_AMPLITUDES`` amplitudes at a time.
+    enc_angles: (B, n); vqc_angles: (S, blocks, n, 3), one setting per run of
+    B/S consecutive rows, or (blocks, n, 3) for all rows.  Returns the final
+    (B, 2^n) amplitude rows and the fused unitaries of ``fused_rotations``,
+    which a reverse sweep undoes block by block.  Block 0's state is the
+    product of its unitaries' first columns; the rows then run a chunk at a
+    time, whole runs or part of one run, of at most ``CHUNK_AMPLITUDES``
+    amplitudes unless one row alone is larger.
     """
-    fused = fused_rotations(enc_angles, vqc_angles)
-    b, n = enc_angles.shape
+    vqc = np.reshape(vqc_angles, (-1,) + np.shape(vqc_angles)[-3:])
+    fused = fused_rotations(enc_angles, vqc)
+    (b, n), settings = enc_angles.shape, len(vqc)
+    run = b // settings
     step = max(1, CHUNK_AMPLITUDES >> n)
+    runs = max(1, step // run)  # whole runs per chunk, or part of one run
     amps = np.empty((b, 1 << n), dtype=np.complex128)
-    for s in range(0, b, step):
-        # Per-row unitaries go with their rows; shared ones (R = 1) broadcast.
-        blocks = [u[:, s:s + step] if u.shape[1] == b else u for u in fused]
-        first = qsim.apply_cnot_ring(qsim.product_rows(blocks[0][..., 0]))
-        amps[s:s + step] = run_blocks(first, blocks[1:])
+    for first in range(0, settings, runs):
+        end = min(first + runs, settings) * run
+        blocks = [u[:, first:first + runs] for u in fused[1:]]
+        for lo in range(first * run, end, step):
+            hi = min(lo + step, end)
+            rows = qsim.apply_cnot_ring(qsim.product_rows(fused[0][:, lo:hi, :, 0]))
+            amps[lo:hi] = run_blocks(rows, blocks)
     return amps, fused
 
 
@@ -246,9 +263,10 @@ def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
     """Class marginals for a batch of (encoding, VQC) angle settings.
 
     enc_angles: (B, n) Ry rotation angles (already doubled features).
-    vqc_angles: (B, blocks, n, 3), or shared (blocks, n, 3).
-    Returns the (B, num_classes) marginals, then ``circuit_rows``' final rows
-    and fused unitaries, from which train.party_angle_gradients starts.
+    vqc_angles: (S, blocks, n, 3), one setting per run of B/S consecutive
+    rows, or (blocks, n, 3) for all rows.  Returns the (B, num_classes)
+    marginals, then ``circuit_rows``' final rows and fused unitaries, from
+    which train.party_angle_gradients starts.
     """
     amps, fused = circuit_rows(np.asarray(enc_angles, dtype=np.float64),
                                vqc_angles)

@@ -3,11 +3,12 @@
 Convention used everywhere in this package: qubit 0 is the *most significant*
 bit of a basis-state label, so the basis label ``x1 x2 ... xn`` reads
 left-to-right as qubit 0 ... n-1.  One in-place kernel, ``apply_unitary_rows``,
-applies a single-qubit unitary to a (B, 2^n) array of amplitude rows, one 2x2
-for all rows or one per row; a ``Statevector`` is the case B = 1.  An MCX
-swaps two slices of the (2,)*n view of the amplitudes; the CNOT ring of the
-batched circuits is one cached basis gather.  No 2^n x 2^n matrices are ever
-materialized.
+applies an (S, 2, 2) stack of single-qubit unitaries to a (B, 2^n) array of
+amplitude rows, unitary s to the s-th run of B/S rows; a ``Statevector`` is
+B = S = 1.  An MCX swaps two slices of the (2,)*n view of the amplitudes; the
+CNOT ring of the batched circuits is one cached basis gather, whose rows come
+out column-major and stay so, since the kernel runs faster on them.  No
+2^n x 2^n matrices are ever materialized.
 """
 from __future__ import annotations
 
@@ -120,21 +121,19 @@ def _single_qubit_unitary(kind: str, angle: float | None) -> np.ndarray:
 
 
 def apply_unitary_rows(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
-    """Apply ``u`` to ``qubit`` of every row of C-contiguous (B, 2^n) ``amps``
-    in place; ``u`` is one (2, 2) unitary or a (B, 2, 2) stack, one per row."""
-    # Qubit 0 is the slowest-varying axis: the layout is (B, 2^q, 2, rest).
-    a = amps.reshape(amps.shape[0], 1 << qubit, 2, -1)
-    if u.ndim == 3:  # one unitary per row, broadcast over that row
-        u = u.reshape(-1, 1, 1, 2, 2)
-    lo, hi = a[:, :, 0], a[:, :, 1]
+    """Apply an (S, 2, 2) stack of unitaries to ``qubit`` of (B, 2^n)
+    ``amps`` in place: the rows form S runs of B/S consecutive rows, and
+    unitary s acts on run s.  ``amps`` may be C-ordered or column-major."""
+    # Qubit 0 is the slowest-varying axis: the layout is (S, R, 2^q, 2, rest).
+    # The reshape only splits axes, so it is a view of either layout; merging
+    # the row axis would copy column-major rows and lose the update.
+    a = amps.reshape(len(u), -1, 1 << qubit, 2, amps.shape[1] >> (qubit + 1))
+    u = u.reshape(-1, 1, 1, 1, 2, 2)
+    lo, hi = a[..., 0, :], a[..., 1, :]
     new_lo = u[..., 0, 0] * lo + u[..., 0, 1] * hi
     hi *= u[..., 1, 1]
     hi += u[..., 1, 0] * lo
     lo[...] = new_lo
-
-
-def _bit(n: int, qubit: int) -> int:
-    return 1 << (n - 1 - qubit)
 
 
 def apply_mcx(state: Statevector, controls, target: int) -> Statevector:
@@ -169,7 +168,7 @@ def _cnot_ring_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
     amplitude row of that size."""
     idx = perm = np.arange(1 << n)
     for q in range(n):
-        cbit, tbit = _bit(n, q), _bit(n, (q + 1) % n)
+        cbit, tbit = 1 << (n - 1 - q), 1 << (n - 1 - (q + 1) % n)
         # Gathers compose right to left: after a then b, row[i] = old[a[b[i]]].
         perm = perm[np.where(idx & cbit, idx ^ tbit, idx)]
     inverse = np.empty_like(perm)
@@ -190,7 +189,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     _check_indices(state.num_qubits, gate.targets + gate.controls)
     if gate.kind in ("MCX", "CNOT"):
         return apply_mcx(state, gate.controls, gate.targets[0])
-    u = _single_qubit_unitary(gate.kind, gate.angle)
+    u = _single_qubit_unitary(gate.kind, gate.angle)[None]
     rows = state.amplitudes.reshape(1, -1)
     for t in gate.targets:
         apply_unitary_rows(rows, t, u)
@@ -205,6 +204,9 @@ def prob_one(state: Statevector, qubit: int) -> float:
 
 def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
     """P(qubit = 1) per row of (B, 2^n) ``amps``, per listed qubit: (B, len)."""
+    # The float64 view below needs C-ordered rows; the ring gather's output
+    # is column-major.
+    amps = np.ascontiguousarray(amps)
     b = amps.shape[0]
     probs = []
     for q in qubits:
@@ -235,8 +237,9 @@ def marginal_probabilities(state: Statevector, qubits) -> np.ndarray:
     return marg.reshape(-1)
 
 
-def measure_and_collapse(state: Statevector, qubits, rng) -> tuple[list[int], Statevector]:
-    """Sample a Born-rule outcome for ``qubits``; collapse and renormalize.
+def measure_out(state: Statevector, qubits, rng) -> tuple[list[int], Statevector]:
+    """Sample a Born-rule outcome for ``qubits`` and drop them: returns the
+    outcome bits and the renormalized state of the other qubits.
 
     Consumes exactly one uniform variate from ``rng.random()``, so a test can
     force a branch by injecting a deterministic stream.
@@ -248,22 +251,15 @@ def measure_and_collapse(state: Statevector, qubits, rng) -> tuple[list[int], St
         raise DegenerateMeasurementError("outcome probability mass below 1e-12")
     u = rng.random() * total
     outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, len(probs) - 1)
-    m = len(qubits)
-    bits = [(outcome >> (m - 1 - i)) & 1 for i in range(m)]
-
-    n = state.num_qubits
-    idx = np.arange(1 << n)
-    sel = np.ones(1 << n, dtype=bool)
-    for q, b in zip(qubits, bits):
-        sel &= ((idx & _bit(n, q)) != 0) == bool(b)
-    amps = state.amplitudes
-    amps[~sel] = 0.0
-    nrm = np.linalg.norm(amps)
+    bits = [int(b) for b in np.binary_repr(min(outcome, len(probs) - 1), len(qubits))]
+    # The measured axes first, in listed order; the outcome indexes them.
+    amps = np.moveaxis(state.amplitudes.reshape((2,) * state.num_qubits),
+                       qubits, range(len(qubits)))
+    rest = amps[tuple(bits)].reshape(-1)
+    nrm = np.linalg.norm(rest)
     if nrm < 1e-12:
         raise DegenerateMeasurementError("post-measurement norm vanished")
-    amps /= nrm
-    return bits, state
+    return bits, Statevector(state.num_qubits - len(qubits), rest / nrm)
 
 
 def tensor_product(a: Statevector, b: Statevector) -> Statevector:
@@ -289,17 +285,3 @@ def permute_qubits(state: Statevector, new_order) -> Statevector:
         raise ValueError("new_order must be a permutation of qubit indices")
     a = state.amplitudes.reshape((2,) * n)
     return Statevector(n, np.ascontiguousarray(np.transpose(a, new_order)).reshape(-1))
-
-
-def remove_qubits(state: Statevector, qubits, bits) -> Statevector:
-    """Drop qubits that are in definite basis states (e.g. after measurement)."""
-    qubits = list(qubits)
-    bits = list(bits)
-    _check_indices(state.num_qubits, qubits)
-    n = state.num_qubits
-    a = state.amplitudes.reshape((2,) * n)
-    indexer: list = [slice(None)] * n
-    for q, b in zip(qubits, bits):
-        indexer[q] = int(b)
-    a = a[tuple(indexer)]
-    return Statevector(n - len(qubits), np.ascontiguousarray(a).reshape(-1))

@@ -65,8 +65,7 @@ def _teleport_core(state: Statevector, source_qubit: int, rng
     work = qsim.tensor_product(state, make_epr())
     qsim.apply_gate(work, Gate("CNOT", [n], controls=[source_qubit]))
     qsim.apply_gate(work, Gate("H", [source_qubit]))
-    (b1, b2), work = qsim.measure_and_collapse(work, [source_qubit, n], rng)
-    work = qsim.remove_qubits(work, [source_qubit, n], [b1, b2])
+    (b1, b2), work = qsim.measure_out(work, [source_qubit, n], rng)
     # The server qubit is now last; move it into the source position.
     order = list(range(work.num_qubits - 1))
     order.insert(source_qubit, work.num_qubits - 1)

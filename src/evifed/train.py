@@ -134,10 +134,11 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
                  ) -> tuple[np.ndarray, list[dict]]:
     """All party marginals, stacked (K, C), or (K, B, C) when every party's
     block is (B, d) rows; caches feed the backward pass.  Parties with the
-    same circuit shape run as rows of one ``batched_marginals`` call, and
-    each party's cache keeps its share of that call's final rows (``"rows"``)
-    and fused unitaries (``"fused"``) for the adjoint.  ``full_gradient``
-    drops the caches when it returns: rows live for one mini-batch."""
+    same circuit shape run as rows of one ``batched_marginals`` call, one
+    VQC setting per party, and each party's cache keeps its share of that
+    call's final rows (``"rows"``) and fused unitaries (``"fused"``) for the
+    adjoint.  ``full_gradient`` drops the caches when it returns: rows live
+    for one mini-batch."""
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
     groups: dict = {}
@@ -147,13 +148,13 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
     for (shape, num_classes), ks in groups.items():
         enc = np.concatenate([2.0 * caches[k]["x_tilde"].reshape(-1, shape[1])
                               for k in ks])
-        rows = len(enc) // len(ks)
-        vqc = np.concatenate([np.broadcast_to(models[k].vqc_angles, (rows,) + shape)
-                              for k in ks])
+        vqc = np.stack([models[k].vqc_angles for k in ks])
         marg, amps, fused = batched_marginals(enc, vqc, num_classes)
+        rows = len(enc) // len(ks)
         for i, k in enumerate(ks):
             mine = slice(i * rows, (i + 1) * rows)
-            caches[k].update(rows=amps[mine], fused=[u[:, mine] for u in fused])
+            caches[k].update(rows=amps[mine], fused=[fused[0][:, mine]] + [
+                u[:, i:i + 1] for u in fused[1:]])
             marginals[k] = marg[mine].reshape(
                 caches[k]["x_tilde"].shape[:-1] + (num_classes,))
     return np.array(marginals), caches
@@ -172,12 +173,12 @@ def _generator_axes(vqc_angles: np.ndarray) -> np.ndarray:
     cx, cy, cz = np.moveaxis(np.cos(vqc_angles), -1, 0)
     sx, sy, sz = np.moveaxis(np.sin(vqc_angles), -1, 0)
     zero, one = np.zeros_like(cx), np.ones_like(cx)
-    return np.stack([np.stack(axis, axis=-1) for axis in (
-        (cy * cz, cy * sz, -sy),                            # RZ RY X RY^+ RZ^+
-        (-sz, cz, zero),                                    # RZ Y RZ^+
-        (zero, zero, one),                                  # Z
-        (sx * sy * cz - cx * sz, sx * sy * sz + cx * cz, sx * cy),  # U Y U^+
-    )], axis=-2)
+    return np.stack([
+        cy * cz, cy * sz, -sy,                              # RZ RY X RY^+ RZ^+
+        -sz, cz, zero,                                      # RZ Y RZ^+
+        zero, zero, one,                                    # Z
+        sx * sy * cz - cx * sz, sx * sy * sz + cx * cz, sx * cy,  # U Y U^+
+    ], axis=-1).reshape(vqc_angles.shape[:-1] + (4, 3))
 
 
 def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
@@ -200,8 +201,8 @@ def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
 
     ``rows`` (the final (B, 2^n) amplitudes) and ``fused`` (the fused
     unitaries) are what ``model.batched_marginals`` returned for these rows
-    in the forward pass.  The VQC angles are shared by every row, so each
-    block is undone with row 0's unitaries, one 2x2 per qubit.  ``dL_dmarg``
+    in the forward pass, for one VQC setting shared by every row (S = 1), so
+    each block is undone with that setting's one 2x2 per qubit.  ``dL_dmarg``
     is the loss gradient wrt the C marginals, (C,) for one sample or (B, C),
     with everything else frozen.  Returns (d/d encoding angle, per sample,
     (n,) or (B, n); d/d vqc angle, summed over the samples), equal to the
@@ -240,9 +241,9 @@ def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
             if k == 0:
                 d_enc[s:s + step] = np.einsum("qj,qrj->rq", axes[0, :, 3], traces)
                 break
-            for q, u in enumerate(fused[k][:, 0]):
-                qsim.apply_unitary_rows(phi, q, np.conj(u.T))
-                qsim.apply_unitary_rows(mu, q, u.T)
+            for q, u in enumerate(np.swapaxes(fused[k], -1, -2)):
+                qsim.apply_unitary_rows(phi, q, np.conj(u))
+                qsim.apply_unitary_rows(mu, q, u)
     return d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)), d_vqc
 
 
@@ -367,6 +368,9 @@ class EvidentialTrainable:
     keep the sample axis and the gradients are summed over it."""
 
     def __init__(self, models: list[PartyModel], eval_mode: str = "factorized"):
+        if eval_mode not in ("factorized", "joint"):
+            raise ValueError(f"eval_mode must be 'factorized' or 'joint', "
+                             f"not {eval_mode!r}")
         self.models = models
         self.eval_mode = eval_mode
 
@@ -483,7 +487,7 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         # register; shallow circuits would understate the plateau.
         fusion_blocks = max(2, total_qubits // 2)
         fusion_angles = rng.uniform(-np.pi, np.pi,
-                                    size=(fusion_blocks, total_qubits, 3))
+                                    size=(1, fusion_blocks, total_qubits, 3))
         # Zero encoding angles: the fusion circuit has no Ry encoding.
         fusion = model_mod.fused_rotations(np.zeros((1, total_qubits)),
                                            fusion_angles)

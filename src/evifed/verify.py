@@ -378,22 +378,20 @@ def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Reference for train.party_angle_gradients, with the same returns, from
     the circuit's angles: the parameter-shift rule, one forward row per
-    +-pi/2 shift of each of a sample's A angles, 2A rows per sample."""
+    +-pi/2 shift of each of a sample's A angles: each of the 2A shifted
+    settings runs on one row per sample."""
     enc_angles = np.asarray(enc_angles, dtype=np.float64)
     n = enc_angles.shape[-1]
     enc = enc_angles.reshape(-1, n)
     dL_dmarg = np.reshape(dL_dmarg, (len(enc), num_classes))
-    base = np.concatenate([enc, np.broadcast_to(vqc_angles.reshape(-1),
-                                                (len(enc), vqc_angles.size))],
-                          axis=1)
-    a = base.shape[1]
-    # Rows 2i / 2i+1 of a sample shift its angle i by +pi/2 / -pi/2.
-    rows = (base[:, None] + np.kron(np.eye(a), [[np.pi / 2], [-np.pi / 2]])
-            ).reshape(-1, a)
-    marg = model.batched_marginals(rows[:, :n],
-                                   rows[:, n:].reshape((-1,) + vqc_angles.shape),
-                                   num_classes)[0].reshape(-1, a, 2, num_classes)
-    dL_dangle = np.einsum("sac,sc->sa", (marg[:, :, 0] - marg[:, :, 1]) / 2.0,
+    a = n + vqc_angles.size
+    # Settings 2i / 2i+1 shift angle i by +pi/2 / -pi/2.
+    shifts = np.kron(np.eye(a), [[np.pi / 2], [-np.pi / 2]])
+    marg = model.batched_marginals(
+        (enc + shifts[:, None, :n]).reshape(-1, n),
+        (vqc_angles.reshape(-1) + shifts[:, n:]).reshape((-1,) + vqc_angles.shape),
+        num_classes)[0].reshape(a, 2, len(enc), num_classes)
+    dL_dangle = np.einsum("asc,sc->sa", (marg[:, 0] - marg[:, 1]) / 2.0,
                           dL_dmarg)
     return (dL_dangle[:, :n].reshape(enc_angles.shape),
             dL_dangle[:, n:].sum(axis=0).reshape(vqc_angles.shape))

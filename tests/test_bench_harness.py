@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import evifed
-from evifed import cli, data, train
+from evifed import cli, data, model, train
 from evifed.model import PartyModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -47,6 +47,9 @@ def test_tracer_records_every_traced_layer(tmp_path):
         cli.build_datasets(cli.load_config(config), seed=0)
         tracer.phase = "gradient"
         train.full_gradient(models, sample, np.array([1.0, 0.0]))
+        # The kernel sweep's per-row form: one (1, n, 3) setting per row.
+        model.batched_marginals(rng.uniform(0, np.pi, (3, 2)),
+                                rng.uniform(-np.pi, np.pi, (3, 1, 2, 3)), 2)
         tracer.phase = "joint"
         train.EvidentialTrainable(models, eval_mode="joint").predict(sample)
         tracer.phase = "train_run"
@@ -74,5 +77,9 @@ def test_tracer_records_every_traced_layer(tmp_path):
         assert totals[("train_run", name)]["calls"] == 3
     # Training runs one circuit row per sample and party, the forward one:
     # the adjoint sweeps reuse it, and no shifted rows run.
-    assert tracer.counts[("train_run", "model.batched_marginals",
-                          "gradient_rows")] == 20 * len(models)
+    rows = tracer.counts[("train_run", "model.batched_marginals", "gradient_rows")]
+    assert rows == 20 * len(models)
+    # The counter reads the block count off a (K, blocks, n, 3) VQC stack.
+    n, blocks = models[0].n_qubits, models[0].blocks
+    assert tracer.counts[("train_run", "model.batched_marginals", "amp_sweeps")] \
+        == rows * (1 << n) * (n + 3 * n * blocks)

@@ -262,6 +262,51 @@ def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
         assert np.allclose(got[b], model.party_marginals(state, 2), atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 7, "past_chunk"])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grouped_settings_equal_separate_calls_bit_for_bit(n, blocks, batch):
+    # K settings, each on its own run of rows, as forward_pass groups parties.
+    if batch == "past_chunk":
+        batch = (model.CHUNK_AMPLITUDES >> n) + 3
+    rng = np.random.default_rng(13)
+    enc = rng.uniform(0, np.pi, size=(3, batch, n))
+    vqc = rng.uniform(-np.pi, np.pi, size=(3, blocks, n, 3))
+    marg, rows, _ = model.batched_marginals(enc.reshape(-1, n), vqc, 2)
+    for k in range(3):
+        one_marg, one_rows, _ = model.batched_marginals(enc[k], vqc[k], 2)
+        assert np.array_equal(marg[k * batch:(k + 1) * batch], one_marg)
+        assert np.array_equal(rows[k * batch:(k + 1) * batch], one_rows)
+
+
+@pytest.mark.parametrize("settings,run", [(1, 600), (3, 300), (5, 100), (600, 1)])
+def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
+        monkeypatch, settings, run):
+    n, passes = 4, []
+    real = qsim.apply_unitary_rows
+
+    def recording(amps, qubit, u):
+        passes.append((len(amps), len(u)))
+        real(amps, qubit, u)
+
+    monkeypatch.setattr(qsim, "apply_unitary_rows", recording)
+    rng = np.random.default_rng(15)
+    model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)),
+                       rng.uniform(-np.pi, np.pi, size=(settings, 2, n, 3)))
+    assert sum(rows for rows, _ in passes) == n * settings * run
+    for rows, held in passes:
+        assert rows << n <= model.CHUNK_AMPLITUDES
+        # Several settings hold whole runs; one holds its run or part of it.
+        assert (rows == held * run) if held > 1 else (rows <= run)
+
+
+def test_rows_that_do_not_split_into_settings_are_rejected():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="runs"):
+        model.batched_marginals(rng.uniform(0, np.pi, size=(5, 3)),
+                                rng.uniform(-np.pi, np.pi, size=(2, 2, 3, 3)), 2)
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
 @pytest.mark.parametrize("batch", [1, 7])
 @pytest.mark.parametrize("blocks", [1, 2, 3])

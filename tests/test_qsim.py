@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evifed import qsim
+from evifed import model, qsim
 from evifed.qsim import CapacityError, DegenerateMeasurementError, Gate, Statevector
 from gate_oracle import mcx_by_index_sets
 
@@ -113,6 +113,25 @@ def test_gate_application_matches_explicit_kron_matrix():
         assert np.allclose(s.amplitudes, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("settings,run", [(1, 5), (3, 1), (3, 4)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_unitary_stack_acts_on_runs_of_ring_output_in_place(n, settings, run):
+    # Unitary s acts on the run of rows s*run .. (s+1)*run - 1; the rows are
+    # the ring gather's column-major output, updated in place.
+    rng = np.random.default_rng(10 * n + settings)
+    shape = (settings * run, 1 << n)
+    rows = qsim.apply_cnot_ring(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    assert not rows.flags.c_contiguous
+    angles = rng.uniform(-np.pi, np.pi, size=settings)
+    for q in range(n):
+        gates = [Gate("RX", [q], angle=float(a)) for a in angles]
+        want = [qsim.apply_gate(Statevector(n, row.copy()), gates[i // run])
+                .amplitudes for i, row in enumerate(rows)]
+        qsim.apply_unitary_rows(rows, q, np.array(
+            [qsim._single_qubit_unitary("RX", g.angle) for g in gates]))
+        assert np.max(np.abs(rows - want)) < 1e-12
+
+
 def test_gate_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         qsim.apply_gate(qsim.new_zero_state(2), Gate("X", [2]))
@@ -194,6 +213,18 @@ def test_prob_one_sums_the_qubit_one_half(n, seed):
         assert abs(qsim.prob_one(s, q) - np.sum(np.abs(half) ** 2)) <= 1e-12
 
 
+def test_prob_one_rows_reads_column_major_rows():
+    # The ring gather returns column-major rows, and run_blocks hands them on.
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    fused = model.fused_rotations(np.zeros((1, 4)),
+                                  rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
+    out = model.run_blocks(rows, fused)
+    assert not out.flags.c_contiguous
+    assert np.array_equal(qsim.prob_one_rows(out, range(2)),
+                          qsim.prob_one_rows(np.ascontiguousarray(out), range(2)))
+
+
 def test_prob_one_equal_superposition():
     s = qsim.apply_gate(qsim.new_zero_state(1), Gate("H", [0]))
     assert qsim.prob_one(s, 0) == pytest.approx(0.5)
@@ -215,19 +246,22 @@ def test_prob_one_on_encoded_evidence_state():
 
 
 def test_measure_definite_state_is_certain():
-    s = qsim.apply_gate(qsim.new_zero_state(1), Gate("X", [0]))
-    bits, post = qsim.measure_and_collapse(s, [0], FixedU(0.9))
+    # |1> (x) rest: measuring qubit 0 reads 1 and leaves rest untouched.
+    one = qsim.apply_gate(qsim.new_zero_state(1), Gate("X", [0]))
+    rest = random_state(2, np.random.default_rng(21))
+    bits, post = qsim.measure_out(qsim.tensor_product(one, rest), [0],
+                                  FixedU(0.9))
     assert bits == [1]
-    assert np.allclose(post.amplitudes, [0, 1])
+    assert post.num_qubits == 2
 
 
 def test_measuring_epr_half_collapses_both():
     s = qsim.new_zero_state(2)
     qsim.apply_gate(s, Gate("H", [0]))
     qsim.apply_gate(s, Gate("CNOT", [1], controls=[0]))
-    bits, post = qsim.measure_and_collapse(s, [0], FixedU(0.05))  # forces 0
+    bits, post = qsim.measure_out(s, [0], FixedU(0.05))  # forces 0
     assert bits == [0]
-    assert np.allclose(post.amplitudes, [1, 0, 0, 0])
+    assert np.allclose(post.amplitudes, [1, 0])
 
 
 def test_measurement_frequencies_follow_born_rule():
@@ -236,7 +270,7 @@ def test_measurement_frequencies_follow_born_rule():
     ones = 0
     trials = 100_000
     for _ in range(trials):
-        bits, _ = qsim.measure_and_collapse(Statevector(1, amps.copy()), [0], rng)
+        bits, _ = qsim.measure_out(Statevector(1, amps), [0], rng)
         ones += bits[0]
     assert abs(ones / trials - 0.7) < 0.01
 
@@ -244,7 +278,7 @@ def test_measurement_frequencies_follow_born_rule():
 def test_measurement_rejects_degenerate_state():
     s = Statevector(1, np.zeros(2))
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure_and_collapse(s, [0], FixedU(0.5))
+        qsim.measure_out(s, [0], FixedU(0.5))
 
 
 def test_marginal_probabilities_orders_by_listed_qubits():
@@ -334,11 +368,12 @@ def test_permute_qubits_roundtrip():
 
 
 def test_remove_qubits_projects_out_definite_bits():
+    # Dropping a qubit in a definite state leaves the other qubits unchanged.
     one = qsim.apply_gate(qsim.new_zero_state(1), Gate("X", [0]))
     rng = np.random.default_rng(21)
     rest = random_state(2, rng)
     s = qsim.tensor_product(one, rest)
-    out = qsim.remove_qubits(s, [0], [1])
+    _, out = qsim.measure_out(s, [0], FixedU(0.9))
     assert np.allclose(out.amplitudes, rest.amplitudes)
 
 

@@ -454,6 +454,12 @@ def test_prediction_rejects_party_count_mismatch(eval_mode):
         train.EvidentialTrainable(models, eval_mode).predict(sample)
 
 
+def test_unknown_eval_mode_is_rejected():
+    rng = np.random.default_rng(22)
+    with pytest.raises(ValueError, match="factorized.*joint"):
+        train.EvidentialTrainable(make_parties(rng), eval_mode="Joint")
+
+
 def test_joint_eval_mode_agrees_with_factorized_predictions():
     rng = np.random.default_rng(12)
     models = make_parties(rng)
