@@ -2,9 +2,9 @@
 
 Experiments are described by a YAML config (schema below); every command is
 deterministic given the config and seed, so rerunning reproduces outputs
-byte for byte.  A bad config value, dataset file or model dump ends a
-command with one ``error:`` line naming the file and the field or line, and
-exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
+byte for byte.  A bad config value, dataset file, model dump or training
+trace ends a command with one ``error:`` line naming the file and the field
+or line, and exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
 typo or a value of the wrong type or range never trains with a silent
 default (a bool is no number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as
 a string).  Output directory precedence: ``--out``, ``EVIFED_OUT_DIR``, then
@@ -521,14 +521,14 @@ def cmd_inspect(args) -> int:
 
 def cmd_export_curves(args) -> int:
     traces = [train.TrainTrace.load(p) for p in args.traces]
-    lengths = {len(t.records) for t in traces}
-    if len(lengths) != 1:
-        print(f"traces disagree on epoch count: {sorted(lengths)}", file=sys.stderr)
-        return 1
+    lengths = [len(t.records) for t in traces]
+    if len(set(lengths)) != 1:
+        raise ValueError("traces disagree on epoch count: " + ", ".join(
+            f"{p} has {n}" for p, n in zip(args.traces, lengths)))
     n_runs = len(traces)
     with open(args.out_file, "w") as f:
         f.write("epoch,mean_loss,mean_acc,n_runs\n")
-        for i in range(lengths.pop()):
+        for i in range(lengths[0]):
             losses = [t.records[i].loss for t in traces]
             accs = [t.records[i].test_acc for t in traces]
             f.write(f"{traces[0].records[i].epoch},{float(np.mean(losses))!r},"

@@ -15,6 +15,7 @@ to that.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,9 +166,11 @@ def loss_lower_bound(num_classes: int) -> float:
 # qubits commute), which cuts the sweeps over the array.  Rows come in runs
 # that share one VQC setting (one party's angles), so a later block's
 # unitaries are built once per setting and each kernel pass takes one 2x2 per
-# run.  Every circuit starts from |0...0>, and block 0 acts on single qubits
-# before its CNOT ring, so its state is a product state, built with no kernel
-# sweep.  ``circuit_rows`` runs every party circuit: ``batched_marginals``
+# run.  The angle-only part of that build is cached on the angles' bytes
+# (``_block_unitaries``): an evaluation pass predicts one sample at a time
+# with fixed angles, and builds it once.  Every circuit starts from |0...0>,
+# and block 0 acts on single qubits before its CNOT ring, so its state is a
+# product state, built with no kernel sweep.  ``circuit_rows`` runs every party circuit: ``batched_marginals``
 # reads marginals off its rows and hands the rows on, ``party_forward`` takes
 # its one row, and train.party_angle_gradients runs its reverse sweep back
 # from the rows the forward pass kept.  ``run_blocks`` runs whole blocks from
@@ -196,26 +199,48 @@ def fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
 
     ``vqc_angles`` is (S, blocks, n, 3), one setting for each run of B/S
     consecutive rows; the unitaries of blocks >= 1 are built once per
-    setting.  Products of rotations have the form [[u, -conj(v)],
-    [v, conj(u)]], so only (u, v) is computed; np.matmul would pay a BLAS
-    call per 2x2 matrix."""
+    setting, and are read-only arrays shared through ``_block_unitaries``.
+    Block 0's product with the encoding is built on every call."""
     if len(enc_angles) % len(vqc_angles):
         raise ValueError(f"{len(enc_angles)} rows do not split into "
                          f"{len(vqc_angles)} runs")
-    half = np.moveaxis(vqc_angles, 0, 2) / 2.0
+    vqc = np.ascontiguousarray(vqc_angles, dtype=np.float64)
+    u0, v0, later = _block_unitaries(vqc.shape, vqc.tobytes())
+    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
+    half_enc = enc_angles.T.reshape(u0.shape + (-1,)) / 2.0
+    ce, se = np.cos(half_enc), np.sin(half_enc)
+    u0, v0 = u0[..., None], v0[..., None]
+    first = _su2(u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se)
+    return [first.reshape(enc_angles.shape[::-1] + (2, 2))] + list(later)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_unitaries(shape: tuple, data: bytes
+                     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The angle-only part of ``fused_rotations`` for the float64
+    (S, blocks, n, 3) angles in ``data``: block 0's (u, v), each (n, S), and
+    the (n, S, 2, 2) unitaries of blocks >= 1.
+
+    Products of rotations have the form [[u, -conj(v)], [v, conj(u)]], so
+    only (u, v) is computed; np.matmul would pay a BLAS call per 2x2 matrix.
+    The cache is keyed on the angles' bytes, so a hit is bitwise the build
+    it replaces, and in-place writes to the angles need not tell it.  An
+    evaluation pass repeats one setting per party, and training, whose
+    angles change every step, misses.  The 16 entries hold every party's
+    setting while a joint prediction of up to 16 parties cycles through
+    them; the arrays are read-only, since every caller with these angles
+    shares them."""
+    half = np.moveaxis(np.frombuffer(data).reshape(shape), 0, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
     # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
     # u by e^{-iz/2} and v by e^{iz/2}.
     phase = c[..., 2] - 1j * s[..., 2]
     u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
     v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
-    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
-    half_enc = enc_angles.T.reshape(u.shape[1:] + (-1,)) / 2.0
-    ce, se = np.cos(half_enc), np.sin(half_enc)
-    u0, v0 = u[0, ..., None], v[0, ..., None]
-    first = _su2(u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se)
-    return [first.reshape(enc_angles.shape[::-1] + (2, 2))] + [
-        _su2(ub, vb) for ub, vb in zip(u[1:], v[1:])]
+    later = tuple(_su2(ub, vb) for ub, vb in zip(u[1:], v[1:]))
+    for a in (u, v) + later:
+        a.flags.writeable = False
+    return u[0], v[0], later
 
 
 def run_blocks(amps: np.ndarray, fused: list[np.ndarray]) -> np.ndarray:

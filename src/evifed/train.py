@@ -23,6 +23,7 @@ one-sample ``Prediction``.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ from .model import PartyModel, Prediction, batched_marginals, loss_lower_bound
 from .ttn import squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
+TRACE_HEADER = "epoch,loss,train_acc,test_acc,seconds"
 
 
 @dataclass
@@ -83,7 +85,7 @@ class TrainTrace:
         when traces must be byte-comparable across runs.
         """
         with open(path, "w") as f:
-            f.write("epoch,loss,train_acc,test_acc,seconds\n")
+            f.write(TRACE_HEADER + "\n")
             for r in self.records:
                 secs = r.seconds if include_wall_clock else 0.0
                 f.write(f"{r.epoch},{float(r.loss)!r},{float(r.train_acc)!r},"
@@ -91,15 +93,44 @@ class TrainTrace:
 
     @classmethod
     def load(cls, path) -> "TrainTrace":
+        """Inverse of ``export``.  A malformed trace raises ValueError naming
+        the file and the 1-based line at fault: rows need epochs 0, 1, 2, ...,
+        a finite loss, accuracies in [0, 1] or nan, and finite seconds >= 0,
+        and a trace needs at least one row."""
+        with open(path, errors="replace") as f:  # a stray byte fails its line
+            lines = f.read().splitlines()
+        if not lines or lines[0] != TRACE_HEADER:
+            raise ValueError(f"{path}:1: expected the header {TRACE_HEADER!r}")
+        if len(lines) == 1:
+            raise ValueError(f"{path}:1: a header with no epoch rows")
+        names = TRACE_HEADER.split(",")
         records = []
-        with open(path) as f:
-            header = f.readline()
-            if not header.startswith("epoch,"):
-                raise ValueError(f"malformed trace header in {path}")
-            for line in f:
-                e, loss, tr, te, s = line.strip().split(",")
-                records.append(EpochRecord(int(e), float(loss), float(tr),
-                                           float(te), float(s)))
+        for number, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != len(names):
+                raise ValueError(f"{path}:{number}: expected {len(names)} "
+                                 f"fields, got {len(fields)}")
+            values = []
+            for name, text in zip(names, fields):
+                try:
+                    values.append(int(text) if name == "epoch" else float(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{number}: {name} {text!r} is not "
+                                     f"a number") from None
+            r = EpochRecord(*values)
+            for ok, problem in (
+                    (r.epoch == len(records),
+                     f"epoch {r.epoch} where {len(records)} was expected"),
+                    (math.isfinite(r.loss), f"loss {r.loss!r} is not finite"),
+                    (math.isnan(r.train_acc) or 0 <= r.train_acc <= 1,
+                     f"train_acc {r.train_acc!r} is not in [0, 1] or nan"),
+                    (math.isnan(r.test_acc) or 0 <= r.test_acc <= 1,
+                     f"test_acc {r.test_acc!r} is not in [0, 1] or nan"),
+                    (0 <= r.seconds < math.inf,
+                     f"seconds {r.seconds!r} is not a finite number >= 0")):
+                if not ok:
+                    raise ValueError(f"{path}:{number}: {problem}")
+            records.append(r)
         return cls(records)
 
 

@@ -1,11 +1,14 @@
 """Tensor-train linear layer.
 
 The trainable operator is a chain of four-index cores (row-major reshape,
-first mode slowest).  The layer is linear in its input, so each forward call
-contracts the cores once into the dense (out, in) operator and applies it to
-every row with one ``einsum``.  The operator is at most 4 x 196 on the
-shipped configs; ``DENSE_CAP`` bounds its entries, and configs that exceed it
-are rejected where the party topology is validated.
+first mode slowest).  The layer is linear in its input, so a forward call
+applies the dense (out, in) operator to every row with one ``einsum``.  The
+cores are contracted into that operator once per parameter state: each layer
+keeps its last operator, keyed on its cores' bytes, so an evaluation pass
+that predicts one sample at a time contracts once, and a training step, which
+changes the cores in place, contracts afresh.  The operator is at most
+4 x 196 on the shipped configs; ``DENSE_CAP`` bounds its entries, and configs
+that exceed it are rejected where the party topology is validated.
 
 Backward passes are exact contractions: the layer is multilinear in its
 cores.  The rows enter only through the (out, in) gradient of the operator,
@@ -14,7 +17,7 @@ so the contractions with the cores cost the same at every batch size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +30,9 @@ class TTLayerParams:
     output_dims: list[int]
     op_ranks: list[int]
     cores: list[np.ndarray]
+    # (key, operator) of the last materialize_dense call; see there.
+    _dense: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         L = len(self.input_dims)
@@ -72,7 +78,7 @@ def ttn_param_count(params: TTLayerParams) -> int:
 
 def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
     """The layer applied to one input (d,) or to each row of (B, d): the
-    cores are contracted once per call, then applied to every row."""
+    dense operator (``materialize_dense``) applied to every row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != params.in_size:
         raise ValueError(f"input length {x.shape} does not match {params.in_size}")
@@ -86,11 +92,29 @@ def _check_capacity(params: TTLayerParams) -> None:
 
 
 def materialize_dense(params: TTLayerParams) -> np.ndarray:
-    """The dense (prod Q, prod P) operator that ``ttn_forward`` applies: the
-    cores contracted left to right, starting from core 0 itself."""
+    """The dense (prod Q, prod P) operator that ``ttn_forward`` applies.
+
+    The layer keeps one (key, operator) pair, the key being every core's
+    shape, dtype and bytes: equal bytes give the stored operator, and any
+    other cores are contracted afresh and replace the pair.  Reuse is
+    bitwise exact, and in-place writes to the cores (Adam, finite
+    differences) need not tell the memo.  One operator per layer, not a
+    shared cache: at ``DENSE_CAP`` one is 8 MB.  The operator is read-only,
+    since later calls hand out the same array."""
     _check_capacity(params)
-    env = params.cores[0][0].transpose(1, 0, 2)  # (Q, P, r) so far
-    for core in params.cores[1:]:
+    key = tuple((core.shape, core.dtype.str, core.tobytes())
+                for core in params.cores)
+    if params._dense is None or params._dense[0] != key:
+        dense = _contract(params.cores)
+        dense.flags.writeable = False
+        params._dense = key, dense
+    return params._dense[1]
+
+
+def _contract(cores: list[np.ndarray]) -> np.ndarray:
+    """The cores contracted left to right, starting from core 0 itself."""
+    env = cores[0][0].transpose(1, 0, 2)  # (Q, P, r) so far
+    for core in cores[1:]:
         (Q, P, _), (_, p, q, r) = env.shape, core.shape
         env = np.einsum("QPa,apqb->QqPpb", env, core).reshape(Q * q, P * p, r)
     return env[:, :, 0]

@@ -427,7 +427,7 @@ def test_topology_rejects_bad_rank():
 
 
 def test_topology_rejects_operator_over_dense_cap(tmp_path, capsys):
-    # The layer contracts its cores into one (out, in) operator per call.
+    # The layer applies its cores as one dense (out, in) operator.
     csv = make_csv(tmp_path / "d.csv")
     text = with_line(Path(csv_config(tmp_path, csv)).read_text(), "parties",
                      "  input_dims: [1000, 1001]")
@@ -811,12 +811,30 @@ def test_export_curves_averages_runs(tmp_path):
     assert first[3] == "2"
 
 
-def test_export_curves_rejects_mismatched_epochs(tmp_path):
+def test_export_curves_rejects_mismatched_epochs(tmp_path, capsys):
     csv = make_csv(tmp_path / "d.csv")
     c2 = csv_config(tmp_path, csv, epochs=2, out_name="e2")
     c3 = csv_config(tmp_path, csv, epochs=3, out_name="e3")
     assert run_cli("train", "--config", c2) == 0
     assert run_cli("train", "--config", c3) == 0
-    assert run_cli("export-curves", str(tmp_path / "e2" / "trace.csv"),
-                   str(tmp_path / "e3" / "trace.csv"),
+    capsys.readouterr()
+    e2, e3 = tmp_path / "e2" / "trace.csv", tmp_path / "e3" / "trace.csv"
+    assert run_cli("export-curves", str(e2), str(e3),
                    "--out-file", str(tmp_path / "c.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{e2} has 2" in err and f"{e3} has 3" in err, err
+
+
+@pytest.mark.parametrize("body", ["0,0.5,0.8\n", "", "0,nan,0.8,0.75,0.0\n",
+                                  "0,0.5,0.8,-3,0.0\n"],
+                         ids=["three_fields", "header_only", "nan_loss",
+                              "negative_acc"])
+def test_export_curves_rejects_a_malformed_trace(tmp_path, capsys, body):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch,loss,train_acc,test_acc,seconds\n" + body)
+    out_file = tmp_path / "c.csv"
+    assert run_cli("export-curves", str(path), "--out-file", str(out_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1, err
+    assert not out_file.exists()

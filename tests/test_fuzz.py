@@ -15,7 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evifed import cli, data
+from evifed import cli, data, train
 from evifed.cli import ConfigError
 from evifed.model import PartyModel
 
@@ -259,5 +259,29 @@ def test_mutated_model_dump_loads_or_is_one_error_line(inputs):
         except ValueError as exc:
             assert str(exc).startswith(f"{dump}:"), exc
         inspect_one_line(write_config(root, bases["csv"]), dump)
+
+    check()
+
+
+def test_mutated_trace_merges_or_is_one_error_line(tmp_path):
+    trace = tmp_path / "trace.csv"
+    train.TrainTrace([train.EpochRecord(e, 0.7 - 0.1 * e, 0.5, 0.6, 0.0)
+                      for e in range(3)]).export(trace)
+    blob = trace.read_bytes()
+    out_file = tmp_path / "curves.csv"
+
+    @fuzz(100)
+    @given(mutated(blob, len(b"epoch,loss,train_acc,test_acc,seconds\n")))
+    def check(mutant):
+        trace.write_bytes(mutant)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            status = cli.main(["export-curves", str(trace),
+                               "--out-file", str(out_file)])
+        err = err.getvalue()
+        assert status == 0 and err == "" or (
+            status == 1 and err.startswith(f"error: {trace}:")
+            and err.count("\n") == 1), err
 
     check()

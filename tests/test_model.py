@@ -307,6 +307,29 @@ def test_rows_that_do_not_split_into_settings_are_rejected():
                                 rng.uniform(-np.pi, np.pi, size=(2, 2, 3, 3)), 2)
 
 
+def test_block_unitaries_follow_in_place_angle_writes():
+    # Blocks >= 1 are cached on the angles' bytes; Adam writes them in place.
+    rng = np.random.default_rng(16)
+    enc = rng.uniform(0, np.pi, size=(6, 4))
+    vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, 4, 3))
+    before = model.fused_rotations(enc, vqc)
+    vqc[1, 2, 3, 0] += 1e-5
+    after = model.fused_rotations(enc, vqc)
+    assert np.array_equal(after[1], before[1])
+    assert not np.array_equal(after[2], before[2])
+    model._block_unitaries.cache_clear()
+    for cached, fresh in zip(after, model.fused_rotations(enc, vqc)):
+        assert np.array_equal(cached, fresh)
+
+
+def test_cached_block_unitaries_are_read_only():
+    rng = np.random.default_rng(17)
+    fused = model.fused_rotations(rng.uniform(0, np.pi, size=(2, 3)),
+                                  rng.uniform(-np.pi, np.pi, size=(1, 2, 3, 3)))
+    with pytest.raises(ValueError):
+        fused[1][0, 0, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
 @pytest.mark.parametrize("batch", [1, 7])
 @pytest.mark.parametrize("blocks", [1, 2, 3])

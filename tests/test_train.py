@@ -3,7 +3,7 @@ determinism."""
 import numpy as np
 import pytest
 
-from evifed import baselines, data, model, qsim, train
+from evifed import baselines, data, model, qsim, train, ttn
 from evifed.model import PartyModel, Prediction, softmax
 from evifed.qsim import Gate
 from evifed.train import OptimizerState, TrainConfig, TrainTrace
@@ -303,6 +303,48 @@ def test_forward_pass_mixes_circuit_shapes():
             assert np.max(np.abs(marginals[k, i] - one)) < 1e-12
 
 
+def test_repeated_one_sample_predictions_contract_each_operator_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    models = make_parties(rng, 3, blocks=2)
+    contractions = []
+    real = ttn._contract
+
+    def counting(cores):
+        contractions.append(len(cores))
+        return real(cores)
+
+    monkeypatch.setattr(ttn, "_contract", counting)
+    for _ in range(3):
+        sample = [rng.uniform(0, 1, size=6) for _ in models]
+        first = train.eviqvfl_predict(models, sample)
+        again = train.eviqvfl_predict(models, sample)
+        assert np.array_equal(first.plausibilities, again.plausibilities)
+        assert np.array_equal(first.probabilities, again.probabilities)
+    assert len(contractions) == len(models)
+
+
+def test_memoized_operators_leave_training_bit_exact(monkeypatch):
+    # Three mini-batches, each followed by an evaluation that fills the memos
+    # before Adam writes the parameters in place: the run must equal one that
+    # builds every operator afresh.
+    ds = synthetic_dataset(np.random.default_rng(41), n=24)
+    config = TrainConfig(batch_size=24, epochs=3, seed=2)
+
+    def trained():
+        models = make_parties(np.random.default_rng(42), blocks=2)
+        _, trace = train.train_run(models, ds, config, test_set=ds)
+        return ([p.copy() for m in models for p in train.party_parameters(m)],
+                [(r.loss, r.train_acc, r.test_acc) for r in trace.records])
+
+    params, records = trained()
+    monkeypatch.setattr(ttn, "materialize_dense", lambda p: ttn._contract(p.cores))
+    monkeypatch.setattr(model, "_block_unitaries", model._block_unitaries.__wrapped__)
+    fresh_params, fresh_records = trained()
+    assert records == fresh_records
+    for got, want in zip(params, fresh_params, strict=True):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("eval_mode", ["factorized", "joint"])
 def test_batch_prediction_matches_per_sample_predictions(eval_mode):
     rng = np.random.default_rng(20)
@@ -493,6 +535,40 @@ def test_trace_load_rejects_missing_header(tmp_path):
     path.write_text("0,0.5,0.8,0.75,1.0\n")
     with pytest.raises(ValueError):
         TrainTrace.load(path)
+
+
+TRACE_HEADER = "epoch,loss,train_acc,test_acc,seconds\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    (b"0,0.5,0.8\n", 2, "expected 5 fields, got 3"),
+    (b"0,abc,0.8,0.75,0.0\n", 2, "loss"),
+    (b"0,0.\x805,0.8,0.75,0.0\n", 2, "loss"),
+    (b"0,nan,0.8,0.75,0.0\n", 2, "loss"),
+    (b"0,inf,0.8,0.75,0.0\n", 2, "loss"),
+    (b"0,0.5,0.8,-3,0.0\n", 2, "test_acc"),
+    (b"0,0.5,1.5,0.75,0.0\n", 2, "train_acc"),
+    (b"0,0.5,0.8,0.75,-1.0\n", 2, "seconds"),
+    (b"5,0.5,0.8,0.75,0.0\n", 2, "epoch"),
+    (b"0,0.5,0.8,0.75,0.0\n2,0.4,0.9,0.8,0.0\n", 3, "epoch"),
+    (b"", 1, "no epoch rows"),
+], ids=["three_fields", "not_a_number", "stray_byte", "nan_loss", "inf_loss",
+        "negative_test_acc", "train_acc_above_one", "negative_seconds",
+        "first_epoch_5", "epoch_skipped", "header_only"])
+def test_trace_load_names_the_file_and_line_at_fault(tmp_path, body, line,
+                                                     message):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(TRACE_HEADER.encode() + body)
+    with pytest.raises(ValueError, match=message) as exc:
+        TrainTrace.load(path)
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+
+
+def test_trace_load_accepts_nan_accuracies(tmp_path):
+    # A run with no test split records test_acc nan.
+    path = tmp_path / "trace.csv"
+    path.write_text(TRACE_HEADER + "0,0.5,0.8,nan,0.0\n")
+    assert np.isnan(TrainTrace.load(path).records[0].test_acc)
 
 
 # --- barren-plateau diagnostic ---------------------------------------------

@@ -138,6 +138,26 @@ def test_materialize_columns_match_basis_probes():
         assert np.allclose(dense[:, i], ttn_forward_chain(p, e))
 
 
+def test_in_place_core_write_reaches_the_next_operator():
+    # Adam and full_gradient_fd write one core element in place between calls.
+    rng = np.random.default_rng(10)
+    p = random_params([2, 3], [2, 2], 2, rng)
+    before = ttn.materialize_dense(p).copy()
+    p.cores[1][1, 2, 0, 0] += 1e-5
+    after = ttn.materialize_dense(p)
+    fresh = TTLayerParams(p.input_dims, p.output_dims, p.op_ranks,
+                          [core.copy() for core in p.cores])
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, ttn.materialize_dense(fresh))
+
+
+def test_operator_is_read_only():
+    rng = np.random.default_rng(11)
+    dense = ttn.materialize_dense(random_params([2, 3], [2, 2], 2, rng))
+    with pytest.raises(ValueError):
+        dense[0, 0] = 1.0
+
+
 def test_materialize_respects_capacity():
     rng = np.random.default_rng(9)
     p = random_params([40, 40], [40, 40], 1, rng)
