@@ -170,11 +170,12 @@ def loss_lower_bound(num_classes: int) -> float:
 # (``_block_unitaries``): an evaluation pass predicts one sample at a time
 # with fixed angles, and builds it once.  Every circuit starts from |0...0>,
 # and block 0 acts on single qubits before its CNOT ring, so its state is a
-# product state, built with no kernel sweep.  ``circuit_rows`` runs every party circuit: ``batched_marginals``
-# reads marginals off its rows and hands the rows on, ``party_forward`` takes
-# its one row, and train.party_angle_gradients runs its reverse sweep back
-# from the rows the forward pass kept.  ``run_blocks`` runs whole blocks from
-# given rows, as the barren-plateau diagnostic's monolithic circuit does.
+# product state, built with no kernel sweep.  ``circuit_rows`` runs every
+# party circuit: ``batched_marginals`` reads marginals off its rows and hands
+# the rows on, ``party_forward`` takes its one row, and
+# train.party_angle_gradients runs its reverse sweep back from the rows the
+# forward pass kept.  ``run_blocks`` runs whole blocks from given rows, as
+# the barren-plateau diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and

@@ -271,7 +271,7 @@ def test_mutated_trace_merges_or_is_one_error_line(tmp_path):
     out_file = tmp_path / "curves.csv"
 
     @fuzz(100)
-    @given(mutated(blob, len(b"epoch,loss,train_acc,test_acc,seconds\n")))
+    @given(mutated(blob, len(train.TRACE_HEADER) + 1))
     def check(mutant):
         trace.write_bytes(mutant)
         err = io.StringIO()
