@@ -177,14 +177,14 @@ class MeasureAverageModel(EvidentialTrainable):
         return predict(self._server(marginals)[0])
 
     def loss_and_gradients(self, sample, label):
-        marginals, caches = forward_pass(self.models, sample)
+        marginals, cache = forward_pass(self.models, sample)
         out, server_cache = self._server(marginals)
         pred = predict(out)
         loss = ce_loss(pred, label, check_bound=True)
         d_marg, server_grads = self._server_backward(
             server_cache, pred.probabilities - label)
-        grads = [g for m, cache, d in zip(self.models, caches, d_marg)
-                 for g in party_gradients(m, cache, d)]
+        grads = [g for pg in party_gradients(self.models, cache, d_marg)
+                 for g in pg]
         return loss, grads + server_grads, pred
 
 
@@ -216,10 +216,8 @@ class MeasureVqcModel(MeasureAverageModel):
     def _server_backward(self, server_cache, d_out):
         # Angle gradients of the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
-        amps, fused = server_cache
-        d_enc_server, d_server = party_angle_gradients(
-            amps, fused, self.server_angles, d_out)
-        return 2.0 * _split_parties(d_enc_server, len(self.models)), [d_server]
+        d_enc, d_server = party_angle_gradients(*server_cache, self.server_angles, d_out)
+        return 2.0 * _split_parties(d_enc, len(self.models)), [d_server]
 
 
 def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,

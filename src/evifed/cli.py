@@ -482,9 +482,8 @@ def cmd_inspect(args) -> int:
                          f"config's dataset has {test_set.num_parties}")
     check_dump_topology(args.model, models, cfg.parties)
     if not 0 <= args.sample < test_set.num_samples:
-        print(f"sample index {args.sample} out of range "
-              f"(test set has {test_set.num_samples})", file=sys.stderr)
-        return 1
+        raise ValueError(f"--sample {args.sample}: out of range (the test set "
+                         f"has {test_set.num_samples} samples)")
     sample = test_set.sample(args.sample)
     num_classes = models[0].num_classes
 

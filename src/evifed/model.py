@@ -173,15 +173,15 @@ def loss_lower_bound(num_classes: int) -> float:
 # product state, built with no kernel sweep.  ``circuit_rows`` runs every
 # party circuit: ``batched_marginals`` reads marginals off its rows and hands
 # the rows on, ``party_forward`` takes its one row, and
-# train.party_angle_gradients runs its reverse sweep back from the rows the
-# forward pass kept.  ``run_blocks`` runs whole blocks from given rows, as
-# the barren-plateau diagnostic's monolithic circuit does.
+# train.party_angle_gradients sweeps back from a circuit-shape group's rows
+# in one call.  ``run_blocks`` runs whole blocks from given rows, as the
+# barren-plateau diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and
-# train.party_angle_gradients sweep their rows in chunks of this size, so the
-# kernels' temporaries stay small however large the batch.  The finished rows
-# of a call are returned whole; training keeps them for one mini-batch.
+# train.party_angle_gradients sweep their rows in ``chunk_plan``'s chunks, so
+# the kernels' temporaries stay small however large the batch.  The finished
+# rows of a call are returned whole; training keeps them for one mini-batch.
 # 2^12 complex amplitudes are 64 KiB; at 4 qubits, 2^13 was no faster and
 # doubled the peak working set.
 CHUNK_AMPLITUDES = 1 << 12
@@ -254,6 +254,19 @@ def run_blocks(amps: np.ndarray, fused: list[np.ndarray]) -> np.ndarray:
     return amps
 
 
+def chunk_plan(b: int, n: int, settings: int):
+    """Kernel passes (lo, hi, first, last) over (b, 2^n) rows in ``settings``
+    runs: rows lo:hi hold runs first:last, whole runs or part of one run, of
+    at most ``CHUNK_AMPLITUDES`` amplitudes unless one row alone is larger."""
+    run = b // settings
+    step = max(1, CHUNK_AMPLITUDES >> n)
+    runs = max(1, step // run)  # whole runs per chunk, or part of one run
+    for first in range(0, settings, runs):
+        last = min(first + runs, settings)
+        for lo in range(first * run, last * run, step):
+            yield lo, min(lo + step, last * run), first, last
+
+
 def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
                  ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run Ry(enc_angles) and the VQC blocks from |0...0> on every row.
@@ -262,24 +275,15 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
     B/S consecutive rows, or (blocks, n, 3) for all rows.  Returns the final
     (B, 2^n) amplitude rows and the fused unitaries of ``fused_rotations``,
     which a reverse sweep undoes block by block.  Block 0's state is the
-    product of its unitaries' first columns; the rows then run a chunk at a
-    time, whole runs or part of one run, of at most ``CHUNK_AMPLITUDES``
-    amplitudes unless one row alone is larger.
+    product of its unitaries' first columns; the rows then run a chunk of
+    ``chunk_plan`` at a time.
     """
     vqc = np.reshape(vqc_angles, (-1,) + np.shape(vqc_angles)[-3:])
     fused = fused_rotations(enc_angles, vqc)
-    (b, n), settings = enc_angles.shape, len(vqc)
-    run = b // settings
-    step = max(1, CHUNK_AMPLITUDES >> n)
-    runs = max(1, step // run)  # whole runs per chunk, or part of one run
-    amps = np.empty((b, 1 << n), dtype=np.complex128)
-    for first in range(0, settings, runs):
-        end = min(first + runs, settings) * run
-        blocks = [u[:, first:first + runs] for u in fused[1:]]
-        for lo in range(first * run, end, step):
-            hi = min(lo + step, end)
-            rows = qsim.apply_cnot_ring(qsim.product_rows(fused[0][:, lo:hi, :, 0]))
-            amps[lo:hi] = run_blocks(rows, blocks)
+    amps = np.empty((len(enc_angles), 1 << enc_angles.shape[1]), dtype=np.complex128)
+    for lo, hi, first, last in chunk_plan(*enc_angles.shape, len(vqc)):
+        rows = qsim.apply_cnot_ring(qsim.product_rows(fused[0][:, lo:hi, :, 0]))
+        amps[lo:hi] = run_blocks(rows, [u[:, first:last] for u in fused[1:]])
     return amps, fused
 
 

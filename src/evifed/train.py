@@ -12,11 +12,11 @@ activation into the exact multilinear backward pass.
 
 The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
-mini-batch.  Per party that is one TT forward and one TT backward; the
-forward circuits of all parties with one circuit shape run as rows of one
-``batched_marginals`` call, which runs each row forward exactly once.  Each
-party's cache keeps its final rows for the mini-batch, and its adjoint sweep
-runs back from them, a chunk at a time (``model.CHUNK_AMPLITUDES``).
+mini-batch.  Per party that is one TT forward and one TT backward.  The
+parties of one circuit shape form a group: its rows run forward once, in one
+``batched_marginals`` call, and one adjoint sweep runs back from the final
+rows, which the cache keeps for the mini-batch; ``party_gradients`` then
+chains each party's share into its TT layer.
 Losses and predictions keep the sample axis; gradients are summed over it.
 A single sample, one (d,) block per party, gives a float loss and a
 one-sample ``Prediction``.
@@ -162,33 +162,31 @@ def param_shift_grad(evaluate, theta: float) -> float:
 # --- eviQVFL forward/backward ---------------------------------------------
 
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
-                 ) -> tuple[np.ndarray, list[dict]]:
+                 ) -> tuple[np.ndarray, tuple[list[dict], list[tuple]]]:
     """All party marginals, stacked (K, C), or (K, B, C) when every party's
-    block is (B, d) rows; caches feed the backward pass.  Parties with the
-    same circuit shape run as rows of one ``batched_marginals`` call, one
-    VQC setting per party, and each party's cache keeps its share of that
-    call's final rows (``"rows"``) and fused unitaries (``"fused"``) for the
-    adjoint.  ``full_gradient`` drops the caches when it returns: rows live
-    for one mini-batch."""
+    block is (B, d) rows; the cache feeds ``party_gradients``.  Parties with
+    the same circuit shape form a group that runs as rows of one
+    ``batched_marginals`` call, one VQC setting per party.  The cache holds
+    each party's TT cache, then per group its party indices, that call's
+    final rows and fused unitaries, and its (K_g, blocks, n, 3) VQC stack.
+    ``full_gradient`` drops it when it returns: rows live for one mini-batch."""
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
     groups: dict = {}
     for k, m in enumerate(models):
         groups.setdefault((m.vqc_angles.shape, m.num_classes), []).append(k)
     marginals = [None] * len(models)
+    circuits = []
     for (shape, num_classes), ks in groups.items():
         enc = np.concatenate([2.0 * caches[k]["x_tilde"].reshape(-1, shape[1])
                               for k in ks])
         vqc = np.stack([models[k].vqc_angles for k in ks])
         marg, amps, fused = batched_marginals(enc, vqc, num_classes)
-        rows = len(enc) // len(ks)
-        for i, k in enumerate(ks):
-            mine = slice(i * rows, (i + 1) * rows)
-            caches[k].update(rows=amps[mine], fused=[fused[0][:, mine]] + [
-                u[:, i:i + 1] for u in fused[1:]])
-            marginals[k] = marg[mine].reshape(
-                caches[k]["x_tilde"].shape[:-1] + (num_classes,))
-    return np.array(marginals), caches
+        batch = caches[ks[0]]["x_tilde"].shape[:-1]
+        for k, mine in zip(ks, marg.reshape((len(ks),) + batch + (num_classes,))):
+            marginals[k] = mine
+        circuits.append((ks, amps, fused, vqc))
+    return np.array(marginals), (caches, circuits)
 
 
 def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Prediction:
@@ -197,7 +195,7 @@ def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Predi
 
 
 def _generator_axes(vqc_angles: np.ndarray) -> np.ndarray:
-    """(blocks, n, 4, 3): for RX, RY, RZ and block 0's Ry encoding of each
+    """(..., blocks, n, 4, 3): for RX, RY, RZ and block 0's Ry encoding of each
     fused gate U = RZ RY RX Ry(enc), the Bloch axis a of the generator moved
     past U, so that dU/dangle = -i/2 (a . sigma) U.  The axes depend on the
     VQC angles alone, never on the encoding."""
@@ -226,18 +224,18 @@ def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
 def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
                           vqc_angles: np.ndarray, dL_dmarg: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint-method gradients of the loss wrt the angles of one circuit:
-    Ry(encoding angles), then the (blocks, n, 3) VQC blocks, read out as the
-    first C qubit marginals (a party or the measure_then_vqc server).
+    """Adjoint-method gradients of the loss wrt the angles of a batch of
+    circuits: Ry(encoding angles), then the VQC blocks, read out as the
+    first C qubit marginals (parties or the measure_then_vqc server).
 
     ``rows`` (the final (B, 2^n) amplitudes) and ``fused`` (the fused
-    unitaries) are what ``model.batched_marginals`` returned for these rows
-    in the forward pass, for one VQC setting shared by every row (S = 1), so
-    each block is undone with that setting's one 2x2 per qubit.  ``dL_dmarg``
-    is the loss gradient wrt the C marginals, (C,) for one sample or (B, C),
-    with everything else frozen.  Returns (d/d encoding angle, per sample,
-    (n,) or (B, n); d/d vqc angle, summed over the samples), equal to the
-    parameter-shift rule's.
+    unitaries) are what ``model.batched_marginals`` returned in the forward
+    pass with ``vqc_angles``: (S, blocks, n, 3), one setting per run of B/S
+    rows, or (blocks, n, 3) read as S = 1.  ``dL_dmarg`` is the loss
+    gradient wrt the C marginals, (..., C) for the B rows, with everything
+    else frozen.  Returns (d/d encoding angle, per row, (..., n); d/d vqc
+    angle, summed over each run's rows, shaped as ``vqc_angles``), equal to
+    the parameter-shift rule's.
 
     The loss is <phi|O|phi> for each final state phi and the diagonal
     O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
@@ -245,49 +243,60 @@ def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
     fused gate U; between the two, each qubit's cross matrix
     W = sum phi conj(lambda)^T gives every angle of U its derivative
     Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.  The sweep
-    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk at a
-    time, within ``model.CHUNK_AMPLITUDES``.
+    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk of
+    ``model.chunk_plan`` at a time, as in the forward pass.
     """
-    vqc_angles = np.asarray(vqc_angles, dtype=np.float64)
+    vqc = np.reshape(vqc_angles, (-1,) + np.shape(vqc_angles)[-3:])
     b, n = len(rows), rows.shape[1].bit_length() - 1
     num_classes = np.shape(dL_dmarg)[-1]
     dL = np.reshape(dL_dmarg, (b, num_classes))
-    axes = _generator_axes(vqc_angles)
+    axes = _generator_axes(vqc)
     # qubit_set[c, i] = 1 where basis state i has qubit c set.
     qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
-    step = max(1, model_mod.CHUNK_AMPLITUDES >> n)
     d_enc = np.empty((b, n))
-    d_vqc = np.zeros_like(vqc_angles)
-    for s in range(0, b, step):
-        phi = rows[s:s + step]
+    d_vqc = np.zeros(vqc.shape)
+    for lo, hi, first, last in model_mod.chunk_plan(b, n, len(vqc)):
+        runs = slice(first, last)
+        phi = rows[lo:hi]
         # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
         # which raised the training loop's peak RSS.
-        mu = np.einsum("rc,ci->ri", dL[s:s + step], qubit_set) * np.conj(phi)
-        for k in reversed(range(len(vqc_angles))):
+        mu = np.einsum("rc,ci->ri", dL[lo:hi], qubit_set) * np.conj(phi)
+        for k in reversed(range(vqc.shape[1])):
             # The gather copies, so the in-place undo below never writes rows.
             phi = qsim.apply_cnot_ring(phi, inverse=True)
             mu = qsim.apply_cnot_ring(mu, inverse=True)
-            traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)])
-            d_vqc[k] += np.einsum("qaj,qj->qa", axes[k, :, :3], traces.sum(axis=1))
+            # (n, runs, rows per run, 3): a chunk holds whole runs or part of one.
+            traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)]
+                              ).reshape(n, last - first, -1, 3)
+            d_vqc[runs, k] += np.einsum("sqaj,qsj->sqa", axes[runs, k, :, :3],
+                                        traces.sum(axis=2))
             if k == 0:
-                d_enc[s:s + step] = np.einsum("qj,qrj->rq", axes[0, :, 3], traces)
+                d_enc[lo:hi] = np.einsum("sqj,qsrj->srq", axes[runs, 0, :, 3],
+                                         traces).reshape(hi - lo, n)
                 break
-            for q, u in enumerate(np.swapaxes(fused[k], -1, -2)):
+            for q, u in enumerate(np.swapaxes(fused[k][:, runs], -1, -2)):
                 qsim.apply_unitary_rows(phi, q, np.conj(u))
                 qsim.apply_unitary_rows(mu, q, u)
-    return d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)), d_vqc
+    return (d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)),
+            d_vqc.reshape(np.shape(vqc_angles)))
 
 
-def party_gradients(m: PartyModel, cache: dict, dL_dmarg: np.ndarray
-                    ) -> list[np.ndarray]:
-    """One party's gradients (TT cores, then VQC angles) from dL/d marginals,
-    chained through encoding angle = 2 x_tilde, the squash and the TT layer;
-    ``cache`` is the party's ``forward_pass`` cache.  On a batch's cache and
-    (B, C) ``dL_dmarg`` the gradients are summed over the samples."""
-    d_enc, d_vqc = party_angle_gradients(cache["rows"], cache["fused"],
-                                         m.vqc_angles, dL_dmarg)
-    dL_dpre = 2.0 * d_enc * squash_grad(cache["pre_activation"])
-    return ttn_backward(m.ttn, cache["x"], dL_dpre) + [d_vqc]
+def party_gradients(models: list[PartyModel], cache: tuple,
+                    dL_dmarg: np.ndarray) -> list[list[np.ndarray]]:
+    """Every party's gradients (TT cores, then VQC angles) from dL/d
+    marginals, stacked as ``forward_pass``'s marginals, given its cache: one
+    adjoint call per circuit-shape group, then per party the chain through
+    encoding angle = 2 x_tilde, the squash and the TT layer.  On a batch the
+    gradients are summed over the samples."""
+    caches, circuits = cache
+    grads = [None] * len(models)
+    for ks, *circuit in circuits:
+        d_enc, d_vqc = party_angle_gradients(*circuit, np.asarray(dL_dmarg)[ks])
+        for k, d_enc_k, d_vqc_k in zip(ks, d_enc, d_vqc):
+            c = caches[k]
+            dL_dpre = 2.0 * d_enc_k * squash_grad(c["pre_activation"])
+            grads[k] = ttn_backward(models[k].ttn, c["x"], dL_dpre) + [d_vqc_k]
+    return grads
 
 
 def party_parameters(m: PartyModel) -> list[np.ndarray]:
@@ -304,16 +313,14 @@ def full_gradient(models: list[PartyModel], sample: list[np.ndarray],
     or (B, d) blocks with (B, C) labels: the loss and the prediction then
     keep the sample axis, and the gradients are summed over it.
     """
-    marginals, caches = forward_pass(models, sample)
+    marginals, cache = forward_pass(models, sample)
     pred = model_mod.predict(model_mod.fuse_factorized(marginals))
     loss = ce_loss(pred, label, check_bound=True)
     dL_dpl = pred.probabilities - np.asarray(label, dtype=np.float64)
     # The product over no other parties is all ones.
-    grads = [party_gradients(m, cache,
-                             np.prod(np.delete(marginals, k, axis=0), axis=0)
-                             * dL_dpl)
-             for k, (m, cache) in enumerate(zip(models, caches))]
-    return loss, grads, pred
+    others = np.array([np.prod(np.delete(marginals, k, axis=0), axis=0)
+                       for k in range(len(models))])
+    return loss, party_gradients(models, cache, others * dL_dpl), pred
 
 
 def eviqvfl_loss(models: list[PartyModel], sample: list[np.ndarray],

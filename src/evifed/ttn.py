@@ -34,6 +34,10 @@ class TTLayerParams:
     _dense: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
+    def __getstate__(self):
+        # Copies start without the memo: a copied read-only array is writable.
+        return {**self.__dict__, "_dense": None}
+
     def __post_init__(self):
         L = len(self.input_dims)
         if len(self.output_dims) != L or len(self.op_ranks) != L + 1:

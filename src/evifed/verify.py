@@ -399,21 +399,23 @@ def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
 
 def check_adjoint_vs_parameter_shift(trials: int = 30, seed: int = 53
                                      ) -> CheckResult:
-    """Random circuits of 2..6 qubits, 1..3 blocks and 2..3 read-out classes."""
+    """Random circuits of 2..6 qubits, 1..3 blocks, 2..3 classes, in 1..3 settings."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         num_classes = int(rng.integers(2, min(n, 3) + 1))
-        rows = int(rng.integers(1, 9))
-        enc = rng.uniform(-np.pi, np.pi, size=(rows, n))
-        vqc = rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 4)), n, 3))
-        dL_dmarg = rng.normal(size=(rows, num_classes))
-        _, amps, fused = model.batched_marginals(enc, vqc, num_classes)
-        for got, want in zip(
-                train.party_angle_gradients(amps, fused, vqc, dL_dmarg),
-                shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)):
-            worst = max(worst, float(np.max(np.abs(got - want))))
+        settings, run = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        enc = rng.uniform(-np.pi, np.pi, size=(settings, run, n))
+        vqc = rng.uniform(-np.pi, np.pi, (settings, int(rng.integers(1, 4)), n, 3))
+        dL_dmarg = rng.normal(size=(settings, run, num_classes))
+        _, amps, fused = model.batched_marginals(enc.reshape(-1, n), vqc, num_classes)
+        # One adjoint call for every setting; each run is held to its own.
+        got = train.party_angle_gradients(amps, fused, vqc, dL_dmarg)
+        for s in range(settings):
+            want = shift_rule_angle_gradients(enc[s], vqc[s], num_classes, dL_dmarg[s])
+            for g, w in zip(got, want):
+                worst = max(worst, float(np.max(np.abs(g[s] - w))))
     return CheckResult("adjoint gradients match parameter shift", worst, 1e-10)
 
 

@@ -73,7 +73,10 @@ def test_tracer_records_every_traced_layer(tmp_path):
             assert calls > 0, f"{name} recorded no calls in {phase}"
     # The benchmark divides circuit rows by full_gradient calls: one call per
     # mini-batch, not per sample.
-    for name in ("train.full_gradient", "train.adam_step"):
+    # Both parties share one circuit shape, so train.party_angle_gradients
+    # times one grouped sweep per mini-batch, not one per party.
+    for name in ("train.full_gradient", "train.adam_step",
+                 "train.party_angle_gradients"):
         assert totals[("train_run", name)]["calls"] == 3
     # Training runs one circuit row per sample and party, the forward one:
     # the adjoint sweeps reuse it, and no shifted rows run.

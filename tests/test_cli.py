@@ -782,9 +782,12 @@ def test_inspect_sample_out_of_range(tmp_path, capsys):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv)
     assert run_cli("train", "--config", config) == 0
+    capsys.readouterr()
     assert run_cli("inspect", "--config", config,
                    "--model", str(tmp_path / "run" / "model.txt"),
                    "--sample", "10000") == 1
+    assert capsys.readouterr() == ("", "error: --sample 10000: out of range "
+                                       "(the test set has 20 samples)\n")
 
 
 # --- export-curves command -------------------------------------------------

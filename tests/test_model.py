@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from evifed import evidence, model, qsim
+from evifed import evidence, model, qsim, train
 from evifed.evidence import MassFunction
 from evifed.model import PartyModel, Prediction
 from evifed.qsim import Gate, Statevector
@@ -266,17 +266,31 @@ def test_batched_marginals_match_per_sample_circuits(n, blocks, batch):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grouped_settings_equal_separate_calls_bit_for_bit(n, blocks, batch):
-    # K settings, each on its own run of rows, as forward_pass groups parties.
+    # K settings, each on its own run of rows, as forward_pass groups parties;
+    # the grouped adjoint, as party_gradients runs it, equals one per setting.
     if batch == "past_chunk":
         batch = (model.CHUNK_AMPLITUDES >> n) + 3
     rng = np.random.default_rng(13)
     enc = rng.uniform(0, np.pi, size=(3, batch, n))
     vqc = rng.uniform(-np.pi, np.pi, size=(3, blocks, n, 3))
-    marg, rows, _ = model.batched_marginals(enc.reshape(-1, n), vqc, 2)
+    dL_dmarg = rng.normal(size=(3, batch, 2))
+    marg, rows, fused = model.batched_marginals(enc.reshape(-1, n), vqc, 2)
+    d_enc, d_vqc = train.party_angle_gradients(rows, fused, vqc,
+                                               dL_dmarg.reshape(-1, 2))
     for k in range(3):
-        one_marg, one_rows, _ = model.batched_marginals(enc[k], vqc[k], 2)
-        assert np.array_equal(marg[k * batch:(k + 1) * batch], one_marg)
-        assert np.array_equal(rows[k * batch:(k + 1) * batch], one_rows)
+        mine = slice(k * batch, (k + 1) * batch)
+        one_marg, one_rows, one_fused = model.batched_marginals(enc[k], vqc[k], 2)
+        assert np.array_equal(marg[mine], one_marg)
+        assert np.array_equal(rows[mine], one_rows)
+        one_enc, one_vqc = train.party_angle_gradients(one_rows, one_fused, vqc[k],
+                                                       dL_dmarg[k])
+        for got, want in ((d_enc[mine], one_enc), (d_vqc[k], one_vqc)):
+            if batch > 1:
+                assert np.array_equal(got, want)
+            else:
+                # A lone row is contiguous, so einsum sums its cross matrix
+                # in another order than it does a column of grouped rows.
+                assert np.max(np.abs(got - want)) < 1e-15
 
 
 @pytest.mark.parametrize("settings,run", [(1, 600), (3, 300), (5, 100), (600, 1)])
@@ -291,13 +305,19 @@ def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
 
     monkeypatch.setattr(qsim, "apply_unitary_rows", recording)
     rng = np.random.default_rng(15)
-    model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)),
-                       rng.uniform(-np.pi, np.pi, size=(settings, 2, n, 3)))
-    assert sum(rows for rows, _ in passes) == n * settings * run
-    for rows, held in passes:
-        assert rows << n <= model.CHUNK_AMPLITUDES
-        # Several settings hold whole runs; one holds its run or part of it.
-        assert (rows == held * run) if held > 1 else (rows <= run)
+    vqc = rng.uniform(-np.pi, np.pi, size=(settings, 2, n, 3))
+    amps, fused = model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)),
+                                     vqc)
+    forward, passes[:] = passes[:], []
+    train.party_angle_gradients(amps, fused, vqc,
+                                rng.normal(size=(settings * run, 2)))
+    # Block 1 runs forward once, and the reverse sweep undoes it on phi and mu.
+    for sweep, per_row in ((forward, n), (passes, 2 * n)):
+        assert sum(rows for rows, _ in sweep) == per_row * settings * run
+        for rows, held in sweep:
+            assert rows << n <= model.CHUNK_AMPLITUDES
+            # Several settings hold whole runs; one holds its run or part of it.
+            assert (rows == held * run) if held > 1 else (rows <= run)
 
 
 def test_rows_that_do_not_split_into_settings_are_rejected():

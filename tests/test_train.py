@@ -114,22 +114,22 @@ def test_full_gradient_matches_finite_differences():
 
 
 def test_gradient_locality_across_parties():
-    # With the other parties' marginals cached, party 0's gradient is
-    # unaffected by perturbing party 1's parameters.
+    # Both parties share one circuit-shape group, so one adjoint call sweeps
+    # their rows together; party 0's gradients still read only its own rows,
+    # dL/d marginals and parameters, to the last bit.
     rng = np.random.default_rng(3)
     models = make_parties(rng)
-    sample = [rng.uniform(0, 1, size=6) for _ in range(2)]
-    label = np.array([1.0, 0.0])
-    marginals, caches = train.forward_pass(models, sample)
-    from evifed.model import predict
-    pred = predict(np.prod(marginals, axis=0))
-    dL_dpl = pred.probabilities - label
-    dL_dmarg0 = marginals[1] * dL_dpl
-    before = train.party_gradients(models[0], caches[0], dL_dmarg0)
+    sample, labels = batch_of(rng, models, 5)
+    marginals, cache = train.forward_pass(models, sample)
+    dL_dpl = model.predict(np.prod(marginals, axis=0)).probabilities - labels
+    dL_dmarg = marginals[::-1] * dL_dpl
+    before = train.party_gradients(models, cache, dL_dmarg)[0]
+    dL_dmarg[1] += rng.normal(size=dL_dmarg[1].shape)
     models[1].vqc_angles += 0.37  # perturb the other party
-    after = train.party_gradients(models[0], caches[0], dL_dmarg0)
-    for b, a in zip(before, after):
-        assert np.allclose(b, a)
+    models[1].ttn.cores[0] += 0.1
+    after = train.party_gradients(models, cache, dL_dmarg)[0]
+    for b, a in zip(before, after, strict=True):
+        assert np.array_equal(b, a)
 
 
 # --- adjoint gradients -----------------------------------------------------
@@ -254,39 +254,50 @@ def test_parties_of_one_circuit_shape_share_one_circuit_call(monkeypatch):
     assert np.max(np.abs(batch_marginals[:, 0] - marginals)) < 1e-12
 
 
-def count_fused_rotations(monkeypatch):
-    """Rows of every ``model.fused_rotations`` call, one entry per call."""
-    calls = []
-    real = model.fused_rotations
+def count_circuit_calls(monkeypatch):
+    """Rows of every ``model.fused_rotations`` call (forward circuits) and of
+    every ``train.party_angle_gradients`` call (reverse sweeps), one entry
+    per call."""
+    forward, adjoint = [], []
+    real_forward, real_adjoint = model.fused_rotations, train.party_angle_gradients
 
-    def counting(enc, vqc):
-        calls.append(len(enc))
-        return real(enc, vqc)
+    def counting_forward(enc, vqc):
+        forward.append(len(enc))
+        return real_forward(enc, vqc)
 
-    monkeypatch.setattr(model, "fused_rotations", counting)
-    return calls
+    def counting_adjoint(rows, fused, vqc, dL_dmarg):
+        adjoint.append(len(rows))
+        return real_adjoint(rows, fused, vqc, dL_dmarg)
+
+    monkeypatch.setattr(model, "fused_rotations", counting_forward)
+    for module in (train, baselines):
+        monkeypatch.setattr(module, "party_angle_gradients", counting_adjoint)
+    return forward, adjoint
 
 
 def test_each_forward_circuit_runs_once_per_gradient(monkeypatch):
-    # One fused_rotations call per circuit-shape group, the forward's: the
-    # adjoint sweeps start from its rows and unitaries.
+    # One fused_rotations call per circuit-shape group, the forward's, and one
+    # adjoint call per group that sweeps back from its rows and unitaries.
     rng = np.random.default_rng(23)
     models = make_parties(rng, 2, blocks=2) + make_parties(rng, 1)
     sample, labels = batch_of(rng, models, 6)
-    calls = count_fused_rotations(monkeypatch)
+    forward, adjoint = count_circuit_calls(monkeypatch)
     train.full_gradient(models, sample, labels)
-    assert calls == [12, 6]
+    assert forward == [12, 6]
+    assert adjoint == [12, 6]
 
 
 def test_vqc_server_circuit_runs_once_per_gradient(monkeypatch):
     # measure_then_vqc: the parties' one shape group, then the server circuit;
-    # the server's backward reuses the rows of its forward.
+    # the server's backward reuses the rows of its forward, and runs first,
+    # since it gives the parties their dL/d marginals.
     rng = np.random.default_rng(24)
     server = baselines.MeasureVqcModel.random_init(make_parties(rng, 3), rng)
     sample, labels = batch_of(rng, server.models, 5)
-    calls = count_fused_rotations(monkeypatch)
+    forward, adjoint = count_circuit_calls(monkeypatch)
     server.loss_and_gradients(sample, labels)
-    assert calls == [15, 5]
+    assert forward == [15, 5]
+    assert adjoint == [5, 15]
 
 
 def test_forward_pass_mixes_circuit_shapes():

@@ -1,4 +1,7 @@
 """Tensor-train layer: contraction, dense operator, exact gradients, squash."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,23 @@ def test_operator_is_read_only():
     dense = ttn.materialize_dense(random_params([2, 3], [2, 2], 2, rng))
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_layer_hands_out_a_read_only_operator(clone):
+    # A copy of a read-only array is writable, so a copy must not carry the
+    # memo: it contracts its own operator, equal to the original's.
+    rng = np.random.default_rng(12)
+    p = random_params([2, 3], [2, 2], 2, rng)
+    dense = ttn.materialize_dense(p)
+    copied = clone(p)
+    assert copied._dense is None
+    again = ttn.materialize_dense(copied)
+    assert np.array_equal(again, dense)
+    with pytest.raises(ValueError):
+        again[0, 0] = 1.0
 
 
 def test_materialize_respects_capacity():
