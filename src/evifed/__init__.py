@@ -5,7 +5,7 @@ quantum circuit pipelines; the server fuses their outputs as Dempster-Shafer
 evidence, either through an explicit multi-controlled-X fusion circuit or the
 exactly-equivalent factorized product of per-party plausibilities.
 """
-from . import baselines, cli, data, evidence, model, qsim, teleport, train, ttn, verify
+from . import baselines, data, evidence, model, qsim, teleport, train, ttn, verify
 from .evidence import MassFunction, ccr_combine, decode_state, encode_bba
 from .model import PartyModel, Prediction, fuse_factorized, fuse_joint_circuit
 from .qsim import Gate, Statevector
@@ -14,7 +14,7 @@ from .train import TrainConfig, TrainTrace, train_run
 from .ttn import TTLayerParams, ttn_forward
 
 __all__ = [
-    "baselines", "cli", "data", "evidence", "model", "qsim", "teleport",
+    "baselines", "data", "evidence", "model", "qsim", "teleport",
     "train", "ttn", "verify",
     "MassFunction", "ccr_combine", "decode_state", "encode_bba",
     "PartyModel", "Prediction", "fuse_factorized", "fuse_joint_circuit",

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PartyModel, Prediction, batched_marginals, predict, softmax
-from .train import EvidentialTrainable, ce_loss, forward_pass, \
-    party_angle_gradients, party_gradients
+from .model import (PartyModel, Prediction, batched_marginals,
+                    party_angle_gradients, predict, softmax)
+from .train import EvidentialTrainable, ce_loss, forward_pass, party_gradients
 # Not called here: perfbench/tracer.py patches ttn_backward at this lookup
 # site too and fails if the name is missing.
 from .ttn import ttn_backward  # noqa: F401
@@ -209,15 +209,16 @@ class MeasureVqcModel(MeasureAverageModel):
     def _server(self, marginals):
         z = _concat_parties(marginals)
         rows = z.reshape(-1, z.shape[-1])
-        out, amps, fused = batched_marginals(2.0 * rows, self.server_angles[None],
-                                             self.num_classes)
-        return out.reshape(z.shape[:-1] + (self.num_classes,)), (amps, fused)
+        out, amps = batched_marginals(2.0 * rows, self.server_angles[None],
+                                      self.num_classes)
+        return out.reshape(z.shape[:-1] + (self.num_classes,)), amps
 
     def _server_backward(self, server_cache, d_out):
         # Angle gradients of the server circuit: encoding angles first
         # (chain to the party marginals), then the trainable server angles.
-        d_enc, d_server = party_angle_gradients(*server_cache, self.server_angles, d_out)
-        return 2.0 * _split_parties(d_enc, len(self.models)), [d_server]
+        d_enc, d_server = party_angle_gradients(server_cache,
+                                                self.server_angles[None], d_out)
+        return 2.0 * _split_parties(d_enc, len(self.models)), [d_server[0]]
 
 
 def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,

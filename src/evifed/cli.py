@@ -561,7 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--model", required=True, help="model dump path")
     p_inspect.add_argument("--sample", type=int, required=True,
                            help="test-set sample index")
-    p_inspect.add_argument("--seed", type=int)
+    p_inspect.add_argument("--seed", type=int,
+                           help="the seed the model was trained with: it draws "
+                                "the test split, so another seed audits a "
+                                "sample of a different split")
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_export = sub.add_parser("export-curves",

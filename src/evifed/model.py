@@ -1,11 +1,16 @@
-"""Party pipeline and server-side evidential fusion.
+"""Party pipeline, its circuit forward and reverse sweep, and server-side
+evidential fusion.
 
 A party maps its raw feature block through the TT layer, squashes the result
 into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
 ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
 with each qubit's rotations per block fused into one unitary, and block 0
-built as a product state; ``party_forward`` is its one-row case.
+built as a product state; ``party_forward`` is its one-row case.  Its angle
+gradients are exact, by adjoint differentiation (Jones & Gacon,
+arXiv:2009.02823): ``party_angle_gradients`` sweeps back once from the
+forward's final rows, given the same angles, and equals the parameter-shift
+rule (E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds it to.
 Amplitudes change only inside ``qsim``.  The server fuses party outputs
 either through the explicit multi-controlled-X joint circuit (reference
 semantics; the |0>^C result register comes first, then the party registers)
@@ -90,7 +95,7 @@ def party_forward(model: PartyModel, x: np.ndarray) -> tuple[Statevector, dict]:
     """Run one party's full pipeline, as one row of ``circuit_rows``; the
     cache feeds the backward pass."""
     cache = party_features(model, x)
-    amps, _ = circuit_rows(2.0 * cache["x_tilde"][None, :], model.vqc_angles)
+    amps = circuit_rows(2.0 * cache["x_tilde"][None, :], model.vqc_angles[None])
     return Statevector(model.n_qubits, amps[0]), cache
 
 
@@ -98,7 +103,7 @@ def party_marginals(state: Statevector, num_classes: int) -> np.ndarray:
     """Per-class Pl({w_c}) of the party's output evidence: P(qubit c = 1)."""
     if state.num_qubits < num_classes:
         raise ValueError("state has fewer qubits than classes")
-    return np.array([qsim.prob_one(state, c) for c in range(num_classes)])
+    return qsim.prob_one_rows(state.amplitudes[None], range(num_classes))[0]
 
 
 def fuse_factorized(marginals) -> np.ndarray:
@@ -164,23 +169,24 @@ def loss_lower_bound(num_classes: int) -> float:
 # (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
 # rotations within a block are fused into one unitary (gates on different
 # qubits commute), which cuts the sweeps over the array.  Rows come in runs
-# that share one VQC setting (one party's angles), so a later block's
-# unitaries are built once per setting and each kernel pass takes one 2x2 per
-# run.  The angle-only part of that build is cached on the angles' bytes
-# (``_block_unitaries``): an evaluation pass predicts one sample at a time
-# with fixed angles, and builds it once.  Every circuit starts from |0...0>,
-# and block 0 acts on single qubits before its CNOT ring, so its state is a
-# product state, built with no kernel sweep.  ``circuit_rows`` runs every
-# party circuit: ``batched_marginals`` reads marginals off its rows and hands
-# the rows on, ``party_forward`` takes its one row, and
-# train.party_angle_gradients sweeps back from a circuit-shape group's rows
-# in one call.  ``run_blocks`` runs whole blocks from given rows, as the
-# barren-plateau diagnostic's monolithic circuit does.
+# that share one VQC setting (one party's angles): every circuit function
+# takes (S, blocks, n, 3) angles, one setting per run, so each kernel pass
+# takes one 2x2 per run.  The unitaries depend on the angles alone and are
+# cached on their bytes (``block_unitaries``): an evaluation pass predicts
+# one sample at a time with fixed angles and builds them once, and a reverse
+# sweep finds its forward's.  Every circuit starts from |0...0>, and block 0
+# acts on single qubits before its CNOT ring, so its state is a product
+# state, built with no kernel sweep.  ``circuit_rows`` runs every party
+# circuit and returns its rows: ``batched_marginals`` reads marginals off
+# them, ``party_forward`` takes its one row, and ``party_angle_gradients``
+# sweeps back from a circuit-shape group's rows and angles in one call.
+# ``run_blocks`` runs whole blocks from given rows, as the barren-plateau
+# diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and
-# train.party_angle_gradients sweep their rows in ``chunk_plan``'s chunks, so
-# the kernels' temporaries stay small however large the batch.  The finished
+# party_angle_gradients sweep their rows in ``chunk_plan``'s chunks, so the
+# kernels' temporaries stay small however large the batch.  The finished
 # rows of a call are returned whole; training keeps them for one mini-batch.
 # 2^12 complex amplitudes are 64 KiB; at 4 qubits, 2^13 was no faster and
 # doubled the peak working set.
@@ -192,45 +198,26 @@ def _su2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
 
 
-def fused_rotations(enc_angles: np.ndarray, vqc_angles: np.ndarray
-                    ) -> list[np.ndarray]:
-    """Each block's RZ RY RX per qubit as one unitary, block 0 times the Ry
-    encoding of each row: an (n, B, 2, 2) array for block 0, then one
-    (n, S, 2, 2) array per later block.
-
-    ``vqc_angles`` is (S, blocks, n, 3), one setting for each run of B/S
-    consecutive rows; the unitaries of blocks >= 1 are built once per
-    setting, and are read-only arrays shared through ``_block_unitaries``.
-    Block 0's product with the encoding is built on every call."""
-    if len(enc_angles) % len(vqc_angles):
-        raise ValueError(f"{len(enc_angles)} rows do not split into "
-                         f"{len(vqc_angles)} runs")
+def block_unitaries(vqc_angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each block's RZ RY RX per qubit as one unitary: one read-only
+    (n, S, 2, 2) stack per block of the (S, blocks, n, 3) angles."""
     vqc = np.ascontiguousarray(vqc_angles, dtype=np.float64)
-    u0, v0, later = _block_unitaries(vqc.shape, vqc.tobytes())
-    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
-    half_enc = enc_angles.T.reshape(u0.shape + (-1,)) / 2.0
-    ce, se = np.cos(half_enc), np.sin(half_enc)
-    u0, v0 = u0[..., None], v0[..., None]
-    first = _su2(u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se)
-    return [first.reshape(enc_angles.shape[::-1] + (2, 2))] + list(later)
+    return _block_unitaries(vqc.shape, vqc.tobytes())
 
 
 @functools.lru_cache(maxsize=16)
-def _block_unitaries(shape: tuple, data: bytes
-                     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The angle-only part of ``fused_rotations`` for the float64
-    (S, blocks, n, 3) angles in ``data``: block 0's (u, v), each (n, S), and
-    the (n, S, 2, 2) unitaries of blocks >= 1.
+def _block_unitaries(shape: tuple, data: bytes) -> tuple[np.ndarray, ...]:
+    """``block_unitaries`` for the float64 angles in ``data``.
 
     Products of rotations have the form [[u, -conj(v)], [v, conj(u)]], so
     only (u, v) is computed; np.matmul would pay a BLAS call per 2x2 matrix.
     The cache is keyed on the angles' bytes, so a hit is bitwise the build
     it replaces, and in-place writes to the angles need not tell it.  An
-    evaluation pass repeats one setting per party, and training, whose
-    angles change every step, misses.  The 16 entries hold every party's
-    setting while a joint prediction of up to 16 parties cycles through
-    them; the arrays are read-only, since every caller with these angles
-    shares them."""
+    evaluation pass repeats one setting per party, and a training step's
+    reverse sweep repeats its forward's; the next step's angles miss.  The
+    16 entries hold every party's setting while a joint prediction of up to
+    16 parties cycles through them; the arrays are read-only, since every
+    caller with these angles shares them."""
     half = np.moveaxis(np.frombuffer(data).reshape(shape), 0, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
     # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
@@ -238,16 +225,18 @@ def _block_unitaries(shape: tuple, data: bytes
     phase = c[..., 2] - 1j * s[..., 2]
     u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
     v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
-    later = tuple(_su2(ub, vb) for ub, vb in zip(u[1:], v[1:]))
-    for a in (u, v) + later:
+    blocks = tuple(_su2(ub, vb) for ub, vb in zip(u, v))
+    for a in blocks:
         a.flags.writeable = False
-    return u[0], v[0], later
+    return blocks
 
 
-def run_blocks(amps: np.ndarray, fused: list[np.ndarray]) -> np.ndarray:
-    """Run fused blocks (``fused_rotations``) on given (B, 2^n) rows: each
-    block's unitaries in place, then the CNOT ring.  Returns the new rows."""
-    for block in fused:
+def run_blocks(amps: np.ndarray, blocks: list[np.ndarray] | tuple[np.ndarray, ...]
+               ) -> np.ndarray:
+    """Run blocks of (n, S, 2, 2) unitaries (``block_unitaries``) on given
+    (B, 2^n) rows: each block's unitaries in place, then the CNOT ring.
+    Returns the new rows."""
+    for block in blocks:
         for q, u in enumerate(block):
             qsim.apply_unitary_rows(amps, q, u)
         amps = qsim.apply_cnot_ring(amps)
@@ -267,37 +256,125 @@ def chunk_plan(b: int, n: int, settings: int):
             yield lo, min(lo + step, last * run), first, last
 
 
-def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray
-                 ) -> tuple[np.ndarray, list[np.ndarray]]:
+def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
     """Run Ry(enc_angles) and the VQC blocks from |0...0> on every row.
 
     enc_angles: (B, n); vqc_angles: (S, blocks, n, 3), one setting per run of
-    B/S consecutive rows, or (blocks, n, 3) for all rows.  Returns the final
-    (B, 2^n) amplitude rows and the fused unitaries of ``fused_rotations``,
-    which a reverse sweep undoes block by block.  Block 0's state is the
-    product of its unitaries' first columns; the rows then run a chunk of
-    ``chunk_plan`` at a time.
+    B/S consecutive rows.  Returns the final (B, 2^n) amplitude rows.  Block
+    0's state is the product over qubits of its unitary's first column times
+    the row's Ry encoding; the rows then run a chunk of ``chunk_plan`` at a
+    time.
     """
-    vqc = np.reshape(vqc_angles, (-1,) + np.shape(vqc_angles)[-3:])
-    fused = fused_rotations(enc_angles, vqc)
+    if np.ndim(vqc_angles) != 4 or len(enc_angles) % len(vqc_angles):
+        raise ValueError(f"{len(enc_angles)} rows do not split into runs of "
+                         f"(S, blocks, n, 3) VQC angles of shape "
+                         f"{np.shape(vqc_angles)}")
+    first, *later = block_unitaries(vqc_angles)
+    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
+    half_enc = enc_angles.T.reshape(first.shape[:2] + (-1,)) / 2.0
+    ce, se = np.cos(half_enc), np.sin(half_enc)
+    u0, v0 = first[..., 0, 0, None], first[..., 1, 0, None]
+    columns = np.stack([u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se],
+                       axis=-1).reshape(enc_angles.shape[::-1] + (2,))
     amps = np.empty((len(enc_angles), 1 << enc_angles.shape[1]), dtype=np.complex128)
-    for lo, hi, first, last in chunk_plan(*enc_angles.shape, len(vqc)):
-        rows = qsim.apply_cnot_ring(qsim.product_rows(fused[0][:, lo:hi, :, 0]))
-        amps[lo:hi] = run_blocks(rows, [u[:, first:last] for u in fused[1:]])
-    return amps, fused
+    for lo, hi, s0, s1 in chunk_plan(*enc_angles.shape, len(vqc_angles)):
+        rows = qsim.apply_cnot_ring(qsim.product_rows(columns[:, lo:hi]))
+        amps[lo:hi] = run_blocks(rows, [u[:, s0:s1] for u in later])
+    return amps
 
 
 def batched_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
-                      num_classes: int
-                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+                      num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Class marginals for a batch of (encoding, VQC) angle settings.
 
     enc_angles: (B, n) Ry rotation angles (already doubled features).
     vqc_angles: (S, blocks, n, 3), one setting per run of B/S consecutive
-    rows, or (blocks, n, 3) for all rows.  Returns the (B, num_classes)
-    marginals, then ``circuit_rows``' final rows and fused unitaries, from
-    which train.party_angle_gradients starts.
+    rows.  Returns the (B, num_classes) marginals and ``circuit_rows``' final
+    rows, from which ``party_angle_gradients`` starts.
     """
-    amps, fused = circuit_rows(np.asarray(enc_angles, dtype=np.float64),
-                               vqc_angles)
-    return qsim.prob_one_rows(amps, range(num_classes)), amps, fused
+    amps = circuit_rows(np.asarray(enc_angles, dtype=np.float64), vqc_angles)
+    return qsim.prob_one_rows(amps, range(num_classes)), amps
+
+
+def _generator_axes(vqc_angles: np.ndarray) -> np.ndarray:
+    """(..., blocks, n, 4, 3): for RX, RY, RZ and block 0's Ry encoding of each
+    fused gate U = RZ RY RX Ry(enc), the Bloch axis a of the generator moved
+    past U, so that dU/dangle = -i/2 (a . sigma) U.  The axes depend on the
+    VQC angles alone, never on the encoding."""
+    cx, cy, cz = np.moveaxis(np.cos(vqc_angles), -1, 0)
+    sx, sy, sz = np.moveaxis(np.sin(vqc_angles), -1, 0)
+    zero, one = np.zeros_like(cx), np.ones_like(cx)
+    return np.stack([
+        cy * cz, cy * sz, -sy,                              # RZ RY X RY^+ RZ^+
+        -sz, cz, zero,                                      # RZ Y RZ^+
+        zero, zero, one,                                    # Z
+        sx * sy * cz - cx * sz, sx * sy * sz + cx * cz, sx * cy,  # U Y U^+
+    ], axis=-1).reshape(vqc_angles.shape[:-1] + (4, 3))
+
+
+def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
+    """Im Tr(sigma_j W) for j = X, Y, Z per row, where the 2x2 cross matrix
+    W[a, b] sums phi[..a..] mu[..b..] over the other qubits: (B, 3)."""
+    b = len(phi)
+    w = np.einsum("xiar,xibr->xab", phi.reshape(b, 1 << qubit, 2, -1),
+                  mu.reshape(b, 1 << qubit, 2, -1))
+    return np.stack([(w[:, 0, 1] + w[:, 1, 0]).imag,
+                     (w[:, 0, 1] - w[:, 1, 0]).real,
+                     (w[:, 0, 0] - w[:, 1, 1]).imag], axis=-1)
+
+
+def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
+                          dL_dmarg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint-method gradients of the loss wrt the angles of a batch of
+    circuits: Ry(encoding angles), then the VQC blocks, read out as the
+    first C qubit marginals (parties or the measure_then_vqc server).
+
+    ``rows`` are the final (B, 2^n) amplitudes that ``batched_marginals``
+    returned in the forward pass with ``vqc_angles``: (S, blocks, n, 3), one
+    setting per run of B/S rows.  ``dL_dmarg`` is the loss gradient wrt the
+    C marginals, (..., C) for the B rows, with everything else frozen.
+    Returns (d/d encoding angle, per row, (..., n); d/d vqc angle, summed
+    over each run's rows, shaped as ``vqc_angles``), equal to the
+    parameter-shift rule's.
+
+    The loss is <phi|O|phi> for each final state phi and the diagonal
+    O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
+    blocks backwards, both phi and lambda undo the CNOT ring and then each
+    fused gate U of ``block_unitaries``; between the two, each qubit's cross
+    matrix W = sum phi conj(lambda)^T gives every angle of U its derivative
+    Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.  The sweep
+    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk of
+    ``chunk_plan`` at a time, as in the forward pass.
+    """
+    b, n = len(rows), rows.shape[1].bit_length() - 1
+    num_classes = np.shape(dL_dmarg)[-1]
+    dL = np.reshape(dL_dmarg, (b, num_classes))
+    axes = _generator_axes(vqc_angles)
+    blocks = block_unitaries(vqc_angles)
+    # qubit_set[c, i] = 1 where basis state i has qubit c set.
+    qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
+    d_enc = np.empty((b, n))
+    d_vqc = np.zeros(np.shape(vqc_angles))
+    for lo, hi, first, last in chunk_plan(b, n, len(vqc_angles)):
+        runs = slice(first, last)
+        phi = rows[lo:hi]
+        # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
+        # which raised the training loop's peak RSS.
+        mu = np.einsum("rc,ci->ri", dL[lo:hi], qubit_set) * np.conj(phi)
+        for k in reversed(range(len(blocks))):
+            # The gather copies, so the in-place undo below never writes rows.
+            phi = qsim.apply_cnot_ring(phi, inverse=True)
+            mu = qsim.apply_cnot_ring(mu, inverse=True)
+            # (n, runs, rows per run, 3): a chunk holds whole runs or part of one.
+            traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)]
+                              ).reshape(n, last - first, -1, 3)
+            d_vqc[runs, k] += np.einsum("sqaj,qsj->sqa", axes[runs, k, :, :3],
+                                        traces.sum(axis=2))
+            if k == 0:
+                d_enc[lo:hi] = np.einsum("sqj,qsrj->srq", axes[runs, 0, :, 3],
+                                         traces).reshape(hi - lo, n)
+                break
+            for q, u in enumerate(np.swapaxes(blocks[k][:, runs], -1, -2)):
+                qsim.apply_unitary_rows(phi, q, np.conj(u))
+                qsim.apply_unitary_rows(mu, q, u)
+    return d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)), d_vqc

@@ -1,22 +1,19 @@
-"""End-to-end gradient training.
+"""End-to-end gradient training: the chain rule, Adam, the loop and the trace.
 
-Gradients for quantum angles are exact, by adjoint differentiation (Jones &
-Gacon, arXiv:2009.02823): one forward sweep of a circuit row and one reverse
-sweep that starts from the forward's final state give the derivative of
-every angle, equal to the parameter-shift rule
-(E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds them to.  They flow
-through the factorized fusion -- the product of per-party class marginals --
-whose exact equality with the joint circuit is established separately.
-TT-core gradients chain the encoding-angle derivatives through the squash
-activation into the exact multilinear backward pass.
+Angle gradients come from ``model.party_angle_gradients``, the circuit's
+exact adjoint sweep.  They flow through the factorized fusion -- the product
+of per-party class marginals -- whose exact equality with the joint circuit
+is established separately.  TT-core gradients chain the encoding-angle
+derivatives through the squash activation into the exact multilinear
+backward pass.
 
 The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
 mini-batch.  Per party that is one TT forward and one TT backward.  The
 parties of one circuit shape form a group: its rows run forward once, in one
 ``batched_marginals`` call, and one adjoint sweep runs back from the final
-rows, which the cache keeps for the mini-batch; ``party_gradients`` then
-chains each party's share into its TT layer.
+rows and the group's angles, which the cache keeps for the mini-batch;
+``party_gradients`` then chains each party's share into its TT layer.
 Losses and predictions keep the sample axis; gradients are summed over it.
 A single sample, one (d,) block per party, gives a float loss and a
 one-sample ``Prediction``.
@@ -32,9 +29,11 @@ import numpy as np
 from . import model as model_mod
 from . import qsim
 from .data import VerticalDataset, batch_indices
-from .model import PartyModel, Prediction, batched_marginals, loss_lower_bound
-# perfbench/tracer.py patches batched_marginals and ttn_backward at these
-# by-name imports; ttn_forward is reached only through model.party_features.
+from .model import (PartyModel, Prediction, batched_marginals, loss_lower_bound,
+                    party_angle_gradients)
+# perfbench/tracer.py patches batched_marginals, party_angle_gradients and
+# ttn_backward at these by-name imports; ttn_forward is reached only through
+# model.party_features.
 from .ttn import squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
@@ -168,7 +167,7 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
     the same circuit shape form a group that runs as rows of one
     ``batched_marginals`` call, one VQC setting per party.  The cache holds
     each party's TT cache, then per group its party indices, that call's
-    final rows and fused unitaries, and its (K_g, blocks, n, 3) VQC stack.
+    final rows and its (K_g, blocks, n, 3) VQC stack.
     ``full_gradient`` drops it when it returns: rows live for one mini-batch."""
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
@@ -181,104 +180,17 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
         enc = np.concatenate([2.0 * caches[k]["x_tilde"].reshape(-1, shape[1])
                               for k in ks])
         vqc = np.stack([models[k].vqc_angles for k in ks])
-        marg, amps, fused = batched_marginals(enc, vqc, num_classes)
+        marg, amps = batched_marginals(enc, vqc, num_classes)
         batch = caches[ks[0]]["x_tilde"].shape[:-1]
         for k, mine in zip(ks, marg.reshape((len(ks),) + batch + (num_classes,))):
             marginals[k] = mine
-        circuits.append((ks, amps, fused, vqc))
+        circuits.append((ks, amps, vqc))
     return np.array(marginals), (caches, circuits)
 
 
 def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Prediction:
     marginals, _ = forward_pass(models, sample)
     return model_mod.predict(model_mod.fuse_factorized(marginals))
-
-
-def _generator_axes(vqc_angles: np.ndarray) -> np.ndarray:
-    """(..., blocks, n, 4, 3): for RX, RY, RZ and block 0's Ry encoding of each
-    fused gate U = RZ RY RX Ry(enc), the Bloch axis a of the generator moved
-    past U, so that dU/dangle = -i/2 (a . sigma) U.  The axes depend on the
-    VQC angles alone, never on the encoding."""
-    cx, cy, cz = np.moveaxis(np.cos(vqc_angles), -1, 0)
-    sx, sy, sz = np.moveaxis(np.sin(vqc_angles), -1, 0)
-    zero, one = np.zeros_like(cx), np.ones_like(cx)
-    return np.stack([
-        cy * cz, cy * sz, -sy,                              # RZ RY X RY^+ RZ^+
-        -sz, cz, zero,                                      # RZ Y RZ^+
-        zero, zero, one,                                    # Z
-        sx * sy * cz - cx * sz, sx * sy * sz + cx * cz, sx * cy,  # U Y U^+
-    ], axis=-1).reshape(vqc_angles.shape[:-1] + (4, 3))
-
-
-def _pauli_traces(phi: np.ndarray, mu: np.ndarray, qubit: int) -> np.ndarray:
-    """Im Tr(sigma_j W) for j = X, Y, Z per row, where the 2x2 cross matrix
-    W[a, b] sums phi[..a..] mu[..b..] over the other qubits: (B, 3)."""
-    b = len(phi)
-    w = np.einsum("xiar,xibr->xab", phi.reshape(b, 1 << qubit, 2, -1),
-                  mu.reshape(b, 1 << qubit, 2, -1))
-    return np.stack([(w[:, 0, 1] + w[:, 1, 0]).imag,
-                     (w[:, 0, 1] - w[:, 1, 0]).real,
-                     (w[:, 0, 0] - w[:, 1, 1]).imag], axis=-1)
-
-
-def party_angle_gradients(rows: np.ndarray, fused: list[np.ndarray],
-                          vqc_angles: np.ndarray, dL_dmarg: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint-method gradients of the loss wrt the angles of a batch of
-    circuits: Ry(encoding angles), then the VQC blocks, read out as the
-    first C qubit marginals (parties or the measure_then_vqc server).
-
-    ``rows`` (the final (B, 2^n) amplitudes) and ``fused`` (the fused
-    unitaries) are what ``model.batched_marginals`` returned in the forward
-    pass with ``vqc_angles``: (S, blocks, n, 3), one setting per run of B/S
-    rows, or (blocks, n, 3) read as S = 1.  ``dL_dmarg`` is the loss
-    gradient wrt the C marginals, (..., C) for the B rows, with everything
-    else frozen.  Returns (d/d encoding angle, per row, (..., n); d/d vqc
-    angle, summed over each run's rows, shaped as ``vqc_angles``), equal to
-    the parameter-shift rule's.
-
-    The loss is <phi|O|phi> for each final state phi and the diagonal
-    O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
-    blocks backwards, both phi and lambda undo the CNOT ring and then each
-    fused gate U; between the two, each qubit's cross matrix
-    W = sum phi conj(lambda)^T gives every angle of U its derivative
-    Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.  The sweep
-    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk of
-    ``model.chunk_plan`` at a time, as in the forward pass.
-    """
-    vqc = np.reshape(vqc_angles, (-1,) + np.shape(vqc_angles)[-3:])
-    b, n = len(rows), rows.shape[1].bit_length() - 1
-    num_classes = np.shape(dL_dmarg)[-1]
-    dL = np.reshape(dL_dmarg, (b, num_classes))
-    axes = _generator_axes(vqc)
-    # qubit_set[c, i] = 1 where basis state i has qubit c set.
-    qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
-    d_enc = np.empty((b, n))
-    d_vqc = np.zeros(vqc.shape)
-    for lo, hi, first, last in model_mod.chunk_plan(b, n, len(vqc)):
-        runs = slice(first, last)
-        phi = rows[lo:hi]
-        # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
-        # which raised the training loop's peak RSS.
-        mu = np.einsum("rc,ci->ri", dL[lo:hi], qubit_set) * np.conj(phi)
-        for k in reversed(range(vqc.shape[1])):
-            # The gather copies, so the in-place undo below never writes rows.
-            phi = qsim.apply_cnot_ring(phi, inverse=True)
-            mu = qsim.apply_cnot_ring(mu, inverse=True)
-            # (n, runs, rows per run, 3): a chunk holds whole runs or part of one.
-            traces = np.stack([_pauli_traces(phi, mu, q) for q in range(n)]
-                              ).reshape(n, last - first, -1, 3)
-            d_vqc[runs, k] += np.einsum("sqaj,qsj->sqa", axes[runs, k, :, :3],
-                                        traces.sum(axis=2))
-            if k == 0:
-                d_enc[lo:hi] = np.einsum("sqj,qsrj->srq", axes[runs, 0, :, 3],
-                                         traces).reshape(hi - lo, n)
-                break
-            for q, u in enumerate(np.swapaxes(fused[k][:, runs], -1, -2)):
-                qsim.apply_unitary_rows(phi, q, np.conj(u))
-                qsim.apply_unitary_rows(mu, q, u)
-    return (d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)),
-            d_vqc.reshape(np.shape(vqc_angles)))
 
 
 def party_gradients(models: list[PartyModel], cache: tuple,
@@ -290,8 +202,8 @@ def party_gradients(models: list[PartyModel], cache: tuple,
     gradients are summed over the samples."""
     caches, circuits = cache
     grads = [None] * len(models)
-    for ks, *circuit in circuits:
-        d_enc, d_vqc = party_angle_gradients(*circuit, np.asarray(dL_dmarg)[ks])
+    for ks, rows, vqc in circuits:
+        d_enc, d_vqc = party_angle_gradients(rows, vqc, np.asarray(dL_dmarg)[ks])
         for k, d_enc_k, d_vqc_k in zip(ks, d_enc, d_vqc):
             c = caches[k]
             dL_dpre = 2.0 * d_enc_k * squash_grad(c["pre_activation"])
@@ -526,9 +438,7 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         fusion_blocks = max(2, total_qubits // 2)
         fusion_angles = rng.uniform(-np.pi, np.pi,
                                     size=(1, fusion_blocks, total_qubits, 3))
-        # Zero encoding angles: the fusion circuit has no Ry encoding.
-        fusion = model_mod.fused_rotations(np.zeros((1, total_qubits)),
-                                           fusion_angles)
+        fusion = model_mod.block_unitaries(fusion_angles)
 
         def mono_plaus(theta: float) -> np.ndarray:
             old = models[0].vqc_angles[0, 0, 0]

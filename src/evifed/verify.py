@@ -376,7 +376,7 @@ def check_single_angle_closed_form(seed: int = 52) -> CheckResult:
 def shift_rule_angle_gradients(enc_angles: np.ndarray, vqc_angles: np.ndarray,
                                num_classes: int, dL_dmarg: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for train.party_angle_gradients, with the same returns, from
+    """Reference for model.party_angle_gradients, with the same returns, from
     the circuit's angles: the parameter-shift rule, one forward row per
     +-pi/2 shift of each of a sample's A angles: each of the 2A shifted
     settings runs on one row per sample."""
@@ -409,9 +409,9 @@ def check_adjoint_vs_parameter_shift(trials: int = 30, seed: int = 53
         enc = rng.uniform(-np.pi, np.pi, size=(settings, run, n))
         vqc = rng.uniform(-np.pi, np.pi, (settings, int(rng.integers(1, 4)), n, 3))
         dL_dmarg = rng.normal(size=(settings, run, num_classes))
-        _, amps, fused = model.batched_marginals(enc.reshape(-1, n), vqc, num_classes)
+        _, amps = model.batched_marginals(enc.reshape(-1, n), vqc, num_classes)
         # One adjoint call for every setting; each run is held to its own.
-        got = train.party_angle_gradients(amps, fused, vqc, dL_dmarg)
+        got = model.party_angle_gradients(amps, vqc, dL_dmarg)
         for s in range(settings):
             want = shift_rule_angle_gradients(enc[s], vqc[s], num_classes, dL_dmarg[s])
             for g, w in zip(got, want):

@@ -1,6 +1,8 @@
 """Command-line front end: configs, training runs, model dumps, curves."""
 import dataclasses
 import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -841,3 +843,17 @@ def test_export_curves_rejects_a_malformed_trace(tmp_path, capsys, body):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and err.count("\n") == 1, err
     assert not out_file.exists()
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    # ``python -m evifed.cli`` runs the CLI from a checkout without the console
+    # script; runpy warns, and executes the module twice, if the package has
+    # imported it already.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "evifed.cli",
+         "verify", "--suite", "qsim"],
+        cwd=root, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -53,7 +53,7 @@ def test_zero_angles_and_quarter_pi_features_give_cnot_ring_of_plus():
     m.vqc_angles[...] = 0.0
     n = m.n_qubits
     enc = np.full(n, 2 * (np.pi / 4))
-    state = Statevector(n, model.circuit_rows(enc[None, :], m.vqc_angles)[0][0])
+    state = Statevector(n, model.circuit_rows(enc[None, :], m.vqc_angles[None])[0])
     expect = qsim.new_zero_state(n)
     for q in range(n):
         qsim.apply_gate(expect, Gate("H", [q]))
@@ -67,7 +67,7 @@ def test_zero_features_zero_angles_leave_vacuum():
     m = make_party(rng, blocks=1)
     m.vqc_angles[...] = 0.0
     state = Statevector(m.n_qubits, model.circuit_rows(
-        np.zeros((1, m.n_qubits)), m.vqc_angles)[0][0])
+        np.zeros((1, m.n_qubits)), m.vqc_angles[None])[0])
     assert np.allclose(state.amplitudes[0], 1.0)
 
 
@@ -274,17 +274,16 @@ def test_grouped_settings_equal_separate_calls_bit_for_bit(n, blocks, batch):
     enc = rng.uniform(0, np.pi, size=(3, batch, n))
     vqc = rng.uniform(-np.pi, np.pi, size=(3, blocks, n, 3))
     dL_dmarg = rng.normal(size=(3, batch, 2))
-    marg, rows, fused = model.batched_marginals(enc.reshape(-1, n), vqc, 2)
-    d_enc, d_vqc = train.party_angle_gradients(rows, fused, vqc,
-                                               dL_dmarg.reshape(-1, 2))
+    marg, rows = model.batched_marginals(enc.reshape(-1, n), vqc, 2)
+    d_enc, d_vqc = model.party_angle_gradients(rows, vqc, dL_dmarg.reshape(-1, 2))
     for k in range(3):
         mine = slice(k * batch, (k + 1) * batch)
-        one_marg, one_rows, one_fused = model.batched_marginals(enc[k], vqc[k], 2)
+        one_marg, one_rows = model.batched_marginals(enc[k], vqc[k:k + 1], 2)
         assert np.array_equal(marg[mine], one_marg)
         assert np.array_equal(rows[mine], one_rows)
-        one_enc, one_vqc = train.party_angle_gradients(one_rows, one_fused, vqc[k],
+        one_enc, one_vqc = model.party_angle_gradients(one_rows, vqc[k:k + 1],
                                                        dL_dmarg[k])
-        for got, want in ((d_enc[mine], one_enc), (d_vqc[k], one_vqc)):
+        for got, want in ((d_enc[mine], one_enc), (d_vqc[k], one_vqc[0])):
             if batch > 1:
                 assert np.array_equal(got, want)
             else:
@@ -306,11 +305,9 @@ def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
     monkeypatch.setattr(qsim, "apply_unitary_rows", recording)
     rng = np.random.default_rng(15)
     vqc = rng.uniform(-np.pi, np.pi, size=(settings, 2, n, 3))
-    amps, fused = model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)),
-                                     vqc)
+    amps = model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)), vqc)
     forward, passes[:] = passes[:], []
-    train.party_angle_gradients(amps, fused, vqc,
-                                rng.normal(size=(settings * run, 2)))
+    model.party_angle_gradients(amps, vqc, rng.normal(size=(settings * run, 2)))
     # Block 1 runs forward once, and the reverse sweep undoes it on phi and mu.
     for sweep, per_row in ((forward, n), (passes, 2 * n)):
         assert sum(rows for rows, _ in sweep) == per_row * settings * run
@@ -318,6 +315,23 @@ def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
             assert rows << n <= model.CHUNK_AMPLITUDES
             # Several settings hold whole runs; one holds its run or part of it.
             assert (rows == held * run) if held > 1 else (rows <= run)
+
+
+def test_reverse_sweep_rebuilds_its_unitaries_from_the_angles():
+    # The adjoint takes only rows and angles: emptying the unitary memo
+    # between the forward and the reverse sweep must change no bit.
+    n = 4
+    run = (model.CHUNK_AMPLITUDES >> n) + 3  # each run spans two chunks
+    rng = np.random.default_rng(18)
+    vqc = rng.uniform(-np.pi, np.pi, size=(3, 2, n, 3))
+    dL_dmarg = rng.normal(size=(3 * run, 2))
+    _, rows = model.batched_marginals(rng.uniform(0, np.pi, size=(3 * run, n)),
+                                      vqc, 2)
+    cached = model.party_angle_gradients(rows, vqc, dL_dmarg)
+    model._block_unitaries.cache_clear()
+    rebuilt = model.party_angle_gradients(rows, vqc, dL_dmarg)
+    for got, want in zip(rebuilt, cached, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_rows_that_do_not_split_into_settings_are_rejected():
@@ -330,24 +344,23 @@ def test_rows_that_do_not_split_into_settings_are_rejected():
 def test_block_unitaries_follow_in_place_angle_writes():
     # Blocks >= 1 are cached on the angles' bytes; Adam writes them in place.
     rng = np.random.default_rng(16)
-    enc = rng.uniform(0, np.pi, size=(6, 4))
     vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, 4, 3))
-    before = model.fused_rotations(enc, vqc)
+    before = model.block_unitaries(vqc)
     vqc[1, 2, 3, 0] += 1e-5
-    after = model.fused_rotations(enc, vqc)
+    after = model.block_unitaries(vqc)
     assert np.array_equal(after[1], before[1])
     assert not np.array_equal(after[2], before[2])
     model._block_unitaries.cache_clear()
-    for cached, fresh in zip(after, model.fused_rotations(enc, vqc)):
+    for cached, fresh in zip(after, model.block_unitaries(vqc)):
         assert np.array_equal(cached, fresh)
 
 
 def test_cached_block_unitaries_are_read_only():
     rng = np.random.default_rng(17)
-    fused = model.fused_rotations(rng.uniform(0, np.pi, size=(2, 3)),
-                                  rng.uniform(-np.pi, np.pi, size=(1, 2, 3, 3)))
-    with pytest.raises(ValueError):
-        fused[1][0, 0, 0, 0] = 0.0
+    blocks = model.block_unitaries(rng.uniform(-np.pi, np.pi, size=(1, 2, 3, 3)))
+    for block in blocks:
+        with pytest.raises(ValueError):
+            block[0, 0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
@@ -360,7 +373,7 @@ def test_circuit_rows_match_gate_oracle(n, blocks, batch, shared):
     enc = rng.uniform(-np.pi, np.pi, size=(batch, n))
     vqc = rng.uniform(-np.pi, np.pi,
                       size=(blocks, n, 3) if shared else (batch, blocks, n, 3))
-    rows, _ = model.circuit_rows(enc, vqc)
+    rows = model.circuit_rows(enc, vqc[None] if shared else vqc)
     for b in range(batch):
         want = party_circuit_state(enc[b], vqc if shared else vqc[b])
         assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12

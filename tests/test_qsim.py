@@ -217,9 +217,8 @@ def test_prob_one_rows_reads_column_major_rows():
     # The ring gather returns column-major rows, and run_blocks hands them on.
     rng = np.random.default_rng(31)
     rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
-    fused = model.fused_rotations(np.zeros((1, 4)),
-                                  rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
-    out = model.run_blocks(rows, fused)
+    blocks = model.block_unitaries(rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
+    out = model.run_blocks(rows, blocks)
     assert not out.flags.c_contiguous
     assert np.array_equal(qsim.prob_one_rows(out, range(2)),
                           qsim.prob_one_rows(np.ascontiguousarray(out), range(2)))

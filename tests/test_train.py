@@ -136,11 +136,11 @@ def test_gradient_locality_across_parties():
 
 def assert_matches_parameter_shift(enc, vqc, num_classes, dL_dmarg):
     # The adjoint starts from the forward rows, as every training caller's does.
-    _, rows, fused = model.batched_marginals(np.reshape(enc, (-1, vqc.shape[1])),
-                                             vqc, num_classes)
-    got = train.party_angle_gradients(rows, fused, vqc, dL_dmarg)
+    _, rows = model.batched_marginals(np.reshape(enc, (-1, vqc.shape[1])),
+                                      vqc[None], num_classes)
+    d_enc, d_vqc = train.party_angle_gradients(rows, vqc[None], dL_dmarg)
     want = shift_rule_angle_gradients(enc, vqc, num_classes, dL_dmarg)
-    for g, w in zip(got, want):
+    for g, w in zip((d_enc, d_vqc[0]), want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) < 1e-10
 
@@ -255,29 +255,29 @@ def test_parties_of_one_circuit_shape_share_one_circuit_call(monkeypatch):
 
 
 def count_circuit_calls(monkeypatch):
-    """Rows of every ``model.fused_rotations`` call (forward circuits) and of
-    every ``train.party_angle_gradients`` call (reverse sweeps), one entry
-    per call."""
+    """Rows of every ``model.circuit_rows`` call (forward circuits) and of
+    every ``party_angle_gradients`` call (reverse sweeps), one entry per
+    call."""
     forward, adjoint = [], []
-    real_forward, real_adjoint = model.fused_rotations, train.party_angle_gradients
+    real_forward, real_adjoint = model.circuit_rows, train.party_angle_gradients
 
     def counting_forward(enc, vqc):
         forward.append(len(enc))
         return real_forward(enc, vqc)
 
-    def counting_adjoint(rows, fused, vqc, dL_dmarg):
+    def counting_adjoint(rows, vqc, dL_dmarg):
         adjoint.append(len(rows))
-        return real_adjoint(rows, fused, vqc, dL_dmarg)
+        return real_adjoint(rows, vqc, dL_dmarg)
 
-    monkeypatch.setattr(model, "fused_rotations", counting_forward)
+    monkeypatch.setattr(model, "circuit_rows", counting_forward)
     for module in (train, baselines):
         monkeypatch.setattr(module, "party_angle_gradients", counting_adjoint)
     return forward, adjoint
 
 
 def test_each_forward_circuit_runs_once_per_gradient(monkeypatch):
-    # One fused_rotations call per circuit-shape group, the forward's, and one
-    # adjoint call per group that sweeps back from its rows and unitaries.
+    # One circuit_rows call per circuit-shape group, the forward's, and one
+    # adjoint call per group that sweeps back from its rows and angles.
     rng = np.random.default_rng(23)
     models = make_parties(rng, 2, blocks=2) + make_parties(rng, 1)
     sample, labels = batch_of(rng, models, 6)
