@@ -15,7 +15,8 @@ Config schema (all keys lowercase; an optional key shows its default)::
 
     dataset:
       kind: idx | csv
-      # kind: idx (pixels are scaled to [0, 1] once, by data.load_idx_images)
+      # kind: idx (uint8 pixels are scaled to [0, 1] once, by _idx_to_dataset,
+      # after the class filter and the sample caps have chosen the rows)
       train_images: path     # IDX image file
       train_labels: path
       test_images: path
@@ -254,22 +255,21 @@ def _load_seeded(args) -> ExperimentConfig:
 
 # --- dataset construction --------------------------------------------------
 
-def _limit(ds: data.VerticalDataset, max_n: int, seed: int, salt: int
-           ) -> data.VerticalDataset:
-    if ds.num_samples <= max_n:
-        return ds
-    rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
-    return ds.subset(rng.permutation(ds.num_samples)[:max_n])
+def _idx_to_dataset(images: np.ndarray, labels: np.ndarray, classes: list[int],
+                    max_n: int, seed: int, salt: int) -> data.VerticalDataset:
+    """The rows whose label is in ``classes``, at most ``max_n`` of them in a
+    draw seeded by (seed, salt), with labels 0..C-1 in ``classes`` order.
 
-
-def _idx_to_dataset(images: np.ndarray, labels: np.ndarray,
-                    classes: list[int]) -> data.VerticalDataset:
-    keep = np.isin(labels, classes)
-    images, labels = images[keep], labels[keep]
+    Rows are chosen on the labels, so only the kept uint8 rows are copied to
+    float64: this is the one place pixels are scaled to [0, 1].
+    """
+    rows = np.flatnonzero(np.isin(labels, classes))
+    if len(rows) > max_n:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
+        rows = rows[rng.permutation(len(rows))[:max_n]]
     remap = {c: i for i, c in enumerate(classes)}
-    mapped = np.array([remap[int(v)] for v in labels], dtype=np.int64)
-    # load_idx_images already maps pixels to [0, 1].
-    blocks = data.quadrant_partition(images)
+    mapped = np.array([remap[int(v)] for v in labels[rows]], dtype=np.int64)
+    blocks = data.quadrant_partition(images[rows].astype(np.float64) / 255.0)
     return data.VerticalDataset(blocks, data.one_hot(mapped, len(classes)))
 
 
@@ -280,14 +280,14 @@ def build_datasets(cfg: ExperimentConfig, seed: int
         classes = list(ds["classes"])
         tr_img, tr_lab = data.load_idx_images(ds["train_images"], ds["train_labels"])
         te_img, te_lab = data.load_idx_images(ds["test_images"], ds["test_labels"])
-        train_set = _idx_to_dataset(tr_img, tr_lab, classes)
-        test_set = _idx_to_dataset(te_img, te_lab, classes)
+        train_set = _idx_to_dataset(tr_img, tr_lab, classes,
+                                    ds["max_train_samples"], seed, 1)
+        test_set = _idx_to_dataset(te_img, te_lab, classes,
+                                   ds["max_test_samples"], seed, 2)
         for name, split in (("train", train_set), ("test", test_set)):
             if split.num_samples == 0:
                 raise ConfigError(f"config.dataset.classes: no {name} sample "
                                   f"has a label in {classes}")
-        train_set = _limit(train_set, ds["max_train_samples"], seed, 1)
-        test_set = _limit(test_set, ds["max_test_samples"], seed, 2)
         return train_set, test_set
 
     features, labels = data.load_tabular_csv(

@@ -1,9 +1,11 @@
 """Dataset ingestion, vertical partitioning, and deterministic batching.
 
 Supported inputs: the big-endian IDX image/label format (magic 0x00000803 /
-0x00000801) and comma-delimited CSV with a header row.  Pixel features are
-mapped to [0, 1]; tabular features are z-scored per column using statistics
-from the training split only (variance floor 1e-12 for constant columns).
+0x00000801) and comma-delimited CSV with a header row.  IDX pixels stay uint8
+until ``cli._idx_to_dataset`` has chosen the rows a run keeps, and are scaled
+to [0, 1] once, there; tabular features are z-scored per column using
+statistics from the training split only (variance floor 1e-12 for constant
+columns).
 """
 from __future__ import annotations
 
@@ -66,7 +68,11 @@ def _read_exact(f, count: int, offset: int, what: str) -> bytes:
 
 
 def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
-    """Images scaled to [0, 1] as (N, rows, cols); labels as integers."""
+    """Raw uint8 pixels as (N, rows, cols) and int64 labels.
+
+    No float copy is made: the caller chooses rows on the labels first and
+    scales only those (``cli._idx_to_dataset``).
+    """
     with open(image_path, "rb") as f:
         header = _read_exact(f, 16, 0, "image header")
         magic, n, rows, cols = struct.unpack(">IIII", header)
@@ -86,12 +92,13 @@ def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
     if n_labels != n:
         raise IdxFormatError(f"{label_path}: image/label count mismatch: "
                              f"{n} vs {n_labels}")
-    return images.astype(np.float64) / 255.0, labels
+    return images, labels
 
 
 def write_idx_images(image_path, label_path, images: np.ndarray,
                      labels: np.ndarray) -> None:
-    """Inverse of load_idx_images for synthetic fixtures and replay."""
+    """[0, 1] images quantized to the uint8 pixels load_idx_images returns,
+    for synthetic fixtures and replay."""
     images = np.asarray(images)
     n, rows, cols = images.shape
     pixels = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
@@ -128,22 +135,31 @@ def load_tabular_csv(path, feature_columns: list[str], label_column: str,
     rows = []
     labels = []
     with open(path, newline="", errors="replace") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: missing header row")
         for col in feature_columns + [label_column]:
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise ValueError(f"{path}: column {col!r} not in header")
-        for row_idx, record in enumerate(reader, start=2):
+        # As in csv.DictReader: a duplicated name reads its last column, a
+        # short row reads None past its end, and blank lines are not rows.
+        at = {name: i for i, name in enumerate(header)}
+        feature_at = [at[col] for col in feature_columns]
+        label_at = at[label_column]
+        width = max(feature_at + [label_at]) + 1
+        for row_idx, cells in enumerate(filter(None, reader), start=2):
+            if len(cells) < width:
+                cells += [None] * (width - len(cells))
             values = []
-            for col in feature_columns:
+            for col, i in zip(feature_columns, feature_at):
                 try:
-                    values.append(float(record[col]))
+                    values.append(float(cells[i]))
                 except (TypeError, ValueError):
                     raise ValueError(
                         f"{path}: non-numeric cell at row {row_idx}, "
-                        f"column {col!r}: {record[col]!r}") from None
-            raw_label = record[label_column]
+                        f"column {col!r}: {cells[i]!r}") from None
+            raw_label = cells[label_at]
             try:  # without a map only cells whose value is exactly 0 or 1
                 labels.append(label_map[raw_label] if label_map is not None
                               else {0.0: 0, 1.0: 1}[float(raw_label)])

@@ -127,9 +127,12 @@ def fuse_joint_state(states: list[Statevector], num_classes: int
     total = sum(s.num_qubits for s in states) + num_classes
     if total > qsim.MAX_QUBITS:
         raise qsim.CapacityError(f"joint circuit needs {total} qubits")
-    joint = qsim.new_zero_state(num_classes)
-    for s in states:
-        joint = qsim.tensor_product(joint, s)
+    # Folded from the right: np.multiply.outer loops over its second operand
+    # innermost, so each product's inner loop runs over the longer register.
+    parties = states[-1]
+    for s in reversed(states[:-1]):
+        parties = qsim.tensor_product(s, parties)
+    joint = qsim.tensor_product(qsim.new_zero_state(num_classes), parties)
     offsets = np.cumsum([num_classes] + [s.num_qubits for s in states[:-1]])
     for c in range(num_classes):
         controls = [int(off) + c for off in offsets]

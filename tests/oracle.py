@@ -9,13 +9,18 @@ can compare two independent constructions:
 - the conjunctive combination rule by enumerating every K-tuple of focal
   sets, where the program folds pairwise;
 - the quadrant split undone, and the teleported register as a relabeling
-  (the protocol is the identity channel).
+  (the protocol is the identity channel);
+- the IDX set-up converting every image to float64 before the class filter
+  and the sample cap, where the program chooses rows on the labels first;
+- the CSV parser through ``csv.DictReader``, where the program reads column
+  positions from a plain ``csv.reader``.
 """
+import csv
 import itertools
 
 import numpy as np
 
-from evifed import evidence, qsim
+from evifed import data, evidence, qsim
 from evifed.qsim import Statevector
 from evifed.ttn import TTLayerParams
 
@@ -91,3 +96,59 @@ def logical_transfer(state: Statevector, qubits) -> Statevector:
     """The teleported register as a relabeling: no circuit at all."""
     qsim._check_indices(state.num_qubits, list(qubits))
     return state.copy()
+
+
+def idx_pipeline(images: np.ndarray, labels: np.ndarray, classes: list[int],
+                 max_n: int, seed: int, salt: int) -> data.VerticalDataset:
+    """uint8 IDX pixels to a dataset: every image scaled to float64, then the
+    class filter, then a seeded draw of at most ``max_n`` rows."""
+    images = np.asarray(images).astype(np.float64) / 255.0
+    keep = np.isin(labels, classes)
+    images, labels = images[keep], labels[keep]
+    remap = {c: i for i, c in enumerate(classes)}
+    mapped = np.array([remap[int(v)] for v in labels], dtype=np.int64)
+    ds = data.VerticalDataset(data.quadrant_partition(images),
+                              data.one_hot(mapped, len(classes)))
+    if ds.num_samples <= max_n:
+        return ds
+    rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
+    return ds.subset(rng.permutation(ds.num_samples)[:max_n])
+
+
+def load_tabular_csv_dictreader(path, feature_columns: list[str], label_column: str,
+                                label_map: dict[str, int] | None = None
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """data.load_tabular_csv read through csv.DictReader, one dict per row."""
+    rows = []
+    labels = []
+    with open(path, newline="", errors="replace") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: missing header row")
+        for col in feature_columns + [label_column]:
+            if col not in reader.fieldnames:
+                raise ValueError(f"{path}: column {col!r} not in header")
+        for row_idx, record in enumerate(reader, start=2):
+            values = []
+            for col in feature_columns:
+                try:
+                    values.append(float(record[col]))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}: non-numeric cell at row {row_idx}, "
+                        f"column {col!r}: {record[col]!r}") from None
+            raw_label = record[label_column]
+            try:
+                labels.append(label_map[raw_label] if label_map is not None
+                              else {0.0: 0, 1.0: 1}[float(raw_label)])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{path}: unknown label {raw_label!r} "
+                                 f"at row {row_idx}") from None
+            rows.append(values)
+    features = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {r + 2}, "
+                         f"column {feature_columns[c]!r}: {features[r, c]}")
+    return features, np.array(labels, dtype=np.int64)

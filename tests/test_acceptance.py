@@ -60,10 +60,8 @@ def mnist_dataset():
                                           MNIST_FILES["train_labels"])
     te_img, te_lab = data.load_idx_images(MNIST_FILES["test_images"],
                                           MNIST_FILES["test_labels"])
-    train_set = cli._idx_to_dataset(tr_img, tr_lab, classes)
-    test_set = cli._idx_to_dataset(te_img, te_lab, classes)
-    train_set = cli._limit(train_set, 2000, 0, 1)
-    test_set = cli._limit(test_set, 500, 0, 2)
+    train_set = cli._idx_to_dataset(tr_img, tr_lab, classes, 2000, 0, 1)
+    test_set = cli._idx_to_dataset(te_img, te_lab, classes, 500, 0, 2)
     return train_set, test_set
 
 

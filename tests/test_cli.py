@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from evifed.baselines import MLPParty, mlp_width_for_budget
 from evifed.cli import ConfigError, load_config, load_party_models, \
     save_party_models, validate_party_topology
 from evifed.model import PartyModel
+from oracle import idx_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -662,6 +664,41 @@ def test_idx_classes_filter_leaving_a_split_empty_names_the_field(
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == (f"error: config.dataset.classes: no {split} "
                                        "sample has a label in [3, 6]\n")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_idx_rows_chosen_before_scaling_match_scaling_everything(seed):
+    rng = np.random.default_rng(100 + seed)
+    images = rng.integers(0, 256, size=(300, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=300)
+    kept = int(np.isin(labels, [3, 6]).sum())
+    for max_n in (1, kept - 1, kept, kept + 1, 10 * kept):
+        got = cli._idx_to_dataset(images, labels, [3, 6], max_n, seed, 1)
+        want = idx_pipeline(images, labels, [3, 6], max_n, seed, 1)
+        assert got.num_samples == min(max_n, kept)
+        for g, w in zip(got.party_blocks + [got.labels],
+                        want.party_blocks + [want.labels]):
+            assert g.dtype == np.float64
+            assert np.array_equal(g, w)
+
+
+def test_idx_set_up_converts_only_the_kept_rows(tmp_path):
+    # 2020 images, 10 of each split kept: a float64 copy of every pixel
+    # would take all_pixels bytes, twice the bound.
+    rng = np.random.default_rng(3)
+    config = idx_config(tmp_path, list(rng.choice([3, 6], size=2000)), [3, 6] * 10,
+                        dataset_lines="  classes: [3, 6]\n  max_train_samples: 10\n"
+                                      "  max_test_samples: 10")
+    cfg = load_config(config)
+    all_pixels = 2020 * 28 * 28 * 8
+    tracemalloc.start()
+    try:
+        train_set, test_set = cli.build_datasets(cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train_set.num_samples == test_set.num_samples == 10
+    assert peak < all_pixels / 2
 
 
 # --- train command ---------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from evifed import cli, data, train
 from evifed.cli import ConfigError
 from evifed.model import PartyModel
+from oracle import load_tabular_csv_dictreader
 
 
 def fuzz(examples):
@@ -241,6 +242,34 @@ def test_mutated_csv_loads_or_raises_a_typed_error(tmp_path):
                                   label_map={"0": 0, "1": 1} if mapped else None)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), exc
+
+    check()
+
+
+def test_mutated_csv_parses_as_the_dictreader_oracle(tmp_path):
+    # A duplicated header name, a blank line and a row with an extra cell.
+    path = tmp_path / "d.csv"
+    blob = b"a,b,target,a\n0.5,1e3,1,2\n\n-2,7,0,8,9\n3,4,1,-1\n"
+
+    def outcome(load, mapped):
+        try:
+            return load(path, ["a", "b"], "target",
+                        label_map={"0": 0, "1": 1} if mapped else None)
+        except ValueError as exc:
+            return str(exc)
+
+    @fuzz(150)
+    @given(mutated(blob, len(blob)), st.booleans())
+    def check(mutant, mapped):
+        path.write_bytes(mutant)
+        got = outcome(data.load_tabular_csv, mapped)
+        want = outcome(load_tabular_csv_dictreader, mapped)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
     check()
 

@@ -7,7 +7,7 @@ from evifed.evidence import MassFunction
 from evifed.model import PartyModel, Prediction
 from evifed.qsim import Gate, Statevector
 from evifed.ttn import TTLayerParams
-from gate_oracle import party_circuit_state
+from gate_oracle import mcx_by_index_sets, party_circuit_state
 
 
 def random_state(n, rng):
@@ -165,6 +165,21 @@ def test_fusion_modes_agree_on_random_parties():
         fact = model.fuse_factorized(
             [model.party_marginals(s, num_classes) for s in states])
         assert np.max(np.abs(joint - fact)) < 1e-10
+
+
+@pytest.mark.parametrize("widths", [[2, 3], [4, 2, 3], [3, 2, 2, 4]])
+def test_joint_state_equals_left_folded_kron_oracle(widths):
+    rng = np.random.default_rng(len(widths))
+    states = [random_state(n, rng) for n in widths]
+    joint, result_qubits = model.fuse_joint_state(states, 2)
+    amps = np.eye(4)[0]  # |00>, the result register
+    for s in states:
+        amps = np.kron(amps, s.amplitudes)
+    offsets = np.cumsum([2] + widths[:-1])
+    for c in result_qubits:
+        amps = mcx_by_index_sets(amps, [int(off) + c for off in offsets], c)
+    assert joint.num_qubits == 2 + sum(widths)
+    assert np.max(np.abs(joint.amplitudes - amps)) < 1e-15
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
