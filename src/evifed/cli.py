@@ -17,11 +17,11 @@ Config schema (all keys lowercase; an optional key shows its default)::
       kind: idx | csv
       # kind: idx (uint8 pixels are scaled to [0, 1] once, by _idx_to_dataset,
       # after the class filter and the sample caps have chosen the rows)
-      train_images: path     # IDX image file
+      train_images: path     # IDX file of 28x28 images
       train_labels: path
       test_images: path
       test_labels: path
-      classes: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # distinct digits -> labels 0..C-1
+      classes: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # >= 2 distinct digits -> labels 0..C-1
       max_train_samples: 2000   # positive int; a seeded draw of that many
       max_test_samples: 500     # positive int
       # kind: csv
@@ -138,8 +138,8 @@ CONFIG_SCHEMA = {
         **{key: (REQUIRED, *_FILE) for key in ("train_images", "train_labels",
                                                 "test_images", "test_labels")},
         "classes": (list(range(10)),
-                    lambda v: _list_of(is_integer)(v) and len(set(v)) == len(v),
-                    "must be a non-empty list of distinct integers, got {!r}"),
+                    lambda v: _list_of(is_integer)(v) and len(set(v)) == len(v) >= 2,
+                    "must be a list of at least two distinct integers, got {!r}"),
         "max_train_samples": (2000, *_POSITIVE_INT),
         "max_test_samples": (500, *_POSITIVE_INT),
     },
@@ -278,17 +278,21 @@ def build_datasets(cfg: ExperimentConfig, seed: int
     ds = cfg.dataset
     if ds["kind"] == "idx":
         classes = list(ds["classes"])
-        tr_img, tr_lab = data.load_idx_images(ds["train_images"], ds["train_labels"])
-        te_img, te_lab = data.load_idx_images(ds["test_images"], ds["test_labels"])
-        train_set = _idx_to_dataset(tr_img, tr_lab, classes,
-                                    ds["max_train_samples"], seed, 1)
-        test_set = _idx_to_dataset(te_img, te_lab, classes,
-                                   ds["max_test_samples"], seed, 2)
-        for name, split in (("train", train_set), ("test", test_set)):
+        splits = []
+        for name, salt in (("train", 1), ("test", 2)):
+            path = ds[f"{name}_images"]
+            images, labels = data.load_idx_images(path, ds[f"{name}_labels"])
+            if images.shape[1:] != (28, 28):
+                raise ConfigError(f"config.dataset.{name}_images: {path} holds "
+                                  f"{images.shape[1]}x{images.shape[2]} images; "
+                                  "the quadrant split needs 28x28")
+            split = _idx_to_dataset(images, labels, classes,
+                                    ds[f"max_{name}_samples"], seed, salt)
             if split.num_samples == 0:
                 raise ConfigError(f"config.dataset.classes: no {name} sample "
                                   f"has a label in {classes}")
-        return train_set, test_set
+            splits.append(split)
+        return splits[0], splits[1]
 
     features, labels = data.load_tabular_csv(
         ds["path"], list(ds["feature_columns"]), ds["label_column"],
@@ -391,11 +395,16 @@ def load_party_models(path) -> list[PartyModel]:
     models = []
     try:
         head = next_fields()
+        if head[::2] != ["parties", "num_classes", "blocks"]:
+            raise ValueError("expected 'parties N num_classes C blocks B'")
         num_parties, num_classes, blocks = int(head[1]), int(head[3]), int(head[5])
         if num_parties < 1:
             raise ValueError("a dump holds at least one party")
         for k in range(num_parties):
             fields = next_fields()
+            if (fields[:3] != ["party", str(k), "input_dims"]
+                    or "output_dims" not in fields):
+                raise ValueError(f"expected 'party {k} input_dims ... output_dims ...'")
             split_at = fields.index("output_dims")
             input_dims = [int(v) for v in fields[3:split_at]]
             output_dims = [int(v) for v in fields[split_at + 1:]]

@@ -13,7 +13,9 @@ can compare two independent constructions:
 - the IDX set-up converting every image to float64 before the class filter
   and the sample cap, where the program chooses rows on the labels first;
 - the CSV parser through ``csv.DictReader``, where the program reads column
-  positions from a plain ``csv.reader``.
+  positions from a plain ``csv.reader``;
+- a one-block party circuit's class marginals as a product of cosines, where
+  the program simulates the statevector.
 """
 import csv
 import itertools
@@ -152,3 +154,24 @@ def load_tabular_csv_dictreader(path, feature_columns: list[str], label_column: 
         raise ValueError(f"{path}: non-finite cell at row {r + 2}, "
                          f"column {feature_columns[c]!r}: {features[r, c]}")
     return features, np.array(labels, dtype=np.int64)
+
+
+def one_block_marginals(enc_angles: np.ndarray, vqc_angles: np.ndarray,
+                        num_classes: int) -> np.ndarray:
+    """Class marginals of one-block party circuits in closed form.
+
+    enc_angles: (B, n); vqc_angles: (S, 1, n, 3) in (RX, RY, RZ) order, one
+    setting per run of B/S rows.  Block 0 leaves a product state whose qubit
+    q has <Z> = cos(y) cos(x) cos(e) - sin(y) sin(e); RZ drops out.  The CNOT
+    ring then sets output qubit 0 to the parity of inputs 1..n-1 and output
+    qubit c >= 1 to the parity of inputs 0..c, and the Z basis read-out of a
+    parity of independent qubits gives P(c = 1) = (1 - prod <Z_q>) / 2.
+    """
+    enc = np.asarray(enc_angles, dtype=np.float64)
+    b, n = enc.shape
+    angles = np.repeat(np.asarray(vqc_angles)[:, 0], b // len(vqc_angles), axis=0)
+    x, y = angles[..., 0], angles[..., 1]
+    z = np.cos(y) * np.cos(x) * np.cos(enc) - np.sin(y) * np.sin(enc)
+    light_cones = [range(1, n)] + [range(c + 1) for c in range(1, num_classes)]
+    return np.stack([(1.0 - np.prod(z[:, list(cone)], axis=1)) / 2.0
+                     for cone in light_cones], axis=1)

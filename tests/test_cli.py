@@ -1,6 +1,7 @@
 """Command-line front end: configs, training runs, model dumps, curves."""
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -540,6 +541,28 @@ def test_model_dump_rejects_non_integer_shape(tmp_path):
         load_party_models(path)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("parties 2 num_classes 2 blocks 1", "junk 2 junk 2 junk 1",
+     "expected 'parties N num_classes C blocks B'"),
+    ("parties 2 num_classes 2 blocks 1", "parties 2 num_classes 2 blocks 1 extra 3",
+     "expected 'parties N num_classes C blocks B'"),
+    ("party 0 input_dims 2 3 output_dims 2 1", "xyz 9 foo 2 3 output_dims 2 1",
+     "expected 'party 0 input_dims ... output_dims ...'"),
+    ("party 0 input_dims 2 3 output_dims 2 1", "party 0 input_dims 2 3 outdims 2 1",
+     "expected 'party 0 input_dims ... output_dims ...'"),
+    ("party 1 input_dims 2 3 output_dims 2 1", "party 0 input_dims 2 3 output_dims 2 1",
+     "expected 'party 1 input_dims ... output_dims ...'"),
+], ids=["header_keywords", "header_extra_field", "party_keywords",
+        "party_output_keyword", "party_out_of_order"])
+def test_model_dump_rejects_wrong_header_keywords(tmp_path, old, new, message):
+    path, lines = _dump_lines(tmp_path)
+    at = lines.index(old)
+    lines[at] = new
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"model.txt:{at + 1}: {message}")):
+        load_party_models(path)
+
+
 def test_inspect_reports_a_truncated_dump(tmp_path, capsys):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv)
@@ -629,16 +652,42 @@ def test_idx_party_blocks_span_unit_interval(tmp_path):
     ("  classes: [3, 6, 1]",
      "config.parties.num_classes: 2 differs from the dataset's 3 classes"),
     ("", "config.parties.num_classes: 2 differs from the dataset's 10 classes"),
-    ("  classes: 3", "config.dataset.classes: must be a non-empty list of "
+    ("  classes: 3", "config.dataset.classes: must be a list of at least two "
      "distinct integers, got 3"),
-    ("  classes: [3, 3]", "config.dataset.classes: must be a non-empty list "
-     "of distinct integers, got [3, 3]"),
+    ("  classes: [3, 3]", "config.dataset.classes: must be a list of at least "
+     "two distinct integers, got [3, 3]"),
 ], ids=["three_classes", "all_ten_digits", "not_a_list", "duplicate"])
 def test_idx_classes_and_num_classes_checked_at_load(tmp_path, capsys, dataset_lines,
                                                      message):
     config = idx_config(tmp_path, [3, 6, 1], dataset_lines=dataset_lines)
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_idx_one_class_config_rejected_at_load(tmp_path, capsys):
+    # classes [3] and num_classes 1 agree, so only the classes check stops
+    # the run before training needs a second class.
+    config = idx_config(tmp_path, [3, 6, 3], dataset_lines="  classes: [3]")
+    Path(config).write_text(Path(config).read_text().replace("num_classes: 2",
+                                                             "num_classes: 1"))
+    message = ("config.dataset.classes: must be a list of at least two distinct "
+               "integers, got [3]")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(config)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_idx_images_not_28x28_name_the_file(tmp_path, capsys, split):
+    config = idx_config(tmp_path, [3, 6, 3, 6, 1])
+    images = tmp_path / f"{split}-img.idx"
+    data.write_idx_images(images, tmp_path / f"{split}-lab.idx",
+                          np.zeros((5, 20, 20)), np.array([3, 6, 3, 6, 1]))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: config.dataset.{split}_images: {images} holds 20x20 images; "
+        "the quadrant split needs 28x28\n")
 
 
 @pytest.mark.parametrize("line,shown", [

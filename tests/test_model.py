@@ -8,6 +8,7 @@ from evifed.model import PartyModel, Prediction
 from evifed.qsim import Gate, Statevector
 from evifed.ttn import TTLayerParams
 from gate_oracle import mcx_by_index_sets, party_circuit_state
+from oracle import one_block_marginals
 
 
 def random_state(n, rng):
@@ -392,6 +393,39 @@ def test_circuit_rows_match_gate_oracle(n, blocks, batch, shared):
     for b in range(batch):
         want = party_circuit_state(enc[b], vqc if shared else vqc[b])
         assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
+
+
+# --- readout light cone ----------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_block_marginals_match_closed_form(n):
+    rng = np.random.default_rng(60 + n)
+    for settings in (1, 2, 3):
+        for num_classes in range(2, min(n, 3) + 1):
+            enc = rng.uniform(-np.pi, np.pi, size=(5 * settings, n))
+            vqc = rng.uniform(-np.pi, np.pi, size=(settings, 1, n, 3))
+            marg, _ = model.batched_marginals(enc, vqc, num_classes)
+            expected = one_block_marginals(enc, vqc, num_classes)
+            assert np.max(np.abs(marg - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_last_block_rz_angles_get_no_gradient(blocks):
+    # The Z-basis read-out follows the CNOT ring, a basis permutation, so
+    # the diagonal RZ gates just before it move no marginal.
+    rng = np.random.default_rng(70 + blocks)
+    live = 0.0
+    for n, settings, num_classes in [(3, 1, 2), (4, 2, 2), (5, 3, 3), (6, 1, 3)]:
+        enc = rng.uniform(-np.pi, np.pi, size=(4 * settings, n))
+        vqc = rng.uniform(-np.pi, np.pi, size=(settings, blocks, n, 3))
+        _, rows = model.batched_marginals(enc, vqc, num_classes)
+        dL = rng.normal(size=(len(enc), num_classes))
+        _, d_vqc = model.party_angle_gradients(rows, vqc, dL)
+        dead = np.zeros(vqc.shape, dtype=bool)
+        dead[:, -1, :, 2] = True
+        assert np.max(np.abs(d_vqc[dead])) < 1e-15
+        live = max(live, np.max(np.abs(d_vqc[~dead])))
+    assert live > 0.1
 
 
 # --- module-wide properties ------------------------------------------------

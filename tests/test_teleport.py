@@ -1,11 +1,9 @@
-"""Teleportation protocol: correction table, entanglement, message handling."""
+"""Teleportation: EPR preparation, correction table, register transfers."""
 import numpy as np
 import pytest
 
 from evifed import qsim, teleport
 from evifed.qsim import Gate, Statevector
-from evifed.teleport import (IncompleteSessionError, InProcessChannel,
-                             ProtocolError, TeleportMessage)
 from evifed.verify import ForcedBranch
 from oracle import logical_transfer
 
@@ -37,8 +35,8 @@ def test_branch_01_applies_x_correction():
     # and the X restores the input.
     rng = np.random.default_rng(0)
     psi = random_state(1, rng)
-    out, msg = teleport.teleport_qubit(psi.copy(), 0, ForcedBranch(1))
-    assert (msg.b1, msg.b2) == (0, 1)
+    out, bits = teleport.teleport_qubit(psi.copy(), 0, ForcedBranch(1))
+    assert bits == (0, 1)
     assert qsim.fidelity(out, psi) == pytest.approx(1.0, abs=1e-12)
     # Redo the protocol without the correction to see the swapped amplitudes.
     uncorrected, b1, b2 = teleport._teleport_core(psi.copy(), 0, ForcedBranch(1))
@@ -60,9 +58,9 @@ def test_all_four_branches_recover_the_state():
     for _ in range(50):
         psi = random_state(1, rng)
         for branch in range(4):
-            out, msg = teleport.teleport_qubit(psi.copy(), 0,
-                                               ForcedBranch(branch))
-            assert (msg.b1, msg.b2) == divmod(branch, 2)
+            out, bits = teleport.teleport_qubit(psi.copy(), 0,
+                                                ForcedBranch(branch))
+            assert bits == divmod(branch, 2)
             assert qsim.fidelity(out, psi) == pytest.approx(1.0, abs=1e-11)
 
 
@@ -78,8 +76,8 @@ def test_teleported_register_keeps_its_size():
 def test_teleporting_both_epr_halves_preserves_bell_state():
     rng = np.random.default_rng(4)
     epr = teleport.make_epr()
-    out, msgs = teleport.teleport_register(epr.copy(), [0, 1], rng)
-    assert len(msgs) == 2
+    out, bits = teleport.teleport_register(epr.copy(), [0, 1], rng)
+    assert len(bits) == 2
     assert qsim.fidelity(out, teleport.make_epr()) == pytest.approx(1.0)
 
 
@@ -96,8 +94,8 @@ def test_teleporting_one_qubit_of_ghz_preserves_it():
 def test_empty_register_transfer_is_identity():
     rng = np.random.default_rng(6)
     psi = random_state(2, rng)
-    out, msgs = teleport.teleport_register(psi.copy(), [], rng)
-    assert msgs == []
+    out, bits = teleport.teleport_register(psi.copy(), [], rng)
+    assert bits == []
     assert np.allclose(out.amplitudes, psi.amplitudes)
 
 
@@ -110,52 +108,6 @@ def test_logical_transfer_equals_protocol_result():
         assert np.array_equal(shortcut.amplitudes, psi.amplitudes)
         full, _ = teleport.teleport_register(psi.copy(), list(range(n)), rng)
         assert qsim.fidelity(shortcut, full) == pytest.approx(1.0, abs=1e-10)
-
-
-# --- message encoding ------------------------------------------------------
-
-def test_message_line_roundtrip():
-    msg = TeleportMessage("s7", 3, 1, 0)
-    assert msg.encode() == "s7,3,1,0"
-    assert TeleportMessage.decode("s7,3,1,0") == msg
-
-
-# --- sessions --------------------------------------------------------------
-
-def test_session_in_order_delivery():
-    rng = np.random.default_rng(8)
-    psi = random_state(3, rng)
-    out = teleport.run_session(psi.copy(), 2, InProcessChannel(), rng)
-    assert qsim.fidelity(out, psi) == pytest.approx(1.0, abs=1e-11)
-
-
-def test_session_reversed_delivery():
-    rng = np.random.default_rng(9)
-    psi = random_state(3, rng)
-    out = teleport.run_session(psi.copy(), 3, InProcessChannel(order=[2, 1, 0]),
-                               rng)
-    assert qsim.fidelity(out, psi) == pytest.approx(1.0, abs=1e-11)
-
-
-def test_session_dropped_message_raises():
-    rng = np.random.default_rng(10)
-    psi = random_state(2, rng)
-    with pytest.raises(IncompleteSessionError):
-        teleport.run_session(psi, 2, InProcessChannel(order=[0]), rng)
-
-
-def test_session_duplicate_message_raises():
-    rng = np.random.default_rng(11)
-    psi = random_state(2, rng)
-    with pytest.raises(ProtocolError):
-        teleport.run_session(psi, 2, InProcessChannel(order=[0, 0, 1]), rng)
-
-
-def test_channel_rejects_send_after_close():
-    ch = InProcessChannel()
-    ch.close()
-    with pytest.raises(ProtocolError):
-        ch.send(TeleportMessage("s", 0, 0, 0))
 
 
 # --- module-wide properties ------------------------------------------------
