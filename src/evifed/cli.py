@@ -21,22 +21,23 @@ Config schema (all keys lowercase; an optional key shows its default)::
       train_labels: path
       test_images: path
       test_labels: path
-      classes: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # >= 2 distinct digits -> labels 0..C-1
+      classes: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]  # >= 2 distinct digits -> labels 0..C-1;
+                                               # each one held by a kept train sample
       max_train_samples: 2000   # positive int; a seeded draw of that many
       max_test_samples: 500     # positive int
       # kind: csv
       path: file.csv
-      feature_columns: [colA, colB, ...]  # non-empty list of header names
+      feature_columns: [colA, colB, ...]  # distinct header names, not label_column
       label_column: target      # header name
       label_map: {M: 1, B: 0}   # quoted cell -> 0 or 1; default: cells are 0/1
       balance: false            # bool; balanced_subsample before splitting
-      test_fraction: 0.2        # number in (0, 1)
+      test_fraction: 0.2        # number in (0, 1); both splits non-empty
       widths: [10, 10, 10]      # per-party widths in file order; sum = #columns
     model_kind: eviqvfl         # or one of baselines.BASELINE_KINDS
     parties:
       input_dims: [2, 7, 7, 2]  # TT input factorization, product = d_k
       output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes,
-                                # and n_k * d_k <= ttn.DENSE_CAP
+                                # n_k <= qsim.MAX_QUBITS, n_k * d_k <= ttn.DENSE_CAP
       rank: 2                   # positive int
       vqc_blocks: 2             # positive int
       num_classes: 2            # the dataset's class count
@@ -198,6 +199,9 @@ def validate_party_topology(parties: dict) -> None:
     if n_qubits < num_classes:
         raise ConfigError(f"config.parties.output_dims: product {n_qubits} is fewer "
                           f"qubits than config.parties.num_classes={num_classes}")
+    if n_qubits > qsim.MAX_QUBITS:
+        raise ConfigError(f"config.parties.output_dims: product {n_qubits} qubits "
+                          f"exceeds qsim.MAX_QUBITS={qsim.MAX_QUBITS}")
     d = math.prod(parties["input_dims"])
     if d * n_qubits > DENSE_CAP:
         raise ConfigError(f"config.parties.input_dims: the TT operator would hold "
@@ -231,6 +235,13 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"config.dataset.label_map: value {value!r} of "
                                   f"{cell!r} is not a class in 0..1")
         widths, columns = dataset["widths"], dataset["feature_columns"]
+        if dataset["label_column"] in columns:
+            raise ConfigError(f"config.dataset.feature_columns: lists the "
+                              f"label_column {dataset['label_column']!r}")
+        for column in columns:
+            if columns.count(column) > 1:
+                raise ConfigError(f"config.dataset.feature_columns: {column!r} "
+                                  "is listed twice")
         if sum(widths) != len(columns):
             raise ConfigError(f"config.dataset.widths: {widths} sum to {sum(widths)}, "
                               f"not the {len(columns)} feature_columns")
@@ -291,17 +302,33 @@ def build_datasets(cfg: ExperimentConfig, seed: int
             if split.num_samples == 0:
                 raise ConfigError(f"config.dataset.classes: no {name} sample "
                                   f"has a label in {classes}")
+            present = split.labels.any(axis=0)
+            if name == "train" and not present.all():
+                raise ConfigError(f"config.dataset.classes: no train sample has "
+                                  f"label {classes[int(np.argmin(present))]}")
             splits.append(split)
         return splits[0], splits[1]
 
     features, labels = data.load_tabular_csv(
         ds["path"], list(ds["feature_columns"]), ds["label_column"],
         label_map=ds["label_map"])
+    if len(labels) == 0:
+        raise ConfigError(f"config.dataset.path: {ds['path']} has no data rows")
+    counts = np.bincount(labels, minlength=2)
+    if not counts.all():
+        raise ConfigError(f"config.dataset.label_column: every row of {ds['path']} "
+                          f"has class {int(np.argmax(counts))}; training needs "
+                          "classes 0 and 1")
     if ds["balance"]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
         features, labels = data.balanced_subsample(features, labels, rng)
     raw = data.VerticalDataset([features], data.one_hot(labels, 2))
-    train_raw, test_raw = data.train_test_split(raw, ds["test_fraction"], seed)
+    try:
+        train_raw, test_raw = data.train_test_split(raw, ds["test_fraction"], seed)
+    except ValueError:  # the schema has checked the fraction's range
+        raise ConfigError(f"config.dataset.test_fraction: {ds['test_fraction']} of "
+                          f"{len(labels)} rows leaves an empty train or test "
+                          "split") from None
     train_feat, test_feat = data.standardize(train_raw.party_blocks[0],
                                              test_raw.party_blocks[0])
     return (data.VerticalDataset(data.vertical_split(train_feat, ds["widths"]),
@@ -454,8 +481,7 @@ def cmd_train(args) -> int:
     trained, trace = train.train_run(build_trainable(cfg, rng), train_set,
                                      cfg.train, test_set)
 
-    # The seconds column is wall clock and would break rerun byte-identity.
-    trace.export(os.path.join(out_dir, "trace.csv"), include_wall_clock=False)
+    trace.export(os.path.join(out_dir, "trace.csv"))
     if cfg.model_kind == "eviqvfl":
         save_party_models(os.path.join(out_dir, "model.txt"), trained.models)
     counts = trained.party_param_counts()

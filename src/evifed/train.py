@@ -21,7 +21,6 @@ one-sample ``Prediction``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import (PartyModel, Prediction, batched_marginals, loss_lower_bound,
 from .ttn import squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
-TRACE_HEADER = "epoch,loss,train_acc,test_acc,seconds"
+TRACE_HEADER = "epoch,loss,train_acc,test_acc"
 
 
 @dataclass
@@ -69,33 +68,28 @@ class EpochRecord:
     loss: float
     train_acc: float
     test_acc: float
-    seconds: float
 
 
 @dataclass
 class TrainTrace:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def export(self, path, include_wall_clock: bool = True) -> None:
-        """One line per epoch: ``epoch,loss,train_acc,test_acc,seconds``.
-
-        The seconds column is wall-clock timing and is the only
-        non-deterministic column; pass ``include_wall_clock=False`` to zero it
-        when traces must be byte-comparable across runs.
-        """
+    def export(self, path) -> None:
+        """One line per epoch: ``epoch,loss,train_acc,test_acc``.  Every
+        column is determined by the config and seed, so a rerun writes the
+        same bytes."""
         with open(path, "w") as f:
             f.write(TRACE_HEADER + "\n")
             for r in self.records:
-                secs = r.seconds if include_wall_clock else 0.0
                 f.write(f"{r.epoch},{float(r.loss)!r},{float(r.train_acc)!r},"
-                        f"{float(r.test_acc)!r},{float(secs)!r}\n")
+                        f"{float(r.test_acc)!r}\n")
 
     @classmethod
     def load(cls, path) -> "TrainTrace":
         """Inverse of ``export``.  A malformed trace raises ValueError naming
         the file and the 1-based line at fault: rows need epochs 0, 1, 2, ...,
-        a finite loss, accuracies in [0, 1] or nan, and finite seconds >= 0,
-        and a trace needs at least one row."""
+        a finite loss and accuracies in [0, 1] or nan, and a trace needs at
+        least one row."""
         with open(path, errors="replace") as f:  # a stray byte fails its line
             lines = f.read().splitlines()
         if not lines or lines[0] != TRACE_HEADER:
@@ -124,9 +118,7 @@ class TrainTrace:
                     (math.isnan(r.train_acc) or 0 <= r.train_acc <= 1,
                      f"train_acc {r.train_acc!r} is not in [0, 1] or nan"),
                     (math.isnan(r.test_acc) or 0 <= r.test_acc <= 1,
-                     f"test_acc {r.test_acc!r} is not in [0, 1] or nan"),
-                    (0 <= r.seconds < math.inf,
-                     f"seconds {r.seconds!r} is not a finite number >= 0")):
+                     f"test_acc {r.test_acc!r} is not in [0, 1] or nan")):
                 if not ok:
                     raise ValueError(f"{path}:{number}: {problem}")
             records.append(r)
@@ -367,7 +359,6 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
     opt = OptimizerState.for_params(params)
     trace = TrainTrace()
     for epoch in range(config.epochs):
-        t0 = time.monotonic()
         losses = []
         hits = 0
         for batch in batch_indices(train_set.num_samples, config.batch_size,
@@ -384,7 +375,6 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
             loss=float(np.mean(np.concatenate(losses))),
             train_acc=hits / train_set.num_samples,
             test_acc=test_acc,
-            seconds=time.monotonic() - t0,
         ))
     return trainable, trace
 

@@ -275,6 +275,6 @@ def test_criterion_9_training_is_bitwise_deterministic(tmp_path):
                                    epochs=3, seed=0)
         _, trace = run_training(models, train_set, test_set, config)
         path = tmp_path / f"trace{run}.csv"
-        trace.export(path, include_wall_clock=False)
+        trace.export(path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]

@@ -378,6 +378,22 @@ def test_csv_label_map_keys_must_be_strings(tmp_path, capsys, label_map, key):
         "it, since label cells are read as text\n")
 
 
+@pytest.mark.parametrize("columns,message", [
+    ("[f0, f1, f2, f3, f4, target]", "lists the label_column 'target'"),
+    ("[f0, f1, f2, f3, f0, f5]", "'f0' is listed twice"),
+], ids=["label_column", "duplicate"])
+def test_csv_feature_columns_exclude_the_label_and_repeats(tmp_path, capsys,
+                                                           columns, message):
+    # Parties hold complementary features, and the label is none of them.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "fc.yaml",
+                        with_line(text, "dataset", f"  feature_columns: {columns}"))
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == \
+        f"error: config.dataset.feature_columns: {message}\n"
+
+
 def test_csv_label_map_within_classes_is_accepted(tmp_path):
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
@@ -442,6 +458,23 @@ def test_topology_rejects_operator_over_dense_cap(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: config.parties.input_dims: the TT "
                                        "operator would hold 2 x 1001000 = 2002000 "
                                        "entries, more than ttn.DENSE_CAP=1000000\n")
+
+
+def test_topology_rejects_register_over_max_qubits(tmp_path, capsys):
+    # The TT operator is small (40 x 1), but each circuit row would hold
+    # 2^40 amplitudes.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    for section, line in (("dataset", "  feature_columns: [f0, f1]"),
+                          ("dataset", "  widths: [1, 1]"),
+                          ("parties", "  input_dims: [1]"),
+                          ("parties", "  output_dims: [40]")):
+        text = with_line(text, section, line)
+    config = write_yaml(tmp_path / "qubits.yaml", text)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr() == ("", "error: config.parties.output_dims: "
+                                       "product 40 qubits exceeds "
+                                       "qsim.MAX_QUBITS=24\n")
 
 
 @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
@@ -715,6 +748,48 @@ def test_idx_classes_filter_leaving_a_split_empty_names_the_field(
                                        "sample has a label in [3, 6]\n")
 
 
+def test_idx_class_absent_from_the_train_file_names_it(tmp_path, capsys):
+    config = idx_config(tmp_path, [3, 6, 3, 6], dataset_lines="  classes: [3, 42]")
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == ("error: config.dataset.classes: no train "
+                                       "sample has label 42\n")
+
+
+def write_labelled_csv(path, labels):
+    """Six random feature columns f0..f5 and the given ``target`` cells."""
+    rng = np.random.default_rng(1)
+    lines = [",".join([f"f{i}" for i in range(6)] + ["target"])] + [
+        ",".join([repr(float(v)) for v in rng.normal(size=6)] + [str(label)])
+        for label in labels]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("labels,lines,message", [
+    ([], [], "config.dataset.path: {csv} has no data rows"),
+    ([0] * 12, [], "config.dataset.label_column: every row of {csv} has class 0; "
+     "training needs classes 0 and 1"),
+    ([0] * 12, ["  balance: true"], "config.dataset.label_column: every row of "
+     "{csv} has class 0; training needs classes 0 and 1"),
+    ([0, 1] * 6, ["  label_map: {'0': 1, '1': 1}"], "config.dataset.label_column: "
+     "every row of {csv} has class 1; training needs classes 0 and 1"),
+    ([0, 1], ["  test_fraction: 0.2"], "config.dataset.test_fraction: 0.2 of 2 "
+     "rows leaves an empty train or test split"),
+    ([0, 1], ["  test_fraction: 0.9"], "config.dataset.test_fraction: 0.9 of 2 "
+     "rows leaves an empty train or test split"),
+], ids=["no_rows", "one_class", "one_class_balanced", "label_map_one_class",
+        "empty_test_split", "empty_train_split"])
+def test_csv_that_cannot_train_both_classes_names_the_field(tmp_path, capsys,
+                                                            labels, lines, message):
+    csv = write_labelled_csv(tmp_path / "d.csv", labels)
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    for line in lines:
+        text = with_line(text, "dataset", line)
+    config = write_yaml(tmp_path / "classes.yaml", text)
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_idx_rows_chosen_before_scaling_match_scaling_everything(seed):
     rng = np.random.default_rng(100 + seed)
@@ -917,17 +992,37 @@ def test_export_curves_rejects_mismatched_epochs(tmp_path, capsys):
     assert f"{e2} has 2" in err and f"{e3} has 3" in err, err
 
 
-@pytest.mark.parametrize("body", ["0,0.5,0.8\n", "", "0,nan,0.8,0.75,0.0\n",
-                                  "0,0.5,0.8,-3,0.0\n"],
+@pytest.mark.parametrize("body", ["0,0.5,0.8\n", "", "0,nan,0.8,0.75\n",
+                                  "0,0.5,0.8,-3\n"],
                          ids=["three_fields", "header_only", "nan_loss",
                               "negative_acc"])
 def test_export_curves_rejects_a_malformed_trace(tmp_path, capsys, body):
     path = tmp_path / "trace.csv"
-    path.write_text("epoch,loss,train_acc,test_acc,seconds\n" + body)
+    path.write_text("epoch,loss,train_acc,test_acc\n" + body)
     out_file = tmp_path / "c.csv"
     assert run_cli("export-curves", str(path), "--out-file", str(out_file)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and err.count("\n") == 1, err
+    assert not out_file.exists()
+
+
+def test_trace_has_four_columns_and_a_five_column_trace_is_refused(tmp_path,
+                                                                   capsys):
+    # Every trace column is reproducible; a trace with the old wall-clock
+    # seconds column fails at its header.
+    csv = make_csv(tmp_path / "d.csv")
+    assert run_cli("train", "--config", csv_config(tmp_path, csv)) == 0
+    lines = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+    assert lines[0] == "epoch,loss,train_acc,test_acc"
+    assert [len(line.split(",")) for line in lines[1:]] == [4, 4]
+    old = tmp_path / "old.csv"
+    old.write_text("epoch,loss,train_acc,test_acc,seconds\n"
+                   + "".join(f"{line},0.0\n" for line in lines[1:]))
+    out_file = tmp_path / "c.csv"
+    capsys.readouterr()
+    assert run_cli("export-curves", str(old), "--out-file", str(out_file)) == 1
+    assert capsys.readouterr() == ("", f"error: {old}:1: expected the header "
+                                       "'epoch,loss,train_acc,test_acc'\n")
     assert not out_file.exists()
 
 

@@ -294,7 +294,7 @@ def test_mutated_model_dump_loads_or_is_one_error_line(inputs):
 
 def test_mutated_trace_merges_or_is_one_error_line(tmp_path):
     trace = tmp_path / "trace.csv"
-    train.TrainTrace([train.EpochRecord(e, 0.7 - 0.1 * e, 0.5, 0.6, 0.0)
+    train.TrainTrace([train.EpochRecord(e, 0.7 - 0.1 * e, 0.5, 0.6)
                       for e in range(3)]).export(trace)
     blob = trace.read_bytes()
     out_file = tmp_path / "curves.csv"

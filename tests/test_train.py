@@ -525,47 +525,39 @@ def test_joint_eval_mode_agrees_with_factorized_predictions():
 # --- trace export ----------------------------------------------------------
 
 def test_trace_export_and_load_roundtrip(tmp_path):
-    trace = TrainTrace([train.EpochRecord(0, 0.5, 0.8, 0.75, 1.25),
-                        train.EpochRecord(1, 0.4, 0.9, 0.85, 1.5)])
+    trace = TrainTrace([train.EpochRecord(0, 0.5, 0.8, 0.75),
+                        train.EpochRecord(1, 0.4, 0.9, 0.85)])
     path = tmp_path / "trace.csv"
     trace.export(path)
     back = TrainTrace.load(path)
     assert [r.loss for r in back.records] == [0.5, 0.4]
-    assert back.records[1].seconds == 1.5
-
-
-def test_trace_export_can_zero_wall_clock(tmp_path):
-    trace = TrainTrace([train.EpochRecord(0, 0.5, 0.8, 0.75, 1.25)])
-    path = tmp_path / "trace.csv"
-    trace.export(path, include_wall_clock=False)
-    assert TrainTrace.load(path).records[0].seconds == 0.0
+    assert back.records == trace.records
 
 
 def test_trace_load_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("0,0.5,0.8,0.75,1.0\n")
+    path.write_text("0,0.5,0.8,0.75\n")
     with pytest.raises(ValueError):
         TrainTrace.load(path)
 
 
-TRACE_HEADER = "epoch,loss,train_acc,test_acc,seconds\n"
+TRACE_HEADER = "epoch,loss,train_acc,test_acc\n"
 
 
 @pytest.mark.parametrize("body,line,message", [
-    (b"0,0.5,0.8\n", 2, "expected 5 fields, got 3"),
-    (b"0,abc,0.8,0.75,0.0\n", 2, "loss"),
-    (b"0,0.\x805,0.8,0.75,0.0\n", 2, "loss"),
-    (b"0,nan,0.8,0.75,0.0\n", 2, "loss"),
-    (b"0,inf,0.8,0.75,0.0\n", 2, "loss"),
-    (b"0,0.5,0.8,-3,0.0\n", 2, "test_acc"),
-    (b"0,0.5,1.5,0.75,0.0\n", 2, "train_acc"),
-    (b"0,0.5,0.8,0.75,-1.0\n", 2, "seconds"),
-    (b"5,0.5,0.8,0.75,0.0\n", 2, "epoch"),
-    (b"0,0.5,0.8,0.75,0.0\n2,0.4,0.9,0.8,0.0\n", 3, "epoch"),
+    (b"0,0.5,0.8\n", 2, "expected 4 fields, got 3"),
+    (b"0,abc,0.8,0.75\n", 2, "loss"),
+    (b"0,0.\x805,0.8,0.75\n", 2, "loss"),
+    (b"0,nan,0.8,0.75\n", 2, "loss"),
+    (b"0,inf,0.8,0.75\n", 2, "loss"),
+    (b"0,0.5,0.8,-3\n", 2, "test_acc"),
+    (b"0,0.5,1.5,0.75\n", 2, "train_acc"),
+    (b"5,0.5,0.8,0.75\n", 2, "epoch"),
+    (b"0,0.5,0.8,0.75\n2,0.4,0.9,0.8\n", 3, "epoch"),
     (b"", 1, "no epoch rows"),
 ], ids=["three_fields", "not_a_number", "stray_byte", "nan_loss", "inf_loss",
-        "negative_test_acc", "train_acc_above_one", "negative_seconds",
-        "first_epoch_5", "epoch_skipped", "header_only"])
+        "negative_test_acc", "train_acc_above_one", "first_epoch_5",
+        "epoch_skipped", "header_only"])
 def test_trace_load_names_the_file_and_line_at_fault(tmp_path, body, line,
                                                      message):
     path = tmp_path / "trace.csv"
@@ -578,7 +570,7 @@ def test_trace_load_names_the_file_and_line_at_fault(tmp_path, body, line,
 def test_trace_load_accepts_nan_accuracies(tmp_path):
     # A run with no test split records test_acc nan.
     path = tmp_path / "trace.csv"
-    path.write_text(TRACE_HEADER + "0,0.5,0.8,nan,0.0\n")
+    path.write_text(TRACE_HEADER + "0,0.5,0.8,nan\n")
     assert np.isnan(TrainTrace.load(path).records[0].test_acc)
 
 
