@@ -164,6 +164,9 @@ class ClassicalFuseModel(ClassicalAverageModel):
 class MeasureAverageModel(EvidentialTrainable):
     """Quantum parties, classically measured; server averages the marginals."""
 
+    def __init__(self, models: list[PartyModel]):
+        super().__init__(models)  # evaluation is always the measured marginals
+
     def _server(self, marginals):
         """Server output, and what its backward needs (here nothing)."""
         return np.mean(marginals, axis=0), None

@@ -7,8 +7,8 @@ trace ends a command with one ``error:`` line naming the file and the field
 or line, and exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
 typo or a value of the wrong type or range never trains with a silent
 default (a bool is no number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as
-a string).  Output directory precedence: ``--out``, ``EVIFED_OUT_DIR``, then
-the config's ``out_dir``.  Every section, ``train`` included, is checked by
+a string).  Output directory precedence: ``--out``, then the config's
+``out_dir``.  Every section, ``train`` included, is checked by
 that one table; ``train.TrainConfig`` holds the checked values as plain data.
 
 Config schema (all keys lowercase; an optional key shows its default)::
@@ -29,7 +29,6 @@ Config schema (all keys lowercase; an optional key shows its default)::
       path: file.csv
       feature_columns: [colA, colB, ...]  # distinct header names, not label_column
       label_column: target      # header name
-      label_map: {M: 1, B: 0}   # quoted cell -> 0 or 1; default: cells are 0/1
       balance: false            # bool; balanced_subsample before splitting
       test_fraction: 0.2        # number in (0, 1); both splits non-empty
       widths: [10, 10, 10]      # per-party widths in file order; sum = #columns
@@ -46,8 +45,6 @@ Config schema (all keys lowercase; an optional key shows its default)::
       batch_size: 64            # positive int
       epochs: 20                # positive int
       seed: 0                   # int >= 0; --seed overrides it
-      adam_betas: [0.9, 0.999]  # two numbers in [0, 1)
-      adam_epsilon: 1.0e-8      # finite number > 0
     out_dir: .                  # directory path
 """
 from __future__ import annotations
@@ -69,7 +66,6 @@ from .model import PartyModel
 from .ttn import DENSE_CAP, TTLayerParams
 from .verify import SUITES
 
-OUT_DIR_ENV = "EVIFED_OUT_DIR"
 MODEL_MAGIC = "evifed-model v1"
 
 MODEL_KINDS = ("eviqvfl",) + baselines.BASELINE_KINDS
@@ -112,11 +108,6 @@ _TRAIN_CHECKS = {  # one per TrainConfig field; a field with none fails at impor
     "batch_size": _POSITIVE_INT,
     "epochs": _POSITIVE_INT,
     "seed": (lambda v: is_integer(v) and v >= 0, "must be an integer >= 0, got {!r}"),
-    "adam_betas": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                   and all(is_finite_number(b) and 0 <= b < 1 for b in v),
-                   "must be two numbers in [0, 1), got {!r}"),
-    "adam_epsilon": (lambda v: is_finite_number(v) and v > 0,
-                     "must be a finite number > 0, got {!r}"),
 }
 CONFIG_SCHEMA = {
     "config": {  # ExperimentConfig's fields
@@ -151,8 +142,6 @@ CONFIG_SCHEMA = {
         "label_column": (REQUIRED, lambda v: isinstance(v, str),
                          "must be a column name, got {!r}"),
         "widths": (REQUIRED, *_POSITIVE_INTS),
-        "label_map": (None, _MAPPING[0],
-                      "must be a mapping of label cells to classes 0..1, got {!r}"),
         "balance": (False, lambda v: type(v) is bool, "must be true or false, got {!r}"),
         "test_fraction": (0.2, lambda v: is_finite_number(v) and 0 < v < 1,
                           "must be a number in (0, 1), got {!r}"),
@@ -209,10 +198,27 @@ def validate_party_topology(parties: dict) -> None:
                           f"ttn.DENSE_CAP={DENSE_CAP}")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key repeated in one mapping, where
+    ``safe_load`` would keep the last value and drop the earlier silently."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, as an unhashable key is the base class's error
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
         try:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: "
                               f"{' '.join(str(exc).split())}") from None
@@ -227,13 +233,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config.parties.num_classes: {parties['num_classes']} "
                           f"differs from the dataset's {len(classes)} classes")
     if dataset["kind"] == "csv":
-        for cell, value in (dataset["label_map"] or {}).items():
-            if not isinstance(cell, str):
-                raise ConfigError(f"config.dataset.label_map: key {cell!r} is not a "
-                                  "string; quote it, since label cells are read as text")
-            if not (is_integer(value) and 0 <= value <= 1):
-                raise ConfigError(f"config.dataset.label_map: value {value!r} of "
-                                  f"{cell!r} is not a class in 0..1")
         widths, columns = dataset["widths"], dataset["feature_columns"]
         if dataset["label_column"] in columns:
             raise ConfigError(f"config.dataset.feature_columns: lists the "
@@ -310,8 +309,7 @@ def build_datasets(cfg: ExperimentConfig, seed: int
         return splits[0], splits[1]
 
     features, labels = data.load_tabular_csv(
-        ds["path"], list(ds["feature_columns"]), ds["label_column"],
-        label_map=ds["label_map"])
+        ds["path"], list(ds["feature_columns"]), ds["label_column"])
     if len(labels) == 0:
         raise ConfigError(f"config.dataset.path: {ds['path']} has no data rows")
     counts = np.bincount(labels, minlength=2)
@@ -440,6 +438,9 @@ def load_party_models(path) -> list[PartyModel]:
             ranks = [c.shape[0] for c in cores] + [1]
             ttn = TTLayerParams(input_dims, output_dims, ranks, cores)
             models.append(PartyModel(ttn, vqc, ttn.out_size, num_classes, blocks))
+        if pos < len(lines):
+            pos += 1
+            raise ValueError(f"unexpected line after party {num_parties - 1}")
     except IndexError:
         what = "file ends early" if pos > len(lines) else "missing field"
         raise ValueError(f"{path}:{pos}: {what}") from None
@@ -467,15 +468,10 @@ def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
 
 # --- commands --------------------------------------------------------------
 
-def _resolve_out_dir(cfg: ExperimentConfig, args) -> str:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def cmd_train(args) -> int:
     cfg = _load_seeded(args)
-    out_dir = _resolve_out_dir(cfg, args)
+    out_dir = args.out or cfg.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     train_set, test_set = build_datasets(cfg, cfg.train.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 0]))
     trained, trace = train.train_run(build_trainable(cfg, rng), train_set,

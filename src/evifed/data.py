@@ -124,10 +124,9 @@ def quadrant_partition(images: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def load_tabular_csv(path, feature_columns: list[str], label_column: str,
-                     label_map: dict[str, int] | None = None
+def load_tabular_csv(path, feature_columns: list[str], label_column: str
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unstandardized) features and binary {0,1} labels.
+    """Raw (unstandardized) (N, F) features and labels from cells reading 0 or 1.
 
     Standardization happens after the train/test split (`standardize`), so
     test rows never contaminate the statistics.
@@ -160,14 +159,13 @@ def load_tabular_csv(path, feature_columns: list[str], label_column: str,
                         f"{path}: non-numeric cell at row {row_idx}, "
                         f"column {col!r}: {cells[i]!r}") from None
             raw_label = cells[label_at]
-            try:  # without a map only cells whose value is exactly 0 or 1
-                labels.append(label_map[raw_label] if label_map is not None
-                              else {0.0: 0, 1.0: 1}[float(raw_label)])
+            try:
+                labels.append({0.0: 0, 1.0: 1}[float(raw_label)])
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"{path}: unknown label {raw_label!r} "
                                  f"at row {row_idx}") from None
             rows.append(values)
-    features = np.array(rows, dtype=np.float64)
+    features = np.array(rows, dtype=np.float64).reshape(-1, len(feature_columns))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         r, c = bad[0]  # row r of the array is file row r + 2, after the header

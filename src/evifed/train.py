@@ -46,8 +46,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_epsilon: float = 1e-8
 
 
 @dataclass
@@ -271,7 +269,7 @@ def adam_step(state: OptimizerState, params: list[np.ndarray],
     """Standard bias-corrected Adam; updates ``params`` in place."""
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
-    b1, b2 = config.adam_betas
+    b1, b2 = 0.9, 0.999
     state.step_count += 1
     t = state.step_count
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -283,7 +281,7 @@ def adam_step(state: OptimizerState, params: list[np.ndarray],
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 # --- training loop ---------------------------------------------------------

@@ -117,8 +117,7 @@ def idx_pipeline(images: np.ndarray, labels: np.ndarray, classes: list[int],
     return ds.subset(rng.permutation(ds.num_samples)[:max_n])
 
 
-def load_tabular_csv_dictreader(path, feature_columns: list[str], label_column: str,
-                                label_map: dict[str, int] | None = None
+def load_tabular_csv_dictreader(path, feature_columns: list[str], label_column: str
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """data.load_tabular_csv read through csv.DictReader, one dict per row."""
     rows = []
@@ -141,13 +140,12 @@ def load_tabular_csv_dictreader(path, feature_columns: list[str], label_column: 
                         f"column {col!r}: {record[col]!r}") from None
             raw_label = record[label_column]
             try:
-                labels.append(label_map[raw_label] if label_map is not None
-                              else {0.0: 0, 1.0: 1}[float(raw_label)])
+                labels.append({0.0: 0, 1.0: 1}[float(raw_label)])
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"{path}: unknown label {raw_label!r} "
                                  f"at row {row_idx}") from None
             rows.append(values)
-    features = np.array(rows, dtype=np.float64)
+    features = np.array(rows, dtype=np.float64).reshape(-1, len(feature_columns))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         r, c = bad[0]

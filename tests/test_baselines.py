@@ -210,6 +210,14 @@ def test_average_baseline_losses_respect_softmax_floor():
         assert loss >= floor - 1e-12
 
 
+def test_measured_baseline_takes_no_eval_mode():
+    # Its server reads the measured marginals, so a joint mode would be
+    # accepted and ignored.
+    rng = np.random.default_rng(7)
+    with pytest.raises(TypeError, match="eval_mode"):
+        baselines.MeasureAverageModel(small_models(rng), eval_mode="joint")
+
+
 def test_vqc_server_shape_validated():
     rng = np.random.default_rng(7)
     models = small_models(rng)

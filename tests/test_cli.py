@@ -164,6 +164,36 @@ def test_missing_csv_dataset_key_rejected(tmp_path, capsys, key):
         f"error: config.dataset.{key}: required field missing\n"
 
 
+@pytest.mark.parametrize("after,repeat,key", [
+    ("out_dir", "train:\n  epochs: 5", "train"),
+    ("  seed", "  epochs: 5", "epochs"),
+], ids=["section", "key_in_section"])
+def test_yaml_key_repeated_in_one_mapping_is_one_error_line(tmp_path, capsys, after,
+                                                           repeat, key):
+    # yaml.safe_load keeps the last duplicate: a second train section replaced
+    # the first, whose other keys then fell back to their defaults.
+    csv = make_csv(tmp_path / "d.csv")
+    lines = Path(csv_config(tmp_path, csv)).read_text().splitlines()
+    at = [ln.split(":")[0] for ln in lines].index(after) + 1
+    lines[at:at] = repeat.splitlines()
+    config = write_yaml(tmp_path / "dup.yaml", "\n".join(lines) + "\n")
+    column = len(repeat) - len(repeat.lstrip()) + 1
+    assert run_cli("train", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: invalid YAML: duplicate key {key!r} in \"{config}\", "
+        f"line {at + 1}, column {column}\n")
+
+
+def test_yaml_merge_key_is_not_a_repeated_key(tmp_path):
+    # A key beside a merge overrides the merged value, as YAML defines.
+    csv = make_csv(tmp_path / "d.csv")
+    text = Path(csv_config(tmp_path, csv)).read_text()
+    config = write_yaml(tmp_path / "merge.yaml",
+                        with_line(text, "train", "  <<: {epochs: 7, seed: 3}"))
+    cfg = load_config(config)
+    assert (cfg.train.epochs, cfg.train.seed) == (2, 0)
+
+
 def test_config_schema_docstring_matches_key_table():
     block = cli.__doc__.split("an optional key shows its default)::\n")[1]
     schema = yaml.safe_load(textwrap.dedent(block))
@@ -176,12 +206,12 @@ def test_config_schema_docstring_matches_key_table():
                                     dataclasses.fields(train.TrainConfig)}
     assert set(schema["train"]) == set(table["train"])
     # Each optional key's documented value is its default (the train
-    # section's mapping and label_map's absent map excepted).
+    # section's mapping excepted).
     for section, doc in (("config", schema), ("parties", schema["parties"]),
                          ("dataset.idx", schema["dataset"]),
                          ("dataset.csv", schema["dataset"]), ("train", schema["train"])):
         for key, (default, _, _) in table[section].items():
-            if default is not cli.REQUIRED and key not in ("train", "label_map"):
+            if default is not cli.REQUIRED and key != "train":
                 default = list(default) if isinstance(default, tuple) else default
                 assert doc[key] == default, f"{section}.{key}"
 
@@ -211,14 +241,10 @@ def with_line(text, section, line):
 
 
 WRONG_TYPE_CASES = [
-    ("train", "  adam_epsilon: 1e-8",
-     "config.train.adam_epsilon: must be a finite number > 0, got '1e-8'"),
     ("train", "  learning_rate: true",
      "config.train.learning_rate: must be a finite number > 0, got True"),
     ("train", "  epochs: 2.0",
      "config.train.epochs: must be a positive integer, got 2.0"),
-    ("train", "  adam_betas: [0.9]",
-     "config.train.adam_betas: must be two numbers in [0, 1), got [0.9]"),
     ("parties", "  input_dims: 3", "config.parties.input_dims: must be a "
      "non-empty list of positive integers, got 3"),
     ("parties", "  output_dims: [2.0]", "config.parties.output_dims: must be a "
@@ -257,38 +283,27 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("line,message", [
-    ("  adam_betas: [0.9, 1.0]",
-     "adam_betas: must be two numbers in [0, 1), got [0.9, 1.0]"),
-    ("  adam_betas: [-0.1, 0.999]",
-     "adam_betas: must be two numbers in [0, 1), got [-0.1, 0.999]"),
-    ("  adam_epsilon: -1.0", "adam_epsilon: must be a finite number > 0, got -1.0"),
-    ("  adam_epsilon: 0.0", "adam_epsilon: must be a finite number > 0, got 0.0"),
-], ids=["beta2_one", "beta1_negative", "epsilon_negative", "epsilon_zero"])
-def test_train_rejects_adam_settings_outside_their_range(tmp_path, capsys, line,
-                                                         message):
-    # Adam needs each beta in [0, 1) and epsilon > 0: beta2 = 1 divides 0 by 0
-    # in the bias correction (loss nan), and epsilon <= 0 trains silently badly.
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    config = write_yaml(tmp_path / "adam.yaml", with_line(text, "train", line))
-    assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == f"error: config.train.{message}\n"
-
-
-@pytest.mark.parametrize("key,value", [("grad_mode", "parameter_shift"),
-                                       ("grad_mode", "finite_difference"),
-                                       ("eval_mode", "joint")],
-                         ids=["parameter_shift", "finite_difference", "eval_mode"])
-def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, key, value):
-    # Training always uses adjoint gradients and factorized evaluation; the
-    # old selectors are not fields.
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "grad_mode", "parameter_shift"),
+    ("train", "grad_mode", "finite_difference"),
+    ("train", "eval_mode", "joint"),
+    ("dataset", "label_map", "{'M': 1, 'B': 0}"),
+    ("train", "adam_betas", "[0.9, 0.999]"),
+    ("train", "adam_epsilon", "1.0e-8"),
+], ids=["parameter_shift", "finite_difference", "eval_mode", "label_map",
+        "adam_betas", "adam_epsilon"])
+def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, section, key,
+                                                 value):
+    # Training always uses adjoint gradients, factorized evaluation and fixed
+    # Adam constants, and a label cell is 0 or 1; the old settings are not
+    # fields.
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
     config = write_yaml(tmp_path / "gm.yaml",
-                        with_line(text, "train", f"  {key}: {value}"))
+                        with_line(text, section, f"  {key}: {value}"))
     assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == f"error: config.train.{key}: unknown field\n"
+    assert capsys.readouterr().err == \
+        f"error: config.{section}.{key}: unknown field\n"
 
 
 @pytest.mark.parametrize("command", ["train", "inspect"])
@@ -347,37 +362,6 @@ def test_csv_widths_must_be_a_list_of_positive_integers(tmp_path, capsys, widths
         f"integers, got {value!r}\n")
 
 
-@pytest.mark.parametrize("label_map,message", [
-    ("{'0': 0, '1': 2}", "value 2 of '1' is not a class in 0..1"),
-    ("{'0': -1, '1': 1}", "value -1 of '0' is not a class in 0..1"),
-    ("{'0': 0, '1': 1.0}", "value 1.0 of '1' is not a class in 0..1"),
-    ("{'0': false, '1': true}", "value False of '0' is not a class in 0..1"),
-    ("[0, 1]", "must be a mapping of label cells to classes 0..1, got [0, 1]"),
-], ids=["above", "negative", "float", "bool", "not_a_mapping"])
-def test_csv_label_map_values_must_be_classes(tmp_path, capsys, label_map, message):
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    config = write_yaml(tmp_path / "lm.yaml",
-                        with_line(text, "dataset", f"  label_map: {label_map}"))
-    assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == f"error: config.dataset.label_map: {message}\n"
-
-
-@pytest.mark.parametrize("label_map,key", [
-    ("{0: 0, 1: 1}", "0"), ("{'0': 0, 1: 1}", "1"), ("{yes: 1, 'no': 0}", "True"),
-], ids=["int", "one_int", "yaml_bool"])
-def test_csv_label_map_keys_must_be_strings(tmp_path, capsys, label_map, key):
-    # CSV label cells are text, so an unquoted 0 would never match one.
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    config = write_yaml(tmp_path / "lm.yaml",
-                        with_line(text, "dataset", f"  label_map: {label_map}"))
-    assert run_cli("train", "--config", config) == 1
-    assert capsys.readouterr().err == (
-        f"error: config.dataset.label_map: key {key} is not a string; quote "
-        "it, since label cells are read as text\n")
-
-
 @pytest.mark.parametrize("columns,message", [
     ("[f0, f1, f2, f3, f4, target]", "lists the label_column 'target'"),
     ("[f0, f1, f2, f3, f0, f5]", "'f0' is listed twice"),
@@ -392,14 +376,6 @@ def test_csv_feature_columns_exclude_the_label_and_repeats(tmp_path, capsys,
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == \
         f"error: config.dataset.feature_columns: {message}\n"
-
-
-def test_csv_label_map_within_classes_is_accepted(tmp_path):
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    config = write_yaml(tmp_path / "lm.yaml",
-                        with_line(text, "dataset", "  label_map: {'0': 1, '1': 0}"))
-    assert load_config(config).dataset["label_map"] == {"0": 1, "1": 0}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
@@ -596,6 +572,23 @@ def test_model_dump_rejects_wrong_header_keywords(tmp_path, old, new, message):
         load_party_models(path)
 
 
+@pytest.mark.parametrize("edit", ["appended_line", "header_names_fewer_parties"])
+def test_model_dump_rejects_lines_after_the_last_party(tmp_path, edit):
+    # Reading stopped after the header's party count: junk loaded, and a
+    # header naming fewer parties dropped the rest silently.
+    path, lines = _dump_lines(tmp_path)  # two parties
+    if edit == "appended_line":
+        lines.append("junk")
+        at, last = len(lines), 1
+    else:
+        lines[1] = lines[1].replace("parties 2 ", "parties 1 ")
+        at, last = lines.index("party 1 input_dims 2 3 output_dims 2 1") + 1, 0
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"model.txt:{at}: unexpected line after party {last}")):
+        load_party_models(path)
+
+
 def test_inspect_reports_a_truncated_dump(tmp_path, capsys):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv)
@@ -771,14 +764,12 @@ def write_labelled_csv(path, labels):
      "training needs classes 0 and 1"),
     ([0] * 12, ["  balance: true"], "config.dataset.label_column: every row of "
      "{csv} has class 0; training needs classes 0 and 1"),
-    ([0, 1] * 6, ["  label_map: {'0': 1, '1': 1}"], "config.dataset.label_column: "
-     "every row of {csv} has class 1; training needs classes 0 and 1"),
     ([0, 1], ["  test_fraction: 0.2"], "config.dataset.test_fraction: 0.2 of 2 "
      "rows leaves an empty train or test split"),
     ([0, 1], ["  test_fraction: 0.9"], "config.dataset.test_fraction: 0.9 of 2 "
      "rows leaves an empty train or test split"),
-], ids=["no_rows", "one_class", "one_class_balanced", "label_map_one_class",
-        "empty_test_split", "empty_train_split"])
+], ids=["no_rows", "one_class", "one_class_balanced", "empty_test_split",
+        "empty_train_split"])
 def test_csv_that_cannot_train_both_classes_names_the_field(tmp_path, capsys,
                                                             labels, lines, message):
     csv = write_labelled_csv(tmp_path / "d.csv", labels)
@@ -868,13 +859,14 @@ def test_seed_flag_changes_the_run(tmp_path):
     assert (tmp_path / "run" / "trace.csv").read_text() != trace0
 
 
-def test_out_flag_beats_environment_beats_config(tmp_path, monkeypatch):
+def test_out_flag_beats_config(tmp_path, monkeypatch):
     csv = make_csv(tmp_path / "d.csv")
     config = csv_config(tmp_path, csv)
     env_dir, flag_dir = tmp_path / "from_env", tmp_path / "from_flag"
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
+    # No environment variable chooses the output directory.
+    monkeypatch.setenv("EVIFED_OUT_DIR", str(env_dir))
     assert run_cli("train", "--config", config) == 0
-    assert (env_dir / "trace.csv").exists()
+    assert (tmp_path / "run" / "trace.csv").exists() and not env_dir.exists()
     assert run_cli("train", "--config", config, "--out", str(flag_dir)) == 0
     assert (flag_dir / "trace.csv").exists()
 

@@ -126,13 +126,6 @@ def test_csv_basic_load(tmp_path):
     assert np.array_equal(labels, [0, 1])
 
 
-def test_csv_label_map(tmp_path):
-    p = tmp_path / "toy.csv"
-    write_csv(p, ["a", "y"], [[1.0, "M"], [2.0, "B"]])
-    _, labels = data.load_tabular_csv(p, ["a"], "y", label_map={"M": 1, "B": 0})
-    assert np.array_equal(labels, [1, 0])
-
-
 def test_csv_non_numeric_cell_reports_row_and_column(tmp_path):
     p = tmp_path / "toy.csv"
     write_csv(p, ["a", "y"], [[1.0, 0], ["oops", 1]])
@@ -156,11 +149,14 @@ def test_csv_label_without_map_must_be_exactly_0_or_1(tmp_path, cell):
         data.load_tabular_csv(p, ["a"], "y")
 
 
-def test_csv_unknown_label_rejected(tmp_path):
+def test_csv_header_only_gives_no_rows_of_every_column(tmp_path):
+    # A (0,) array made vertical_split raise IndexError.
     p = tmp_path / "toy.csv"
-    write_csv(p, ["a", "y"], [[1.0, "X"]])
-    with pytest.raises(ValueError, match="unknown label"):
-        data.load_tabular_csv(p, ["a"], "y", label_map={"M": 1})
+    write_csv(p, ["a", "b", "y"], [])
+    feats, labels = data.load_tabular_csv(p, ["a", "b"], "y")
+    assert feats.shape == (0, 2) and feats.dtype == np.float64
+    assert labels.shape == (0,)
+    assert [b.shape for b in data.vertical_split(feats, [1, 1])] == [(0, 1), (0, 1)]
 
 
 # --- standardization -------------------------------------------------------

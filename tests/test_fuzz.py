@@ -112,14 +112,12 @@ ALTERNATIVES = {
     "classes": st.permutations([3, 6]),
     "max_train_samples": st.integers(1, 2**40),
     "max_test_samples": st.integers(1, 2**40),
-    "label_map": st.just({"0": 0, "1": 1}),
     "balance": st.booleans(),
     "test_fraction": st.floats(0.2, 0.8),
     "learning_rate": st.floats(1e-4, 1.0),
     "batch_size": st.integers(1, 512),
     "epochs": st.integers(1, 50),
     "seed": st.integers(0, 2**32 - 1),
-    "adam_epsilon": st.floats(1e-12, 1e-4),
 }
 
 
@@ -134,8 +132,8 @@ def valid_values(kind):
         default = cli.CONFIG_SCHEMA[section][key][0]
         if default is cli.REQUIRED or key == "train":
             continue
-        choices = [] if key in ("classes", "label_map") else [st.just(DELETE)]
-        if default is not None and key != "classes":
+        choices = [] if key == "classes" else [st.just(DELETE)]
+        if key != "classes":
             choices.append(st.just(as_yaml(default)))
         if key in ALTERNATIVES:
             choices.append(ALTERNATIVES[key])
@@ -234,12 +232,11 @@ def test_mutated_csv_loads_or_raises_a_typed_error(tmp_path):
     blob = b"a,b,target\n0.5,1e3,1\n-2,7,0\n3,4,1\n"
 
     @fuzz(120)
-    @given(mutated(blob, len(blob)), st.booleans())
-    def check(mutant, mapped):
+    @given(mutated(blob, len(blob)))
+    def check(mutant):
         path.write_bytes(mutant)
         try:
-            data.load_tabular_csv(path, ["a", "b"], "target",
-                                  label_map={"0": 0, "1": 1} if mapped else None)
+            data.load_tabular_csv(path, ["a", "b"], "target")
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:"), exc
 
@@ -251,19 +248,18 @@ def test_mutated_csv_parses_as_the_dictreader_oracle(tmp_path):
     path = tmp_path / "d.csv"
     blob = b"a,b,target,a\n0.5,1e3,1,2\n\n-2,7,0,8,9\n3,4,1,-1\n"
 
-    def outcome(load, mapped):
+    def outcome(load):
         try:
-            return load(path, ["a", "b"], "target",
-                        label_map={"0": 0, "1": 1} if mapped else None)
+            return load(path, ["a", "b"], "target")
         except ValueError as exc:
             return str(exc)
 
     @fuzz(150)
-    @given(mutated(blob, len(blob)), st.booleans())
-    def check(mutant, mapped):
+    @given(mutated(blob, len(blob)))
+    def check(mutant):
         path.write_bytes(mutant)
-        got = outcome(data.load_tabular_csv, mapped)
-        want = outcome(load_tabular_csv_dictreader, mapped)
+        got = outcome(data.load_tabular_csv)
+        want = outcome(load_tabular_csv_dictreader)
         if isinstance(want, str):
             assert got == want
         else:
