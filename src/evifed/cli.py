@@ -270,17 +270,22 @@ def _idx_to_dataset(images: np.ndarray, labels: np.ndarray, classes: list[int],
     """The rows whose label is in ``classes``, at most ``max_n`` of them in a
     draw seeded by (seed, salt), with labels 0..C-1 in ``classes`` order.
 
-    Rows are chosen on the labels, so only the kept uint8 rows are copied to
-    float64: this is the one place pixels are scaled to [0, 1].
+    Rows are chosen on the labels, so only the kept uint8 rows are read from
+    ``images`` (a map of the file); each uint8 quadrant is converted once:
+    this is the one place pixels are scaled to [0, 1].
     """
     rows = np.flatnonzero(np.isin(labels, classes))
     if len(rows) > max_n:
         rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
         rows = rows[rng.permutation(len(rows))[:max_n]]
-    remap = {c: i for i, c in enumerate(classes)}
-    mapped = np.array([remap[int(v)] for v in labels[rows]], dtype=np.int64)
-    blocks = data.quadrant_partition(images[rows].astype(np.float64) / 255.0)
-    return data.VerticalDataset(blocks, data.one_hot(mapped, len(classes)))
+    remap = np.zeros(256, dtype=np.int64)  # IDX labels are uint8,
+    for i, c in enumerate(classes):        # so no row holds another class
+        if 0 <= c < 256:
+            remap[c] = i
+    blocks = [np.divide(block, 255.0)
+              for block in data.quadrant_partition(images[rows])]
+    return data.VerticalDataset(blocks, data.one_hot(remap[labels[rows]],
+                                                     len(classes)))
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int

@@ -1,9 +1,10 @@
 """Dataset ingestion, vertical partitioning, and deterministic batching.
 
 Supported inputs: the big-endian IDX image/label format (magic 0x00000803 /
-0x00000801) and comma-delimited CSV with a header row.  IDX pixels stay uint8
-until ``cli._idx_to_dataset`` has chosen the rows a run keeps, and are scaled
-to [0, 1] once, there; tabular features are z-scored per column using
+0x00000801) and comma-delimited CSV with a header row.  The IDX image payload
+is size-checked and mapped, not read: ``cli._idx_to_dataset`` chooses the rows
+a run keeps on the labels, copies only those uint8 rows, and scales them to
+[0, 1] once, there; tabular features are z-scored per column using
 statistics from the training split only (variance floor 1e-12 for constant
 columns).
 """
@@ -57,21 +58,27 @@ class VerticalDataset:
                                self.labels[indices])
 
 
-def _read_exact(f, count: int, offset: int, what: str) -> bytes:
+def _check_size(f, count: int, offset: int, what: str) -> None:
     # The size a header declares is checked against the file before any
     # read, so a huge claim allocates nothing.
     held = max(os.fstat(f.fileno()).st_size - offset, 0)
     if count > held:
         raise IdxFormatError(f"{f.name}: truncated {what} at byte offset {offset}: "
                              f"wanted {count} bytes, got {held}")
+
+
+def _read_exact(f, count: int, offset: int, what: str) -> bytes:
+    _check_size(f, count, offset, what)
     return f.read(count)
 
 
 def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
-    """Raw uint8 pixels as (N, rows, cols) and int64 labels.
+    """Raw uint8 pixels as a read-only (N, rows, cols) map of the image
+    payload, and int64 labels.
 
-    No float copy is made: the caller chooses rows on the labels first and
-    scales only those (``cli._idx_to_dataset``).
+    The whole declared payload is checked against the file size, but no
+    pixel is read here: the caller chooses rows on the labels first, and only
+    the kept rows are copied and scaled (``cli._idx_to_dataset``).
     """
     with open(image_path, "rb") as f:
         header = _read_exact(f, 16, 0, "image header")
@@ -79,8 +86,12 @@ def load_idx_images(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
         if magic != IDX_IMAGES_MAGIC:
             raise IdxFormatError(f"{image_path}: bad image magic {magic:#010x} "
                                  f"at byte offset 0")
-        payload = _read_exact(f, n * rows * cols, 16, "image payload")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+        _check_size(f, n * rows * cols, 16, "image payload")
+        if n * rows * cols:
+            images = np.memmap(f, dtype=np.uint8, mode="r", offset=16,
+                               shape=(n, rows, cols))
+        else:  # mmap cannot map 0 bytes
+            images = np.zeros((n, rows, cols), dtype=np.uint8)
     with open(label_path, "rb") as f:
         header = _read_exact(f, 8, 0, "label header")
         magic, n_labels = struct.unpack(">II", header)

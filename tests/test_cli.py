@@ -123,6 +123,21 @@ train: {{learning_rate: -1.0}}
         cli_load_from_text(cfg)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dataset:\n\tkind: csv\n",
+     "while scanning for the next token found character '\\t' that cannot start "
+     "any token in \"{path}\", line 2, column 1"),
+    ("dataset: *nope\n",
+     "found undefined alias 'nope' in \"{path}\", line 1, column 10"),
+], ids=["tab", "undefined_alias"])
+def test_yaml_error_names_the_offending_token(tmp_path, text, message):
+    # The pure-Python parser names the token at fault; libyaml's drops it.
+    bad = write_yaml(tmp_path / "bad.yaml", text)
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    assert str(err.value) == f"{bad}: invalid YAML: " + message.format(path=bad)
+
+
 def test_yaml_syntax_error_is_one_error_line(tmp_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", "dataset: [unclosed\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
@@ -797,15 +812,14 @@ def test_idx_rows_chosen_before_scaling_match_scaling_everything(seed):
             assert np.array_equal(g, w)
 
 
-def test_idx_set_up_converts_only_the_kept_rows(tmp_path):
-    # 2020 images, 10 of each split kept: a float64 copy of every pixel
-    # would take all_pixels bytes, twice the bound.
+def kept_rows_set_up_peak(tmp_path):
+    """tracemalloc peak of building datasets from 2020 IDX images (2000 train,
+    20 test) of which 10 + 10 are kept."""
     rng = np.random.default_rng(3)
     config = idx_config(tmp_path, list(rng.choice([3, 6], size=2000)), [3, 6] * 10,
                         dataset_lines="  classes: [3, 6]\n  max_train_samples: 10\n"
                                       "  max_test_samples: 10")
     cfg = load_config(config)
-    all_pixels = 2020 * 28 * 28 * 8
     tracemalloc.start()
     try:
         train_set, test_set = cli.build_datasets(cfg, seed=0)
@@ -813,7 +827,29 @@ def test_idx_set_up_converts_only_the_kept_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert train_set.num_samples == test_set.num_samples == 10
-    assert peak < all_pixels / 2
+    return peak
+
+
+def test_idx_set_up_converts_only_the_kept_rows(tmp_path):
+    # A float64 copy of every pixel would take all_pixels bytes, twice the bound.
+    all_pixels = 2020 * 28 * 28 * 8
+    assert kept_rows_set_up_peak(tmp_path) < all_pixels / 2
+
+
+def test_idx_set_up_reads_only_the_kept_rows(tmp_path):
+    # Reading the whole uint8 image payload into memory would take twice the bound.
+    payload = 2020 * 28 * 28
+    assert kept_rows_set_up_peak(tmp_path) < payload / 2
+
+
+@pytest.mark.parametrize("classes,missing", [([3, 300], 300), ([-1, 3], -1)])
+def test_idx_class_no_label_can_hold_is_missing_from_train(tmp_path, classes,
+                                                             missing):
+    # IDX labels are bytes, so a class outside 0..255 is simply never found.
+    config = idx_config(tmp_path, [3, 6] * 4, dataset_lines=f"  classes: {classes}")
+    with pytest.raises(ConfigError, match=rf"^config\.dataset\.classes: no train "
+                                          rf"sample has label {missing}$"):
+        cli.build_datasets(load_config(config), seed=0)
 
 
 # --- train command ---------------------------------------------------------

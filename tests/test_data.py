@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evifed import data
+from evifed import cli, data
+from evifed.cli import ConfigError
 from evifed.data import IdxFormatError, VerticalDataset
 from oracle import reassemble_quadrants
 
@@ -24,6 +25,7 @@ def test_idx_roundtrip_reproduces_pixels(tmp_path):
     back_images, back_labels = data.load_idx_images(img_path, lab_path)
     # write quantizes to uint8, and load returns those pixels unscaled
     assert back_images.dtype == np.uint8
+    assert not back_images.flags.writeable
     assert np.array_equal(back_images, np.round(images * 255))
     assert np.array_equal(back_labels, labels)
 
@@ -54,6 +56,52 @@ def test_idx_truncated_payload_raises(tmp_path):
     img_path.write_bytes(img_path.read_bytes()[:-10])
     with pytest.raises(IdxFormatError, match="truncated"):
         data.load_idx_images(img_path, lab_path)
+
+
+def idx_files_and_config(tmp_path, labels):
+    """IDX train and test files of ``labels`` and a config keeping digits 3, 6."""
+    img_path, lab_path = tmp_path / "img.idx", tmp_path / "lab.idx"
+    data.write_idx_images(img_path, lab_path, np.zeros((len(labels), 28, 28)),
+                          np.array(labels))
+    config = tmp_path / "idx.yaml"
+    config.write_text(f"""
+dataset:
+  kind: idx
+  train_images: {img_path}
+  train_labels: {lab_path}
+  test_images: {img_path}
+  test_labels: {lab_path}
+  classes: [3, 6]
+parties:
+  input_dims: [2, 7, 7, 2]
+  output_dims: [1, 2, 2, 1]
+  num_classes: 2
+""")
+    return img_path, lab_path, cli.load_config(str(config))
+
+
+def test_idx_truncation_in_a_row_not_kept_still_fails(tmp_path):
+    # The last row is a 1, which the config drops; the size check covers it.
+    img_path, lab_path, cfg = idx_files_and_config(tmp_path, [3, 6, 3, 1])
+    img_path.write_bytes(img_path.read_bytes()[:-10])
+    message = (f"{img_path}: truncated image payload at byte offset 16: "
+               f"wanted {4 * 784} bytes, got {4 * 784 - 10}")
+    with pytest.raises(IdxFormatError) as err:
+        data.load_idx_images(img_path, lab_path)
+    assert str(err.value) == message
+    with pytest.raises(IdxFormatError) as err:
+        cli.build_datasets(cfg, seed=0)
+    assert str(err.value) == message
+
+
+def test_idx_with_no_images_loads_empty_and_keeps_no_sample(tmp_path):
+    img_path, lab_path, cfg = idx_files_and_config(tmp_path, [])
+    images, labels = data.load_idx_images(img_path, lab_path)
+    assert images.shape == (0, 28, 28) and images.dtype == np.uint8
+    assert labels.shape == (0,)
+    with pytest.raises(ConfigError, match=r"^config\.dataset\.classes: no train "
+                                          r"sample has a label in \[3, 6\]$"):
+        cli.build_datasets(cfg, seed=0)
 
 
 @pytest.mark.parametrize("which", ["images", "labels"])
