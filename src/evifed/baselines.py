@@ -27,6 +27,7 @@ import numpy as np
 from .model import (PartyModel, Prediction, batched_marginals,
                     party_angle_gradients, predict, softmax)
 from .train import EvidentialTrainable, ce_loss, forward_pass, party_gradients
+from .ttn import _logistic_denominator
 # Not called here: perfbench/tracer.py patches ttn_backward at this lookup
 # site too and fails if the name is missing.
 from .ttn import ttn_backward  # noqa: F401
@@ -36,7 +37,7 @@ BASELINE_KINDS = ("classical_average", "classical_fuse",
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    return 1.0 / _logistic_denominator(z)
 
 
 def _concat_parties(stack: np.ndarray) -> np.ndarray:

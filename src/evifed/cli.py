@@ -38,7 +38,8 @@ Config schema (all keys lowercase; an optional key shows its default)::
       output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes,
                                 # n_k <= qsim.MAX_QUBITS, n_k * d_k <= ttn.DENSE_CAP
       rank: 2                   # positive int
-      vqc_blocks: 2             # positive int
+      vqc_blocks: 2             # positive int; a party's TT core entries plus its
+                                # 3 * n_k * vqc_blocks angles <= ttn.DENSE_CAP
       num_classes: 2            # the dataset's class count
     train:
       learning_rate: 0.05       # finite number > 0
@@ -196,6 +197,16 @@ def validate_party_topology(parties: dict) -> None:
         raise ConfigError(f"config.parties.input_dims: the TT operator would hold "
                           f"{n_qubits} x {d} = {n_qubits * d} entries, more than "
                           f"ttn.DENSE_CAP={DENSE_CAP}")
+    # As TTLayerParams.random_init and PartyModel.random_init would allocate.
+    ranks = [1] + [parties["rank"]] * (modes - 1) + [1]
+    tt = sum(ranks[l] * i * o * ranks[l + 1] for l, (i, o) in
+             enumerate(zip(parties["input_dims"], parties["output_dims"])))
+    angles = 3 * n_qubits * parties["vqc_blocks"]
+    if tt + angles > DENSE_CAP:
+        field = "rank" if tt >= angles else "vqc_blocks"
+        raise ConfigError(f"config.parties.{field}: a party would hold {tt} TT "
+                          f"core entries and {angles} VQC angles, more than "
+                          f"ttn.DENSE_CAP={DENSE_CAP} parameters")
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):

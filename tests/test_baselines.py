@@ -112,6 +112,17 @@ def test_mlp_backward_matches_finite_differences():
         assert np.max(np.abs(a - b)) < 1e-6
 
 
+def test_mlp_forward_saturates_without_overflow():
+    # exp(1000) overflows; the hidden units must read exactly 1 and 0.
+    party = MLPParty(np.array([[1.0], [-1.0]]), np.zeros(2), np.eye(2), np.zeros(2))
+    logits, cache = party.forward(np.array([1000.0]))
+    assert cache["h"].tolist() == [1.0, 0.0]
+    assert logits.tolist() == [1.0, 0.0]
+    # Where exp does not overflow, the plain logistic is unchanged bit for bit.
+    z = np.linspace(-700.0, 700.0, 10_001)
+    assert np.array_equal(baselines._sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
+
+
 @pytest.mark.parametrize("kind", ["classical_average", "classical_fuse"])
 def test_classical_loss_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(3)

@@ -451,6 +451,23 @@ def test_topology_rejects_operator_over_dense_cap(tmp_path, capsys):
                                        "entries, more than ttn.DENSE_CAP=1000000\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("  rank: 100000000", "config.parties.rank: a party would hold 1400000000 "
+     "TT core entries and 12 VQC angles, more than ttn.DENSE_CAP=1000000 "
+     "parameters"),
+    ("  vqc_blocks: 100000000", "config.parties.vqc_blocks: a party would hold "
+     "28 TT core entries and 1200000000 VQC angles, more than "
+     "ttn.DENSE_CAP=1000000 parameters"),
+], ids=["rank", "vqc_blocks"])
+def test_party_parameter_count_bounded_at_load(tmp_path, line, message):
+    # load_config only: building these parties would ask NumPy for ~10 GiB.
+    text = (ROOT / "configs" / "breast_cancer.yaml").read_text()
+    config = write_yaml(tmp_path / "big.yaml", with_line(text, "parties", line))
+    with pytest.raises(ConfigError) as exc:
+        load_config(config)
+    assert str(exc.value) == message
+
+
 def test_topology_rejects_register_over_max_qubits(tmp_path, capsys):
     # The TT operator is small (40 x 1), but each circuit row would hold
     # 2^40 amplitudes.

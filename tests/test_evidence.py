@@ -183,11 +183,3 @@ def test_singleton_plausibilities_compose_per_component():
     vec = evidence.singleton_plausibilities(m)
     for c in range(3):
         assert vec[c] == pytest.approx(evidence.plausibility(m, 1 << c))
-
-
-# --- module-wide properties ------------------------------------------------
-
-def test_evidence_property_suite_passes():
-    from evifed.verify import suite_evidence
-    for result in suite_evidence():
-        assert result.passed, f"{result.name}: worst {result.worst}"

@@ -426,11 +426,3 @@ def test_last_block_rz_angles_get_no_gradient(blocks):
         assert np.max(np.abs(d_vqc[dead])) < 1e-15
         live = max(live, np.max(np.abs(d_vqc[~dead])))
     assert live > 0.1
-
-
-# --- module-wide properties ------------------------------------------------
-
-def test_fusion_property_suite_passes():
-    from evifed.verify import suite_fusion
-    for result in suite_fusion():
-        assert result.passed, f"{result.name}: worst {result.worst}"

@@ -374,11 +374,3 @@ def test_remove_qubits_projects_out_definite_bits():
     s = qsim.tensor_product(one, rest)
     _, out = qsim.measure_out(s, [0], FixedU(0.9))
     assert np.allclose(out.amplitudes, rest.amplitudes)
-
-
-# --- module-wide properties (shared verification suite) --------------------
-
-def test_qsim_property_suite_passes():
-    from evifed.verify import suite_qsim
-    for result in suite_qsim():
-        assert result.passed, f"{result.name}: worst {result.worst}"

@@ -108,11 +108,3 @@ def test_logical_transfer_equals_protocol_result():
         assert np.array_equal(shortcut.amplitudes, psi.amplitudes)
         full, _ = teleport.teleport_register(psi.copy(), list(range(n)), rng)
         assert qsim.fidelity(shortcut, full) == pytest.approx(1.0, abs=1e-10)
-
-
-# --- module-wide properties ------------------------------------------------
-
-def test_teleport_property_suite_passes():
-    from evifed.verify import suite_teleport
-    for result in suite_teleport():
-        assert result.passed, f"{result.name}: worst {result.worst}"

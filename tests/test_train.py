@@ -632,11 +632,3 @@ def test_barren_plateau_report_is_deterministic():
     a = train.barren_plateau_diagnostic(**kwargs)
     b = train.barren_plateau_diagnostic(**kwargs)
     assert a == b
-
-
-# --- module-wide properties ------------------------------------------------
-
-def test_gradient_property_suite_passes():
-    from evifed.verify import suite_gradients
-    for result in suite_gradients():
-        assert result.passed, f"{result.name}: worst {result.worst}"
