@@ -17,6 +17,7 @@ fusing servers read each sample's K*C party outputs in party order.
 Classical party widths are budget-matched: the largest hidden width whose
 per-party parameter count stays within the quantum party's count (minimum
 width 1 when even that overshoots; realized counts are reported).
+``cli.build_trainable`` builds each kind from a config.
 """
 from __future__ import annotations
 
@@ -224,26 +225,3 @@ class MeasureVqcModel(MeasureAverageModel):
                                                 self.server_angles[None], d_out)
         return 2.0 * _split_parties(d_enc, len(self.models)), [d_server[0]]
 
-
-def build_baseline(kind: str, input_sizes: list[int], num_classes: int, rng,
-                   quantum_models: list[PartyModel] | None = None,
-                   party_budget: int | None = None):
-    """Construct a baseline model; quantum kinds reuse the given party models."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    if kind in ("measure_then_average", "measure_then_vqc"):
-        if quantum_models is None:
-            raise ValueError(f"{kind} needs the quantum party models")
-        if kind == "measure_then_average":
-            return MeasureAverageModel(quantum_models)
-        return MeasureVqcModel.random_init(quantum_models, rng)
-    if party_budget is None:
-        raise ValueError("classical baselines need a per-party budget")
-    parties = [
-        MLPParty.random_init(d, mlp_width_for_budget(d, num_classes, party_budget),
-                             num_classes, rng)
-        for d in input_sizes
-    ]
-    if kind == "classical_average":
-        return ClassicalAverageModel(parties)
-    return ClassicalFuseModel.random_init(parties, num_classes, rng)

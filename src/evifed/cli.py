@@ -4,12 +4,14 @@ Experiments are described by a YAML config (schema below); every command is
 deterministic given the config and seed, so rerunning reproduces outputs
 byte for byte.  A bad config value, dataset file, model dump or training
 trace ends a command with one ``error:`` line naming the file and the field
-or line, and exit status 1.  ``CONFIG_SCHEMA`` holds every key's default and check, so a
-typo or a value of the wrong type or range never trains with a silent
-default (a bool is no number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as
-a string).  Output directory precedence: ``--out``, then the config's
-``out_dir``.  Every section, ``train`` included, is checked by
-that one table; ``train.TrainConfig`` holds the checked values as plain data.
+or line, and exit status 1; so does a training run whose mean loss or
+parameters stop being finite, before it writes any output.
+``CONFIG_SCHEMA`` holds every key's default and check, so a typo or a value
+of the wrong type or range never trains with a silent default (a bool is no
+number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as a string).  Output
+directory precedence: ``--out``, then the config's ``out_dir``.  Every
+section, ``train`` included, is checked by that one table;
+``train.TrainConfig`` holds the checked values as plain data.
 
 Config schema (all keys lowercase; an optional key shows its default)::
 
@@ -31,16 +33,17 @@ Config schema (all keys lowercase; an optional key shows its default)::
       label_column: target      # header name
       balance: false            # bool; balanced_subsample before splitting
       test_fraction: 0.2        # number in (0, 1); both splits non-empty
-      widths: [10, 10, 10]      # per-party widths in file order; sum = #columns
     model_kind: eviqvfl         # or one of baselines.BASELINE_KINDS
     parties:
-      input_dims: [2, 7, 7, 2]  # TT input factorization, product = d_k
-      output_dims: [1, 2, 2, 1] # one per input factor; product n_k >= num_classes,
-                                # n_k <= qsim.MAX_QUBITS, n_k * d_k <= ttn.DENSE_CAP
+      input_dims: [2, 7, 7, 2]  # TT input factorization; product d = a party's width:
+                                # 196 for idx (a 14x14 quadrant); csv parties are
+                                # consecutive runs of d feature_columns
+      output_dims: [1, 2, 2, 1] # one per input factor; product n >= the class count
+                                # (len(classes) for idx, 2 for csv),
+                                # n <= qsim.MAX_QUBITS, n * d <= ttn.DENSE_CAP
       rank: 2                   # positive int
       vqc_blocks: 2             # positive int; a party's TT core entries plus its
-                                # 3 * n_k * vqc_blocks angles <= ttn.DENSE_CAP
-      num_classes: 2            # the dataset's class count
+                                # 3 * n * vqc_blocks angles <= ttn.DENSE_CAP
     train:
       learning_rate: 0.05       # finite number > 0
       batch_size: 64            # positive int
@@ -119,13 +122,6 @@ CONFIG_SCHEMA = {
         "out_dir": (".", lambda v: isinstance(v, str),
                     "must be a directory path, got {!r}"),
     },
-    "parties": {
-        "input_dims": (REQUIRED, *_POSITIVE_INTS),
-        "output_dims": (REQUIRED, *_POSITIVE_INTS),
-        "num_classes": (REQUIRED, *_POSITIVE_INT),
-        "rank": (2, *_POSITIVE_INT),
-        "vqc_blocks": (2, *_POSITIVE_INT),
-    },
     "dataset": {"kind": (REQUIRED, lambda v: v in ("idx", "csv"), "unknown kind {!r}")},
     "dataset.idx": {
         **{key: (REQUIRED, *_FILE) for key in ("train_images", "train_labels",
@@ -142,10 +138,15 @@ CONFIG_SCHEMA = {
                             "must be a non-empty list of column names, got {!r}"),
         "label_column": (REQUIRED, lambda v: isinstance(v, str),
                          "must be a column name, got {!r}"),
-        "widths": (REQUIRED, *_POSITIVE_INTS),
         "balance": (False, lambda v: type(v) is bool, "must be true or false, got {!r}"),
         "test_fraction": (0.2, lambda v: is_finite_number(v) and 0 < v < 1,
                           "must be a number in (0, 1), got {!r}"),
+    },
+    "parties": {
+        "input_dims": (REQUIRED, *_POSITIVE_INTS),
+        "output_dims": (REQUIRED, *_POSITIVE_INTS),
+        "rank": (2, *_POSITIVE_INT),
+        "vqc_blocks": (2, *_POSITIVE_INT),
     },
     "train": {f.name: (f.default, *_TRAIN_CHECKS[f.name])  # TrainConfig's defaults
               for f in dataclasses.fields(train.TrainConfig)},
@@ -179,16 +180,30 @@ def _walk(section: dict, path: str, *tables: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def validate_party_topology(parties: dict) -> None:
+def _class_count(dataset: dict) -> int:
+    """``len(classes)`` for IDX, 2 for CSV (a label is 0 or 1)."""
+    return len(dataset["classes"]) if dataset["kind"] == "idx" else 2
+
+
+def _party_count(cfg: ExperimentConfig) -> int:
+    """Four image quadrants, or the CSV's feature columns in consecutive runs
+    of the ``input_dims`` product (``load_config`` has checked it divides)."""
+    if cfg.dataset["kind"] == "idx":
+        return 4
+    return len(cfg.dataset["feature_columns"]) // math.prod(cfg.parties["input_dims"])
+
+
+def validate_party_topology(parties: dict, num_classes: int) -> None:
+    """Check ``parties`` for a dataset of ``num_classes`` classes."""
     _walk(parties, "config.parties", "parties")
     modes, factors = len(parties["input_dims"]), len(parties["output_dims"])
     if factors != modes:
         raise ConfigError(f"config.parties.output_dims: has {factors} factors, "
                           f"input_dims has {modes}")
-    num_classes, n_qubits = parties["num_classes"], math.prod(parties["output_dims"])
+    n_qubits = math.prod(parties["output_dims"])
     if n_qubits < num_classes:
         raise ConfigError(f"config.parties.output_dims: product {n_qubits} is fewer "
-                          f"qubits than config.parties.num_classes={num_classes}")
+                          f"qubits than the dataset's {num_classes} classes")
     if n_qubits > qsim.MAX_QUBITS:
         raise ConfigError(f"config.parties.output_dims: product {n_qubits} qubits "
                           f"exceeds qsim.MAX_QUBITS={qsim.MAX_QUBITS}")
@@ -237,14 +252,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: config must be a mapping")
     _walk(raw, "config", "config")
     dataset, parties = raw["dataset"], raw["parties"]
-    validate_party_topology(parties)
     _walk(dataset, "config.dataset", "dataset", "dataset.{kind}")
-    classes = dataset["classes"] if dataset["kind"] == "idx" else [0, 1]
-    if parties["num_classes"] != len(classes):
-        raise ConfigError(f"config.parties.num_classes: {parties['num_classes']} "
-                          f"differs from the dataset's {len(classes)} classes")
     if dataset["kind"] == "csv":
-        widths, columns = dataset["widths"], dataset["feature_columns"]
+        columns = dataset["feature_columns"]
         if dataset["label_column"] in columns:
             raise ConfigError(f"config.dataset.feature_columns: lists the "
                               f"label_column {dataset['label_column']!r}")
@@ -252,14 +262,14 @@ def load_config(path) -> ExperimentConfig:
             if columns.count(column) > 1:
                 raise ConfigError(f"config.dataset.feature_columns: {column!r} "
                                   "is listed twice")
-        if sum(widths) != len(columns):
-            raise ConfigError(f"config.dataset.widths: {widths} sum to {sum(widths)}, "
-                              f"not the {len(columns)} feature_columns")
+    validate_party_topology(parties, _class_count(dataset))
     d = math.prod(parties["input_dims"])
-    for k, w in enumerate(_party_widths(dataset)):
-        if w != d:
-            raise ConfigError(f"config.parties.input_dims: product {d} does not "
-                              f"match party {k}'s feature width {w}")
+    if dataset["kind"] == "idx" and d != 196:
+        raise ConfigError(f"config.parties.input_dims: product {d} is not 196, the "
+                          "pixels of a party's 14x14 image quadrant")
+    if dataset["kind"] == "csv" and len(columns) % d:
+        raise ConfigError(f"config.parties.input_dims: product {d} does not divide "
+                          f"the {len(columns)} feature_columns into parties")
     _walk(raw["train"], "config.train", "train")
     return ExperimentConfig(**{**raw, "train": train.TrainConfig(**raw["train"])})
 
@@ -345,45 +355,45 @@ def build_datasets(cfg: ExperimentConfig, seed: int
                           "split") from None
     train_feat, test_feat = data.standardize(train_raw.party_blocks[0],
                                              test_raw.party_blocks[0])
-    return (data.VerticalDataset(data.vertical_split(train_feat, ds["widths"]),
-                                 train_raw.labels),
-            data.VerticalDataset(data.vertical_split(test_feat, ds["widths"]),
-                                 test_raw.labels))
+    parties = _party_count(cfg)
+    return (data.VerticalDataset(np.hsplit(train_feat, parties), train_raw.labels),
+            data.VerticalDataset(np.hsplit(test_feat, parties), test_raw.labels))
 
 
 # --- model construction ----------------------------------------------------
 
-def _party_widths(dataset: dict) -> list[int]:
-    """Feature width per party: the CSV split, or four 14x14 image quadrants."""
-    return list(dataset["widths"]) if dataset["kind"] == "csv" else [196] * 4
-
-
 def _random_party(cfg: ExperimentConfig, rng) -> PartyModel:
     p = cfg.parties
     return PartyModel.random_init(list(p["input_dims"]), list(p["output_dims"]),
-                                  p["rank"], p["vqc_blocks"], p["num_classes"], rng)
+                                  p["rank"], p["vqc_blocks"],
+                                  _class_count(cfg.dataset), rng)
 
 
 def build_party_models(cfg: ExperimentConfig, rng) -> list[PartyModel]:
-    """One random party per feature block; ``load_config`` has matched each
-    block's width to the ``input_dims`` product."""
-    return [_random_party(cfg, rng) for _ in _party_widths(cfg.dataset)]
+    """One random party per feature block."""
+    return [_random_party(cfg, rng) for _ in range(_party_count(cfg))]
 
 
 def build_trainable(cfg: ExperimentConfig, rng):
     """The configured model: a PartyModel list for eviqvfl (train.train_run
-    wraps it as EvidentialTrainable), else a baseline."""
-    if cfg.model_kind == "eviqvfl":
+    wraps it as EvidentialTrainable), else a baseline; the schema has checked
+    ``model_kind``."""
+    kind = cfg.model_kind
+    if kind == "eviqvfl":
         return build_party_models(cfg, rng)
-    widths = _party_widths(cfg.dataset)
-    num_classes = cfg.parties["num_classes"]
-    if cfg.model_kind in ("measure_then_average", "measure_then_vqc"):
-        return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,
-                                        quantum_models=build_party_models(cfg, rng))
+    if kind == "measure_then_average":
+        return baselines.MeasureAverageModel(build_party_models(cfg, rng))
+    if kind == "measure_then_vqc":
+        return baselines.MeasureVqcModel.random_init(build_party_models(cfg, rng), rng)
     # A quantum party, drawn only for its size, sets the classical budget.
     budget = _random_party(cfg, rng).param_count()
-    return baselines.build_baseline(cfg.model_kind, widths, num_classes, rng,
-                                    party_budget=budget)
+    d, num_classes = math.prod(cfg.parties["input_dims"]), _class_count(cfg.dataset)
+    width = baselines.mlp_width_for_budget(d, num_classes, budget)
+    parties = [baselines.MLPParty.random_init(d, width, num_classes, rng)
+               for _ in range(_party_count(cfg))]
+    if kind == "classical_average":
+        return baselines.ClassicalAverageModel(parties)
+    return baselines.ClassicalFuseModel.random_init(parties, num_classes, rng)
 
 
 # --- model serialization ---------------------------------------------------
@@ -467,10 +477,10 @@ def load_party_models(path) -> list[PartyModel]:
 
 def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
     """Raise ValueError naming the dump and the first party whose TT dims,
-    TT ranks, VQC blocks or class count differ from ``config.parties``."""
+    TT ranks or VQC blocks differ from ``config.parties``."""
     for k, m in enumerate(models):
         found = {"input_dims": m.ttn.input_dims, "output_dims": m.ttn.output_dims,
-                 "vqc_blocks": m.blocks, "num_classes": m.num_classes}
+                 "vqc_blocks": m.blocks}
         for key, value in found.items():
             if value != parties[key]:
                 raise ValueError(f"{path}: party {k} has {key} {value}, "
@@ -490,8 +500,11 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     train_set, test_set = build_datasets(cfg, cfg.train.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 0]))
-    trained, trace = train.train_run(build_trainable(cfg, rng), train_set,
-                                     cfg.train, test_set)
+    trainable = build_trainable(cfg, rng)
+    try:
+        trained, trace = train.train_run(trainable, train_set, cfg.train, test_set)
+    except ValueError as exc:  # such as divergence; no output file is written
+        raise ValueError(f"model_kind {cfg.model_kind}: {exc}") from None
 
     trace.export(os.path.join(out_dir, "trace.csv"))
     if cfg.model_kind == "eviqvfl":
@@ -527,6 +540,9 @@ def cmd_inspect(args) -> int:
     if len(models) != test_set.num_parties:
         raise ValueError(f"{args.model}: dump holds {len(models)} parties, the "
                          f"config's dataset has {test_set.num_parties}")
+    if models[0].num_classes != test_set.num_classes:
+        raise ValueError(f"{args.model}: dump holds {models[0].num_classes} "
+                         f"classes, the config's dataset has {test_set.num_classes}")
     check_dump_topology(args.model, models, cfg.parties)
     if not 0 <= args.sample < test_set.num_samples:
         raise ValueError(f"--sample {args.sample}: out of range (the test set "

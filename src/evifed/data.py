@@ -196,15 +196,6 @@ def standardize(train_features: np.ndarray, *other: np.ndarray
     return tuple(out)
 
 
-def vertical_split(features: np.ndarray, widths: list[int]) -> list[np.ndarray]:
-    """Contiguous column ranges, in file order, one per party."""
-    if sum(widths) != features.shape[1]:
-        raise ValueError(f"party widths {widths} do not sum to "
-                         f"{features.shape[1]} columns")
-    edges = np.cumsum([0] + list(widths))
-    return [features[:, edges[k]:edges[k + 1]] for k in range(len(widths))]
-
-
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0

@@ -126,7 +126,8 @@ class TrainTrace:
 def ce_loss(prediction: Prediction, label: np.ndarray,
             check_bound: bool = False) -> float | np.ndarray:
     """-ln p(true class): a float for one sample, one per row for a batch of
-    (B, C) labels; optionally assert the quantum-output loss floor."""
+    (B, C) labels; optionally assert the quantum-output loss floor.  A
+    probability that has underflowed to 0 gives an inf loss, not a warning."""
     label = np.asarray(label, dtype=np.float64)
     probabilities = prediction.probabilities
     if label.shape != probabilities.shape \
@@ -134,7 +135,8 @@ def ce_loss(prediction: Prediction, label: np.ndarray,
             or not np.all((label == 0) | (label == 1)):
         raise ValueError("label must be one-hot of length C")
     true_class = np.argmax(label, axis=-1)[..., None]
-    loss = -np.log(np.take_along_axis(probabilities, true_class, axis=-1)[..., 0])
+    with np.errstate(divide="ignore"):
+        loss = -np.log(np.take_along_axis(probabilities, true_class, axis=-1)[..., 0])
     if check_bound:
         bound = loss_lower_bound(probabilities.shape[-1])
         if np.any(loss < bound - BOUND_SLACK):
@@ -344,7 +346,9 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
     """Mini-batch training loop; fully deterministic given ``config.seed``.
 
     Each mini-batch is one ``loss_and_gradients`` call on (B, d) party
-    blocks; Adam steps on the gradient averaged over its samples.
+    blocks; Adam steps on the gradient averaged over its samples.  Training
+    stops with ValueError at the first epoch whose mean loss or any
+    parameter is not finite.
 
     ``models`` is either a list of PartyModel (trained as the evidential
     ensemble) or any object with the trainable interface of
@@ -367,10 +371,17 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
             losses.append(loss)
             hits += _hits(pred, part.labels)
             adam_step(opt, params, [g / len(batch) for g in grads], config)
+        mean_loss = float(np.mean(np.concatenate(losses)))
+        if not math.isfinite(mean_loss):
+            raise ValueError(f"training diverged at epoch {epoch}: "
+                             f"mean loss {mean_loss!r}")
+        if not all(np.isfinite(p).all() for p in params):
+            raise ValueError(f"training diverged at epoch {epoch}: a parameter "
+                             "is not finite")
         test_acc = _accuracy(trainable, test_set) if test_set is not None else float("nan")
         trace.records.append(EpochRecord(
             epoch=epoch,
-            loss=float(np.mean(np.concatenate(losses))),
+            loss=mean_loss,
             train_acc=hits / train_set.num_samples,
             test_acc=test_acc,
         ))

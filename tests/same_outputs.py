@@ -1,0 +1,78 @@
+"""Compare this checkout's training outputs with those of another revision.
+
+    python tests/same_outputs.py --base <rev>
+
+Clones the repository at ``<rev>`` into a temporary directory (removed at
+exit).  In both trees it runs ``evifed train`` once per model kind on that
+tree's own ``configs/breast_cancer.yaml`` with ``model_kind`` replaced, then
+compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  It
+prints one line per kind and file and exits 1 if any file differs, or if a
+run fails.  pytest does not collect this file: its name is not ``test_*``.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = ("eviqvfl", "classical_average", "classical_fuse",
+         "measure_then_average", "measure_then_vqc")
+FILES = ("trace.csv", "summary.txt", "model.txt")
+
+
+def train(tree: Path, kind: str, out: Path) -> str:
+    """Run ``evifed train`` from ``tree`` on its breast-cancer config as
+    ``kind``, writing to ``out``; return stderr if the run failed."""
+    raw = yaml.safe_load((tree / "configs" / "breast_cancer.yaml").read_text())
+    raw["model_kind"] = kind
+    out.mkdir(parents=True)
+    config = out / "config.yaml"
+    config.write_text(yaml.safe_dump(raw, sort_keys=False))
+    done = subprocess.run(
+        [sys.executable, "-m", "evifed.cli", "train", "--config", str(config),
+         "--out", str(out)],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, text=True)
+    return done.stderr.strip() if done.returncode else ""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare with")
+    args = parser.parse_args(argv)
+    differ = False
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "clone", "-q", "--no-checkout", str(ROOT), str(base)],
+                       check=True)
+        subprocess.run(["git", "-C", str(base), "checkout", "-q", args.base],
+                       check=True)
+        for kind in KINDS:
+            runs = {}
+            for name, tree in (("base", base), ("here", ROOT)):
+                runs[name] = Path(tmp) / f"out-{name}" / kind
+                error = train(tree, kind, runs[name])
+                if error:
+                    print(f"{kind}: train failed in {name}: {error}")
+                    differ = True
+            for file in FILES:
+                a, b = runs["base"] / file, runs["here"] / file
+                if not a.exists() and not b.exists():
+                    verdict = "absent in both"
+                elif a.exists() and b.exists() and a.read_bytes() == b.read_bytes():
+                    verdict = "identical"
+                else:
+                    verdict = "DIFFERS"
+                    differ = True
+                print(f"{kind} {file}: {verdict}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evifed import cli, data, evidence, model, qsim, teleport, train, verify
+from evifed import baselines, cli, data, evidence, model, qsim, teleport, train, verify
 from evifed.model import PartyModel, loss_lower_bound
 from evifed.verify import ForcedBranch, random_bba, random_state
 from oracle import logical_transfer
@@ -77,11 +77,8 @@ def breast_cancer_splits(seed):
     train_raw, test_raw = data.train_test_split(raw, 0.2, seed)
     train_feat, test_feat = data.standardize(train_raw.party_blocks[0],
                                              test_raw.party_blocks[0])
-    widths = [10, 10, 10]
-    return (data.VerticalDataset(data.vertical_split(train_feat, widths),
-                                 train_raw.labels),
-            data.VerticalDataset(data.vertical_split(test_feat, widths),
-                                 test_raw.labels))
+    return (data.VerticalDataset(np.hsplit(train_feat, 3), train_raw.labels),
+            data.VerticalDataset(np.hsplit(test_feat, 3), test_raw.labels))
 
 
 def test_criterion_1_fusion_circuit_soundness():
@@ -223,11 +220,10 @@ def test_criterion_7_desk_scale_accuracy(dataset_name, target):
             train_raw, test_raw = data.train_test_split(raw, 0.2, seed)
             train_feat, test_feat = data.standardize(
                 train_raw.party_blocks[0], test_raw.party_blocks[0])
-            widths = [7, 7, 7, 7]
-            train_set = data.VerticalDataset(
-                data.vertical_split(train_feat, widths), train_raw.labels)
-            test_set = data.VerticalDataset(
-                data.vertical_split(test_feat, widths), test_raw.labels)
+            train_set = data.VerticalDataset(np.hsplit(train_feat, 4),
+                                             train_raw.labels)
+            test_set = data.VerticalDataset(np.hsplit(test_feat, 4),
+                                            test_raw.labels)
             topology = CREDIT_TOPOLOGY
         models = random_models(
             topology, train_set.num_parties,
@@ -245,7 +241,6 @@ def test_criterion_8_evidential_fusion_beats_plain_averaging():
     """eviQVFL's mean MNIST test accuracy over 3 shared seeds is at least
     the measure-then-average baseline's."""
     require_files(MNIST_FILES.values(), "the MNIST baseline comparison")
-    from evifed.baselines import build_baseline
     evi_accs, avg_accs = [], []
     train_set, test_set = mnist_dataset()
     for seed in range(3):
@@ -256,8 +251,7 @@ def test_criterion_8_evidential_fusion_beats_plain_averaging():
         _, trace = run_training(evi, train_set, test_set, config)
         evi_accs.append(trace.records[-1].test_acc)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        base = build_baseline("measure_then_average", [196] * 4, 2, rng,
-                              quantum_models=random_models(MNIST_TOPOLOGY, 4, rng))
+        base = baselines.MeasureAverageModel(random_models(MNIST_TOPOLOGY, 4, rng))
         _, trace = run_training(base, train_set, test_set, config)
         avg_accs.append(trace.records[-1].test_acc)
     assert float(np.mean(evi_accs)) >= float(np.mean(avg_accs))

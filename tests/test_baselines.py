@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from evifed import baselines, train
-from evifed.baselines import (BASELINE_KINDS, MLPParty, build_baseline,
-                              mlp_width_for_budget)
+from evifed.baselines import BASELINE_KINDS, MLPParty, mlp_width_for_budget
 from evifed.model import PartyModel, fuse_factorized, loss_lower_bound, predict
 from evifed.train import TrainConfig, ce_loss, forward_pass
 
@@ -12,6 +11,20 @@ from evifed.train import TrainConfig, ce_loss, forward_pass
 def small_models(rng, k=2, num_classes=2):
     return [PartyModel.random_init([4], [2], 1, 1, num_classes, rng)
             for _ in range(k)]
+
+
+def make_baseline(kind, rng, models, input_sizes=(4, 4)):
+    """A ``kind`` model over the quantum ``models``, or over classical parties
+    of ``input_sizes`` features at a 40-parameter budget each."""
+    if kind == "measure_then_average":
+        return baselines.MeasureAverageModel(models)
+    if kind == "measure_then_vqc":
+        return baselines.MeasureVqcModel.random_init(models, rng)
+    parties = [MLPParty.random_init(d, mlp_width_for_budget(d, 2, 40), 2, rng)
+               for d in input_sizes]
+    if kind == "classical_average":
+        return baselines.ClassicalAverageModel(parties)
+    return baselines.ClassicalFuseModel.random_init(parties, 2, rng)
 
 
 def random_sample(rng, model_list):
@@ -57,7 +70,7 @@ def test_budget_width_never_exceeds_budget_when_feasible():
 
 def test_classical_party_counts_reported():
     rng = np.random.default_rng(0)
-    model = build_baseline("classical_average", [4, 4], 2, rng, party_budget=40)
+    model = make_baseline("classical_average", rng, None)
     for p, count in zip(model.parties, model.party_param_counts()):
         assert count == p.param_count()
         assert count <= 40
@@ -65,27 +78,11 @@ def test_classical_party_counts_reported():
 
 # --- construction ----------------------------------------------------------
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown baseline"):
-        build_baseline("nonsense", [4], 2, np.random.default_rng(0))
-
-
-def test_quantum_kinds_require_party_models():
-    with pytest.raises(ValueError):
-        build_baseline("measure_then_average", [4], 2, np.random.default_rng(0))
-
-
-def test_classical_kinds_require_budget():
-    with pytest.raises(ValueError):
-        build_baseline("classical_fuse", [4], 2, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
 def test_each_kind_predicts_a_distribution(kind):
     rng = np.random.default_rng(1)
     models = small_models(rng)
-    model = build_baseline(kind, [4, 4], 2, rng,
-                           quantum_models=models, party_budget=40)
+    model = make_baseline(kind, rng, models)
     sample = random_sample(rng, models)
     pred = model.predict(sample)
     assert pred.probabilities.shape == (2,)
@@ -126,7 +123,7 @@ def test_mlp_forward_saturates_without_overflow():
 @pytest.mark.parametrize("kind", ["classical_average", "classical_fuse"])
 def test_classical_loss_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(3)
-    model = build_baseline(kind, [4, 3], 2, rng, party_budget=40)
+    model = make_baseline(kind, rng, None, [4, 3])
     sample = [rng.normal(size=4), rng.normal(size=3)]
     label = np.array([0.0, 1.0])
 
@@ -145,7 +142,7 @@ def test_classical_loss_gradients_match_finite_differences(kind):
 def test_quantum_baseline_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(4)
     models = small_models(rng)
-    model = build_baseline(kind, [4, 4], 2, rng, quantum_models=models)
+    model = make_baseline(kind, rng, models)
     sample = random_sample(rng, models)
     label = np.array([1.0, 0.0])
 
@@ -167,8 +164,7 @@ def test_batch_loss_and_gradients_match_per_sample_results(kind):
     rng = np.random.default_rng(9)
     models = small_models(rng, k=3)
     trainable = (train.EvidentialTrainable(models) if kind == "eviqvfl" else
-                 build_baseline(kind, [4] * 3, 2, rng, quantum_models=models,
-                                party_budget=40))
+                 make_baseline(kind, rng, models, [4] * 3))
     b = 7
     sample = [rng.normal(size=(b, 4)) for _ in models]
     labels = np.eye(2)[rng.integers(0, 2, size=b)]
@@ -199,8 +195,7 @@ def test_single_party_average_equals_evidential_fusion():
     give identical predictions."""
     rng = np.random.default_rng(5)
     models = small_models(rng, k=1)
-    model = build_baseline("measure_then_average", [4], 2, rng,
-                           quantum_models=models)
+    model = baselines.MeasureAverageModel(models)
     sample = random_sample(rng, models)
     marginals, _ = forward_pass(models, sample)
     evidential = predict(fuse_factorized(marginals))
@@ -211,8 +206,7 @@ def test_single_party_average_equals_evidential_fusion():
 def test_average_baseline_losses_respect_softmax_floor():
     rng = np.random.default_rng(6)
     models = small_models(rng)
-    model = build_baseline("measure_then_average", [4, 4], 2, rng,
-                           quantum_models=models)
+    model = baselines.MeasureAverageModel(models)
     floor = loss_lower_bound(2)
     for _ in range(20):
         sample = random_sample(rng, models)
@@ -242,8 +236,7 @@ def test_vqc_server_shape_validated():
 def test_each_kind_trains_without_error(kind):
     rng = np.random.default_rng(8)
     models = small_models(rng)
-    model = build_baseline(kind, [4, 4], 2, rng,
-                           quantum_models=models, party_budget=40)
+    model = make_baseline(kind, rng, models)
     config = TrainConfig(learning_rate=0.1)
     opt = train.OptimizerState.for_params(model.parameters())
     losses = []

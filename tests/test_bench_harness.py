@@ -32,8 +32,8 @@ def test_tracer_records_every_traced_layer(tmp_path):
     csv.write_text("a,b,target\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(10)))
     config = tmp_path / "c.yaml"
     config.write_text(f"dataset: {{kind: csv, path: {csv}, feature_columns: [a, b], "
-                      "label_column: target, widths: [1, 1]}\n"
-                      "parties: {input_dims: [1], output_dims: [2], num_classes: 2}\n")
+                      "label_column: target}\n"
+                      "parties: {input_dims: [1], output_dims: [2]}\n")
     models = [PartyModel.random_init([2, 3], [2, 1], 2, 1, 2, rng)
               for _ in range(2)]
     sample = [rng.uniform(0, 1, size=6) for _ in models]

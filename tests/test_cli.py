@@ -51,14 +51,12 @@ dataset:
   feature_columns: [f0, f1, f2, f3, f4, f5]
   label_column: target
   test_fraction: 0.25
-  widths: [3, 3]
 model_kind: {model_kind}
 parties:
   input_dims: [3]
   output_dims: [2]
   rank: 2
   vqc_blocks: 1
-  num_classes: 2
 train:
   learning_rate: 0.1
   batch_size: 16
@@ -94,7 +92,7 @@ def test_unknown_model_kind_rejected(tmp_path, ):
 def test_missing_csv_file_reported(tmp_path):
     cfg = f"""
 dataset: {{kind: csv, path: {tmp_path}/nope.csv}}
-parties: {{input_dims: [3], output_dims: [2], num_classes: 2}}
+parties: {{input_dims: [3], output_dims: [2]}}
 """
     with pytest.raises(ConfigError, match="file not found"):
         cli_load_from_text(cfg)
@@ -104,7 +102,7 @@ def test_bad_dataset_kind(tmp_path):
     with pytest.raises(ConfigError, match="dataset.kind"):
         cli_load_from_text(
             "dataset: {kind: parquet}\n"
-            "parties: {input_dims: [3], output_dims: [2], num_classes: 2}\n")
+            "parties: {input_dims: [3], output_dims: [2]}\n")
 
 
 def test_train_section_errors_carry_field_path(tmp_path):
@@ -115,8 +113,7 @@ dataset:
   path: {csv}
   feature_columns: [f0]
   label_column: target
-  widths: [1]
-parties: {{input_dims: [1], output_dims: [2], num_classes: 2}}
+parties: {{input_dims: [1], output_dims: [2]}}
 train: {{learning_rate: -1.0}}
 """
     with pytest.raises(ConfigError, match="config.train"):
@@ -156,7 +153,7 @@ def test_yaml_syntax_error_is_one_error_line(tmp_path, capsys):
 def test_unknown_config_key_rejected(tmp_path, section, line):
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
-    anchor = {"config": "out_dir:", "config.dataset": "  widths:",
+    anchor = {"config": "out_dir:", "config.dataset": "  test_fraction:",
               "config.parties": "  rank:"}[section]
     config = write_yaml(tmp_path / "typo.yaml",
                         text.replace(anchor, f"{line}\n{anchor}"))
@@ -165,7 +162,7 @@ def test_unknown_config_key_rejected(tmp_path, section, line):
         load_config(config)
 
 
-@pytest.mark.parametrize("key", ["feature_columns", "label_column", "widths"])
+@pytest.mark.parametrize("key", ["feature_columns", "label_column"])
 def test_missing_csv_dataset_key_rejected(tmp_path, capsys, key):
     csv = make_csv(tmp_path / "d.csv")
     lines = Path(csv_config(tmp_path, csv)).read_text().splitlines()
@@ -264,8 +261,6 @@ WRONG_TYPE_CASES = [
      "non-empty list of positive integers, got 3"),
     ("parties", "  output_dims: [2.0]", "config.parties.output_dims: must be a "
      "non-empty list of positive integers, got [2.0]"),
-    ("parties", "  num_classes: '2'",
-     "config.parties.num_classes: must be a positive integer, got '2'"),
     ("parties", "  rank: 2.5", "config.parties.rank: must be a positive integer, got 2.5"),
     ("parties", "  vqc_blocks: true",
      "config.parties.vqc_blocks: must be a positive integer, got True"),
@@ -281,8 +276,6 @@ WRONG_TYPE_CASES = [
      "non-empty list of column names, got 'f0'"),
     ("dataset", "  label_column: 3", "config.dataset.label_column: must be a column "
      "name, got 3"),
-    ("dataset", "  widths: [3, 2]",
-     "config.dataset.widths: [3, 2] sum to 5, not the 6 feature_columns"),
     ("config", "out_dir: 5", "config.out_dir: must be a directory path, got 5"),
 ]
 
@@ -305,13 +298,15 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section,
     ("dataset", "label_map", "{'M': 1, 'B': 0}"),
     ("train", "adam_betas", "[0.9, 0.999]"),
     ("train", "adam_epsilon", "1.0e-8"),
+    ("dataset", "widths", "[3, 3]"),
+    ("parties", "num_classes", "2"),
 ], ids=["parameter_shift", "finite_difference", "eval_mode", "label_map",
-        "adam_betas", "adam_epsilon"])
+        "adam_betas", "adam_epsilon", "widths", "num_classes"])
 def test_removed_grad_mode_key_is_one_error_line(tmp_path, capsys, section, key,
                                                  value):
     # Training always uses adjoint gradients, factorized evaluation and fixed
     # Adam constants, and a label cell is 0 or 1; the old settings are not
-    # fields.
+    # fields.  Party widths and the class count follow from the data.
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
     config = write_yaml(tmp_path / "gm.yaml",
@@ -343,16 +338,6 @@ def test_train_section_must_be_a_mapping(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config.train: must be a mapping\n"
 
 
-def test_csv_num_classes_must_match_the_two_label_classes(tmp_path):
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    text = with_line(with_line(text, "parties", "  output_dims: [4]"),
-                     "parties", "  num_classes: 3")
-    with pytest.raises(ConfigError, match=r"^config\.parties\.num_classes: 3 "
-                                          "differs from the dataset's 2 classes$"):
-        load_config(write_yaml(tmp_path / "c3.yaml", text))
-
-
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
     # TrainConfig itself accepts epochs=0 (a run that trains nothing); the
@@ -362,19 +347,6 @@ def test_train_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
     assert run_cli("train", "--config", config) == 1
     assert capsys.readouterr().err == \
         f"error: config.train.epochs: must be a positive integer, got {epochs}\n"
-
-
-@pytest.mark.parametrize("widths", ["10", "[]", "[3, 0]", "[3.0, 3]", "[true, 5]"])
-def test_csv_widths_must_be_a_list_of_positive_integers(tmp_path, capsys, widths):
-    csv = make_csv(tmp_path / "d.csv")
-    text = Path(csv_config(tmp_path, csv)).read_text()
-    config = write_yaml(tmp_path / "w.yaml",
-                        with_line(text, "dataset", f"  widths: {widths}"))
-    assert run_cli("train", "--config", config) == 1
-    value = yaml.safe_load(widths)
-    assert capsys.readouterr().err == (
-        "error: config.dataset.widths: must be a non-empty list of positive "
-        f"integers, got {value!r}\n")
 
 
 @pytest.mark.parametrize("columns,message", [
@@ -393,6 +365,9 @@ def test_csv_feature_columns_exclude_the_label_and_repeats(tmp_path, capsys,
         f"error: config.dataset.feature_columns: {message}\n"
 
 
+SHIPPED_PARTY_COUNTS = {"breast_cancer": 3, "credit_card": 4, "mnist_3v6": 4}
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
                          ids=lambda p: p.stem)
 def test_shipped_config_passes_validation(tmp_path, path):
@@ -406,13 +381,15 @@ def test_shipped_config_passes_validation(tmp_path, path):
         raw["dataset"][key] = str(tmp_path / key)
     config = tmp_path / path.name
     config.write_text(yaml.safe_dump(raw))
-    assert load_config(config).model_kind == raw["model_kind"]
+    cfg = load_config(config)
+    assert cfg.model_kind == raw["model_kind"]
+    parties = cli.build_party_models(cfg, np.random.default_rng(0))
+    assert len(parties) == SHIPPED_PARTY_COUNTS[path.stem]
 
 
 def test_topology_rejects_too_few_qubits():
     with pytest.raises(ConfigError, match="fewer qubits"):
-        validate_party_topology(
-            {"input_dims": [4], "output_dims": [2], "num_classes": 4})
+        validate_party_topology({"input_dims": [4], "output_dims": [2]}, 4)
 
 
 def test_topology_rejects_factor_count_mismatch(tmp_path, capsys):
@@ -428,14 +405,12 @@ def test_topology_rejects_factor_count_mismatch(tmp_path, capsys):
 
 def test_topology_rejects_nonpositive_dims():
     with pytest.raises(ConfigError, match="positive"):
-        validate_party_topology(
-            {"input_dims": [0, 4], "output_dims": [2], "num_classes": 2})
+        validate_party_topology({"input_dims": [0, 4], "output_dims": [2]}, 2)
 
 
 def test_topology_rejects_bad_rank():
     with pytest.raises(ConfigError, match="rank"):
-        validate_party_topology(
-            {"input_dims": [4], "output_dims": [2], "num_classes": 2, "rank": 0})
+        validate_party_topology({"input_dims": [4], "output_dims": [2], "rank": 0}, 2)
 
 
 def test_topology_rejects_operator_over_dense_cap(tmp_path, capsys):
@@ -474,7 +449,6 @@ def test_topology_rejects_register_over_max_qubits(tmp_path, capsys):
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv)).read_text()
     for section, line in (("dataset", "  feature_columns: [f0, f1]"),
-                          ("dataset", "  widths: [1, 1]"),
                           ("parties", "  input_dims: [1]"),
                           ("parties", "  output_dims: [40]")):
         text = with_line(text, section, line)
@@ -489,10 +463,10 @@ def test_topology_rejects_register_over_max_qubits(tmp_path, capsys):
 def test_width_mismatch_caught_at_load(tmp_path, kind):
     csv = make_csv(tmp_path / "d.csv")
     text = Path(csv_config(tmp_path, csv, model_kind=kind)).read_text()
-    # parties hold 3 features each
+    # 6 feature columns do not split into parties of 4
     config = write_yaml(tmp_path / "w.yaml",
                         with_line(text, "parties", "  input_dims: [4]"))
-    with pytest.raises(ConfigError, match="does not match"):
+    with pytest.raises(ConfigError, match="does not divide"):
         load_config(config)
 
 
@@ -501,14 +475,15 @@ def test_inspect_checks_input_dims_against_party_widths(tmp_path, capsys):
     text = Path(csv_config(tmp_path, csv)).read_text()
     assert run_cli("train", "--config", write_yaml(tmp_path / "a.yaml", text)) == 0
     capsys.readouterr()
-    # The dump's parties take 3 features each; this split gives 1 and 5.
-    config = write_yaml(tmp_path / "b.yaml",
-                        with_line(text, "dataset", "  widths: [1, 5]"))
+    # The dump's parties take 3 features each; 5 columns do not split so.
+    config = write_yaml(tmp_path / "b.yaml", with_line(
+        text, "dataset", "  feature_columns: [f0, f1, f2, f3, f4]"))
     assert run_cli("inspect", "--config", config,
                    "--model", str(tmp_path / "run" / "model.txt"),
                    "--sample", "0") == 1
     assert capsys.readouterr() == ("", "error: config.parties.input_dims: product 3 "
-                                       "does not match party 0's feature width 1\n")
+                                       "does not divide the 5 feature_columns into "
+                                       "parties\n")
 
 
 # --- model dump roundtrip --------------------------------------------------
@@ -641,20 +616,26 @@ def test_inspect_rejects_party_count_mismatch(tmp_path, capsys, monkeypatch):
 
 
 # The breast-cancer topology: input_dims [2, 5], output_dims [2, 2], rank 2,
-# vqc_blocks 1, num_classes 2.  Each case changes one field of every party.
+# vqc_blocks 1, and the dataset's 2 classes.  Each case changes one field of
+# every party.
 DUMP_TOPOLOGY_CASES = {
-    "input_dims": (([2, 3], [2, 2], 2, 1, 2), "input_dims [2, 3]", "[2, 5]"),
-    "output_dims": (([2, 5], [4, 1], 2, 1, 2), "output_dims [4, 1]", "[2, 2]"),
-    "rank": (([2, 5], [2, 2], 3, 1, 2), "TT ranks [3]", "2"),
-    "vqc_blocks": (([2, 5], [2, 2], 2, 2, 2), "vqc_blocks 2", "1"),
-    "num_classes": (([2, 5], [2, 2], 2, 1, 3), "num_classes 3", "2"),
+    "input_dims": (([2, 3], [2, 2], 2, 1, 2), "party 0 has input_dims [2, 3], "
+                   "config.parties.input_dims is [2, 5]"),
+    "output_dims": (([2, 5], [4, 1], 2, 1, 2), "party 0 has output_dims [4, 1], "
+                    "config.parties.output_dims is [2, 2]"),
+    "rank": (([2, 5], [2, 2], 3, 1, 2), "party 0 has TT ranks [3], "
+             "config.parties.rank is 2"),
+    "vqc_blocks": (([2, 5], [2, 2], 2, 2, 2), "party 0 has vqc_blocks 2, "
+                   "config.parties.vqc_blocks is 1"),
+    "num_classes": (([2, 5], [2, 2], 2, 1, 3), "dump holds 3 classes, the "
+                    "config's dataset has 2"),
 }
 
 
 @pytest.mark.parametrize("field", DUMP_TOPOLOGY_CASES)
 def test_inspect_rejects_dump_topology_mismatch(tmp_path, capsys, monkeypatch,
                                                 field):
-    topology, found, expected = DUMP_TOPOLOGY_CASES[field]
+    topology, message = DUMP_TOPOLOGY_CASES[field]
     rng = np.random.default_rng(6)
     path = tmp_path / "model.txt"
     save_party_models(path, [PartyModel.random_init(*topology, rng)
@@ -662,8 +643,7 @@ def test_inspect_rejects_dump_topology_mismatch(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
     assert run_cli("inspect", "--config", "configs/breast_cancer.yaml",
                    "--model", str(path), "--sample", "0") == 1
-    assert capsys.readouterr() == ("", f"error: {path}: party 0 has {found}, "
-                                       f"config.parties.{field} is {expected}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 # --- dataset construction --------------------------------------------------
@@ -692,7 +672,6 @@ dataset:
 parties:
   input_dims: [2, 7, 7, 2]
   output_dims: [1, 2, 2, 1]
-  num_classes: 2
 """)
 
 
@@ -707,14 +686,13 @@ def test_idx_party_blocks_span_unit_interval(tmp_path):
 
 
 @pytest.mark.parametrize("dataset_lines,message", [
-    ("  classes: [3, 6, 1]",
-     "config.parties.num_classes: 2 differs from the dataset's 3 classes"),
-    ("", "config.parties.num_classes: 2 differs from the dataset's 10 classes"),
+    ("", "config.parties.output_dims: product 4 is fewer qubits than the "
+     "dataset's 10 classes"),
     ("  classes: 3", "config.dataset.classes: must be a list of at least two "
      "distinct integers, got 3"),
     ("  classes: [3, 3]", "config.dataset.classes: must be a list of at least "
      "two distinct integers, got [3, 3]"),
-], ids=["three_classes", "all_ten_digits", "not_a_list", "duplicate"])
+], ids=["all_ten_digits", "not_a_list", "duplicate"])
 def test_idx_classes_and_num_classes_checked_at_load(tmp_path, capsys, dataset_lines,
                                                      message):
     config = idx_config(tmp_path, [3, 6, 1], dataset_lines=dataset_lines)
@@ -722,12 +700,47 @@ def test_idx_classes_and_num_classes_checked_at_load(tmp_path, capsys, dataset_l
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_idx_three_classes_on_four_qubits_load_as_three(tmp_path, capsys):
+    # The class count is the length of classes; a 2-class dump no longer fits.
+    config = idx_config(tmp_path, [3, 6, 1], dataset_lines="  classes: [3, 6, 1]")
+    cfg = load_config(config)
+    assert [split.num_classes for split in cli.build_datasets(cfg, seed=0)] == [3, 3]
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", config, "--out", str(out)) == 0
+    assert [m.num_classes for m in load_party_models(out / "model.txt")] == [3] * 4
+    assert run_cli("inspect", "--config", config, "--model", str(out / "model.txt"),
+                   "--sample", "0") == 0
+    dump = tmp_path / "two-class-model.txt"
+    rng = np.random.default_rng(2)
+    save_party_models(dump, [PartyModel.random_init([2, 7, 7, 2], [1, 2, 2, 1], 2, 2,
+                                                    2, rng) for _ in range(4)])
+    capsys.readouterr()
+    assert run_cli("inspect", "--config", config, "--model", str(dump),
+                   "--sample", "0") == 1
+    assert capsys.readouterr() == ("", f"error: {dump}: dump holds 2 classes, the "
+                                       "config's dataset has 3\n")
+
+
+@pytest.mark.parametrize("kind,dims,message", [
+    ("csv", "[4]", "product 4 does not divide the 6 feature_columns into parties"),
+    ("idx", "[1, 7, 7, 2]", "product 98 is not 196, the pixels of a party's 14x14 "
+     "image quadrant"),
+], ids=["csv", "idx"])
+def test_input_dims_product_must_split_the_features(tmp_path, capsys, kind, dims,
+                                                    message):
+    # A CSV's parties are runs of prod(input_dims) columns; an image's are
+    # its four quadrants.
+    config = (csv_config(tmp_path, make_csv(tmp_path / "d.csv")) if kind == "csv"
+              else idx_config(tmp_path, [3, 6]))
+    text = with_line(Path(config).read_text(), "parties", f"  input_dims: {dims}")
+    assert run_cli("train", "--config", write_yaml(tmp_path / "dims.yaml", text)) == 1
+    assert capsys.readouterr() == ("", f"error: config.parties.input_dims: {message}\n")
+
+
 def test_idx_one_class_config_rejected_at_load(tmp_path, capsys):
-    # classes [3] and num_classes 1 agree, so only the classes check stops
-    # the run before training needs a second class.
+    # Only the classes check stops the run before training needs a second
+    # class: one class fits any register.
     config = idx_config(tmp_path, [3, 6, 3], dataset_lines="  classes: [3]")
-    Path(config).write_text(Path(config).read_text().replace("num_classes: 2",
-                                                             "num_classes: 1"))
     message = ("config.dataset.classes: must be a list of at least two distinct "
                "integers, got [3]")
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -922,6 +935,29 @@ def test_out_flag_beats_config(tmp_path, monkeypatch):
     assert (tmp_path / "run" / "trace.csv").exists() and not env_dir.exists()
     assert run_cli("train", "--config", config, "--out", str(flag_dir)) == 0
     assert (flag_dir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("kind,rate,epochs,loss", [
+    ("eviqvfl", "1.0e+300", 2, "nan"),
+    ("classical_fuse", "10.0", 20, "inf"),
+], ids=["eviqvfl", "classical_fuse"])
+def test_train_stops_at_the_first_non_finite_epoch(tmp_path, capsys, monkeypatch,
+                                                   kind, rate, epochs, loss):
+    # Both runs exited 0 with a nan or inf loss in trace.csv; the eviqvfl
+    # model.txt held nan, which inspect refuses, and classical_fuse warned
+    # "divide by zero encountered in log".
+    monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
+    text = (ROOT / "configs" / "breast_cancer.yaml").read_text()
+    for section, line in (("config", f"model_kind: {kind}"),
+                          ("train", f"  learning_rate: {rate}"),
+                          ("train", f"  epochs: {epochs}")):
+        text = with_line(text, section, line)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", write_yaml(tmp_path / "lr.yaml", text),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: model_kind {kind}: training "
+                                       f"diverged at epoch 0: mean loss {loss}\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", cli.MODEL_KINDS)

@@ -75,7 +75,6 @@ dataset:
 parties:
   input_dims: [2, 7, 7, 2]
   output_dims: [1, 2, 2, 1]
-  num_classes: 2
 """)
     return img_path, lab_path, cli.load_config(str(config))
 
@@ -198,13 +197,13 @@ def test_csv_label_without_map_must_be_exactly_0_or_1(tmp_path, cell):
 
 
 def test_csv_header_only_gives_no_rows_of_every_column(tmp_path):
-    # A (0,) array made vertical_split raise IndexError.
+    # A (0,) array made the party split raise IndexError.
     p = tmp_path / "toy.csv"
     write_csv(p, ["a", "b", "y"], [])
     feats, labels = data.load_tabular_csv(p, ["a", "b"], "y")
     assert feats.shape == (0, 2) and feats.dtype == np.float64
     assert labels.shape == (0,)
-    assert [b.shape for b in data.vertical_split(feats, [1, 1])] == [(0, 1), (0, 1)]
+    assert [b.shape for b in np.hsplit(feats, 2)] == [(0, 1), (0, 1)]
 
 
 # --- standardization -------------------------------------------------------
@@ -227,32 +226,6 @@ def test_test_split_uses_train_statistics():
     train_out, test_out = data.standardize(train, test)
     mean, std = train.mean(axis=0), train.std(axis=0)
     assert np.allclose(test_out, (test - mean) / std, atol=1e-10)
-
-
-# --- vertical split --------------------------------------------------------
-
-def test_vertical_split_contiguous_ranges():
-    feats = np.arange(60).reshape(2, 30)
-    blocks = data.vertical_split(feats, [10, 10, 10])
-    assert np.array_equal(blocks[0], feats[:, 0:10])
-    assert np.array_equal(blocks[1], feats[:, 10:20])
-    assert np.array_equal(blocks[2], feats[:, 20:30])
-
-
-def test_vertical_split_four_parties_of_seven():
-    blocks = data.vertical_split(np.zeros((3, 28)), [7, 7, 7, 7])
-    assert [b.shape[1] for b in blocks] == [7, 7, 7, 7]
-
-
-def test_vertical_split_identity():
-    feats = np.random.default_rng(3).normal(size=(4, 30))
-    blocks = data.vertical_split(feats, [30])
-    assert np.array_equal(blocks[0], feats)
-
-
-def test_vertical_split_rejects_width_mismatch():
-    with pytest.raises(ValueError):
-        data.vertical_split(np.zeros((2, 30)), [10, 10])
 
 
 # --- balanced subsampling --------------------------------------------------

@@ -63,12 +63,11 @@ def inputs(tmp_path_factory):
     bases = {
         "csv": {"dataset": {"kind": "csv", "path": str(root / "d.csv"),
                             "feature_columns": [f"f{i}" for i in range(6)],
-                            "label_column": "target", "widths": [3, 3]},
-                "parties": {"input_dims": [3], "output_dims": [2], "num_classes": 2}},
+                            "label_column": "target"},
+                "parties": {"input_dims": [3], "output_dims": [2]}},
         "idx": {"dataset": {"kind": "idx", "classes": [3, 6],
                             **{key: str(path) for key, path in idx_files.items()}},
-                "parties": {"input_dims": [2, 7, 7, 2], "output_dims": [1, 2, 2, 1],
-                            "num_classes": 2}},
+                "parties": {"input_dims": [2, 7, 7, 2], "output_dims": [1, 2, 2, 1]}},
     }
     return root, bases, dumps
 

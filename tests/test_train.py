@@ -487,6 +487,30 @@ def test_loss_decreases_on_separable_task():
     assert trace.records[0].loss > trace.records[-1].loss
 
 
+class NanGradients(train.EvidentialTrainable):
+    """The evidential ensemble with every gradient replaced by nan."""
+
+    def loss_and_gradients(self, sample, label):
+        loss, grads, pred = super().loss_and_gradients(sample, label)
+        return loss, [np.full_like(g, np.nan) for g in grads], pred
+
+
+def test_train_run_stops_at_the_first_epoch_with_a_non_finite_parameter():
+    # One mini-batch per epoch: epoch 0's loss is taken before the step that
+    # leaves every parameter nan, so only the parameter check can stop it.
+    models = make_parties(np.random.default_rng(12))
+    ds = synthetic_dataset(np.random.default_rng(13), n=20)
+    with pytest.raises(ValueError) as err:
+        train.train_run(NanGradients(models), ds, TrainConfig(epochs=3, batch_size=20))
+    assert str(err.value) == "training diverged at epoch 0: a parameter is not finite"
+
+
+def test_ce_loss_of_an_underflowed_probability_is_inf_without_a_warning():
+    pred = Prediction(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.5, 0.5]]))
+    loss = train.ce_loss(pred, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert loss[0] == np.inf and loss[1] == np.log(2.0)
+
+
 def test_every_epoch_loss_respects_the_quantum_floor():
     rng = np.random.default_rng(10)
     models = make_parties(rng)
