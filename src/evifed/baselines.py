@@ -154,7 +154,11 @@ class ClassicalFuseModel(ClassicalAverageModel):
         return super().parameters() + [self.server_w, self.server_b]
 
     def _server(self, party_logits):
-        return _concat_parties(party_logits) @ self.server_w.T + self.server_b
+        # Diverging weights overflow the product; such a logit is nan, which
+        # softmax and the loss pass on to train_run without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _concat_parties(party_logits) @ self.server_w.T + self.server_b
+        return np.where(np.isfinite(logits), logits, np.nan)
 
     def _server_backward(self, party_logits, d_logits):
         d_party = _split_parties(d_logits @ self.server_w, len(self.parties))

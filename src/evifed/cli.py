@@ -5,7 +5,8 @@ deterministic given the config and seed, so rerunning reproduces outputs
 byte for byte.  A bad config value, dataset file, model dump or training
 trace ends a command with one ``error:`` line naming the file and the field
 or line, and exit status 1; so does a training run whose mean loss or
-parameters stop being finite, before it writes any output.
+parameters stop being finite, before it writes any output.  A refused
+``train`` removes the empty output directory levels it created.
 ``CONFIG_SCHEMA`` holds every key's default and check, so a typo or a value
 of the wrong type or range never trains with a silent default (a bool is no
 number; write ``1.0e-8``, as PyYAML reads ``1e-8`` as a string).  Output
@@ -54,6 +55,7 @@ Config schema (all keys lowercase; an optional key shows its default)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import math
@@ -449,21 +451,26 @@ def load_party_models(path) -> list[PartyModel]:
         if head[::2] != ["parties", "num_classes", "blocks"]:
             raise ValueError("expected 'parties N num_classes C blocks B'")
         num_parties, num_classes, blocks = int(head[1]), int(head[3]), int(head[5])
-        if num_parties < 1:
-            raise ValueError("a dump holds at least one party")
+        if num_parties < 1 or num_classes < 2 or blocks < 1:
+            raise ValueError("need parties >= 1, num_classes >= 2 and blocks >= 1")
         for k in range(num_parties):
             fields = next_fields()
+            # At least one input dim: a party without a TT core cannot run.
             if (fields[:3] != ["party", str(k), "input_dims"]
-                    or "output_dims" not in fields):
+                    or "output_dims" not in fields[4:]):
                 raise ValueError(f"expected 'party {k} input_dims ... output_dims ...'")
             split_at = fields.index("output_dims")
             input_dims = [int(v) for v in fields[3:split_at]]
             output_dims = [int(v) for v in fields[split_at + 1:]]
             cores = [read_array(f"party{k}.core{l}") for l in range(len(input_dims))]
             vqc = read_array(f"party{k}.vqc")
-            ranks = [c.shape[0] for c in cores] + [1]
-            ttn = TTLayerParams(input_dims, output_dims, ranks, cores)
-            models.append(PartyModel(ttn, vqc, ttn.out_size, num_classes, blocks))
+            m = PartyModel(TTLayerParams(cores), vqc, num_classes)
+            found = (m.ttn.input_dims, m.ttn.output_dims, m.blocks)
+            if found != (input_dims, output_dims, blocks):
+                raise ValueError(f"party {k}'s arrays have input_dims, output_dims "
+                                 f"and blocks {found}, its lines say "
+                                 f"{(input_dims, output_dims, blocks)}")
+            models.append(m)
         if pos < len(lines):
             pos += 1
             raise ValueError(f"unexpected line after party {num_parties - 1}")
@@ -486,7 +493,7 @@ def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
                 raise ValueError(f"{path}: party {k} has {key} {value}, "
                                  f"config.parties.{key} is {parties[key]}")
         # Every inner TT rank is the configured rank; one mode has none.
-        ranks = m.ttn.op_ranks[1:-1]
+        ranks = [core.shape[0] for core in m.ttn.cores[1:]]
         if any(r != parties["rank"] for r in ranks):
             raise ValueError(f"{path}: party {k} has TT ranks {ranks}, "
                              f"config.parties.rank is {parties['rank']}")
@@ -497,7 +504,20 @@ def check_dump_topology(path, models: list[PartyModel], parties: dict) -> None:
 def cmd_train(args) -> int:
     cfg = _load_seeded(args)
     out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    level, created = os.path.abspath(out_dir), []  # the levels made here
+    while not os.path.exists(level):
+        level, created = os.path.dirname(level), created + [level]
+    os.makedirs(out_dir, exist_ok=True)  # first: an unwritable path fails early
+    try:
+        return _train_into(cfg, out_dir)
+    except BaseException:
+        for level in created:  # deepest first; a level holding a file stays
+            with contextlib.suppress(OSError):
+                os.rmdir(level)
+        raise
+
+
+def _train_into(cfg: ExperimentConfig, out_dir: str) -> int:
     train_set, test_set = build_datasets(cfg, cfg.train.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 0]))
     trainable = build_trainable(cfg, rng)

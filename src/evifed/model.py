@@ -32,20 +32,26 @@ from .ttn import TTLayerParams, squash, ttn_forward, ttn_param_count
 
 @dataclass
 class PartyModel:
-    ttn: TTLayerParams
+    ttn: TTLayerParams  # its output size is the qubit count
     vqc_angles: np.ndarray  # shape (blocks, n_qubits, 3)
-    n_qubits: int
     num_classes: int
-    blocks: int
 
     def __post_init__(self):
-        if self.n_qubits < self.num_classes:
-            raise ValueError("party must hold at least num_classes qubits")
-        if self.ttn.out_size != self.n_qubits:
-            raise ValueError("TT output size must equal the qubit count")
         self.vqc_angles = np.asarray(self.vqc_angles, dtype=np.float64)
-        if self.vqc_angles.shape != (self.blocks, self.n_qubits, 3):
-            raise ValueError("vqc_angles must have shape (blocks, n_qubits, 3)")
+        n, shape = self.n_qubits, self.vqc_angles.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1:] != (n, 3):
+            raise ValueError(f"vqc_angles has shape {shape}, expected "
+                             f"(blocks >= 1, {n}, 3)")
+        if not 2 <= self.num_classes <= n:
+            raise ValueError(f"num_classes {self.num_classes} must lie in [2, {n}]")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.ttn.out_size
+
+    @property
+    def blocks(self) -> int:
+        return len(self.vqc_angles)
 
     def param_count(self) -> int:
         return ttn_param_count(self.ttn) + self.vqc_angles.size
@@ -56,7 +62,7 @@ class PartyModel:
         ttn = TTLayerParams.random_init(input_dims, output_dims, internal_rank, rng)
         n = ttn.out_size
         angles = rng.uniform(-angle_scale, angle_scale, size=(blocks, n, 3))
-        return cls(ttn, angles, n, num_classes, blocks)
+        return cls(ttn, angles, num_classes)
 
 
 @dataclass
@@ -182,7 +188,7 @@ def loss_lower_bound(num_classes: int) -> float:
 # state, built with no kernel sweep.  ``circuit_rows`` runs every party
 # circuit and returns its rows: ``batched_marginals`` reads marginals off
 # them, ``party_forward`` takes its one row, and ``party_angle_gradients``
-# sweeps back from a circuit-shape group's rows and angles in one call.
+# sweeps back from a whole ensemble's rows and angles in one call.
 # ``run_blocks`` runs whole blocks from given rows, as the barren-plateau
 # diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.

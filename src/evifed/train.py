@@ -10,9 +10,9 @@ backward pass.
 The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
 mini-batch.  Per party that is one TT forward and one TT backward.  The
-parties of one circuit shape form a group: its rows run forward once, in one
+parties share one circuit: all their rows run forward in one
 ``batched_marginals`` call, and one adjoint sweep runs back from the final
-rows and the group's angles, which the cache keeps for the mini-batch;
+rows and the parties' angles, which the cache keeps for the mini-batch;
 ``party_gradients`` then chains each party's share into its TT layer.
 Losses and predictions keep the sample axis; gradients are summed over it.
 A single sample, one (d,) block per party, gives a float loss and a
@@ -153,31 +153,24 @@ def param_shift_grad(evaluate, theta: float) -> float:
 # --- eviQVFL forward/backward ---------------------------------------------
 
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
-                 ) -> tuple[np.ndarray, tuple[list[dict], list[tuple]]]:
+                 ) -> tuple[np.ndarray, tuple[list[dict], np.ndarray, np.ndarray]]:
     """All party marginals, stacked (K, C), or (K, B, C) when every party's
-    block is (B, d) rows; the cache feeds ``party_gradients``.  Parties with
-    the same circuit shape form a group that runs as rows of one
-    ``batched_marginals`` call, one VQC setting per party.  The cache holds
-    each party's TT cache, then per group its party indices, that call's
-    final rows and its (K_g, blocks, n, 3) VQC stack.
-    ``full_gradient`` drops it when it returns: rows live for one mini-batch."""
+    block is (B, d) rows, from one ``batched_marginals`` call, one VQC
+    setting per party; the parties must share one circuit shape.  The cache
+    (per-party TT caches, the final rows, the (K, blocks, n, 3) VQC stack)
+    feeds ``party_gradients``; rows live for one mini-batch."""
+    shapes = sorted({(m.vqc_angles.shape, m.num_classes) for m in models})
+    if len(shapes) != 1:
+        raise ValueError(f"the parties must share one circuit, but their (VQC "
+                         f"angle shape, num_classes) pairs are {shapes}")
+    (shape, num_classes), = shapes
     caches = [model_mod.party_features(m, x)
               for m, x in zip(models, sample, strict=True)]
-    groups: dict = {}
-    for k, m in enumerate(models):
-        groups.setdefault((m.vqc_angles.shape, m.num_classes), []).append(k)
-    marginals = [None] * len(models)
-    circuits = []
-    for (shape, num_classes), ks in groups.items():
-        enc = np.concatenate([2.0 * caches[k]["x_tilde"].reshape(-1, shape[1])
-                              for k in ks])
-        vqc = np.stack([models[k].vqc_angles for k in ks])
-        marg, amps = batched_marginals(enc, vqc, num_classes)
-        batch = caches[ks[0]]["x_tilde"].shape[:-1]
-        for k, mine in zip(ks, marg.reshape((len(ks),) + batch + (num_classes,))):
-            marginals[k] = mine
-        circuits.append((ks, amps, vqc))
-    return np.array(marginals), (caches, circuits)
+    enc = np.concatenate([2.0 * c["x_tilde"].reshape(-1, shape[1]) for c in caches])
+    vqc = np.stack([m.vqc_angles for m in models])
+    marginals, rows = batched_marginals(enc, vqc, num_classes)
+    stacked = (len(models),) + caches[0]["x_tilde"].shape[:-1] + (num_classes,)
+    return marginals.reshape(stacked), (caches, rows, vqc)
 
 
 def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Prediction:
@@ -189,17 +182,15 @@ def party_gradients(models: list[PartyModel], cache: tuple,
                     dL_dmarg: np.ndarray) -> list[list[np.ndarray]]:
     """Every party's gradients (TT cores, then VQC angles) from dL/d
     marginals, stacked as ``forward_pass``'s marginals, given its cache: one
-    adjoint call per circuit-shape group, then per party the chain through
-    encoding angle = 2 x_tilde, the squash and the TT layer.  On a batch the
-    gradients are summed over the samples."""
-    caches, circuits = cache
-    grads = [None] * len(models)
-    for ks, rows, vqc in circuits:
-        d_enc, d_vqc = party_angle_gradients(rows, vqc, np.asarray(dL_dmarg)[ks])
-        for k, d_enc_k, d_vqc_k in zip(ks, d_enc, d_vqc):
-            c = caches[k]
-            dL_dpre = 2.0 * d_enc_k * squash_grad(c["pre_activation"])
-            grads[k] = ttn_backward(models[k].ttn, c["x"], dL_dpre) + [d_vqc_k]
+    adjoint call for the ensemble's circuit rows, then per party the chain
+    through encoding angle = 2 x_tilde, the squash and the TT layer.  On a
+    batch the gradients are summed over the samples."""
+    caches, rows, vqc = cache
+    d_enc, d_vqc = party_angle_gradients(rows, vqc, dL_dmarg)
+    grads = []
+    for m, c, d_enc_k, d_vqc_k in zip(models, caches, d_enc, d_vqc):
+        dL_dpre = 2.0 * d_enc_k * squash_grad(c["pre_activation"])
+        grads.append(ttn_backward(m.ttn, c["x"], dL_dpre) + [d_vqc_k])
     return grads
 
 

@@ -26,10 +26,7 @@ DENSE_CAP = 10**6
 
 @dataclass
 class TTLayerParams:
-    input_dims: list[int]
-    output_dims: list[int]
-    op_ranks: list[int]
-    cores: list[np.ndarray]
+    cores: list[np.ndarray]  # (r_l, in_l, out_l, r_l+1); sizes are read off these
     # (key, operator) of the last materialize_dense call; see there.
     _dense: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -39,18 +36,19 @@ class TTLayerParams:
         return {**self.__dict__, "_dense": None}
 
     def __post_init__(self):
-        L = len(self.input_dims)
-        if len(self.output_dims) != L or len(self.op_ranks) != L + 1:
-            raise ValueError("need L input dims, L output dims, L+1 ranks")
-        if self.op_ranks[0] != 1 or self.op_ranks[-1] != 1:
-            raise ValueError("boundary ranks must be 1")
-        if len(self.cores) != L:
-            raise ValueError("need one core per mode")
-        for l, core in enumerate(self.cores):
-            expect = (self.op_ranks[l], self.input_dims[l],
-                      self.output_dims[l], self.op_ranks[l + 1])
-            if core.shape != expect:
-                raise ValueError(f"core {l} has shape {core.shape}, expected {expect}")
+        shapes = [np.shape(core) for core in self.cores]
+        if not shapes or any(len(s) != 4 for s in shapes) \
+                or [s[0] for s in shapes] + [1] != [1] + [s[3] for s in shapes]:
+            raise ValueError("need four-index cores whose ranks chain from 1 to "
+                             f"1, got shapes {shapes}")
+
+    @property
+    def input_dims(self) -> list[int]:
+        return [core.shape[1] for core in self.cores]
+
+    @property
+    def output_dims(self) -> list[int]:
+        return [core.shape[2] for core in self.cores]
 
     @property
     def in_size(self) -> int:
@@ -73,7 +71,7 @@ class TTLayerParams:
                         size=(ranks[l], input_dims[l], output_dims[l], ranks[l + 1]))
             for l in range(L)
         ]
-        return cls(list(input_dims), list(output_dims), ranks, cores)
+        return cls(cores)
 
 
 def ttn_param_count(params: TTLayerParams) -> int:
@@ -105,10 +103,10 @@ def materialize_dense(params: TTLayerParams) -> np.ndarray:
     differences) need not tell the memo.  One operator per layer, not a
     shared cache: at ``DENSE_CAP`` one is 8 MB.  The operator is read-only,
     since later calls hand out the same array."""
-    _check_capacity(params)
     key = tuple((core.shape, core.dtype.str, core.tobytes())
                 for core in params.cores)
     if params._dense is None or params._dense[0] != key:
+        _check_capacity(params)  # a stored operator passed it: the key holds the shapes
         dense = _contract(params.cores)
         dense.flags.writeable = False
         params._dense = key, dense

@@ -6,8 +6,10 @@ Clones the repository at ``<rev>`` into a temporary directory (removed at
 exit).  In both trees it runs ``evifed train`` once per model kind on that
 tree's own ``configs/breast_cancer.yaml`` with ``model_kind`` replaced, then
 compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  It
-prints one line per kind and file and exits 1 if any file differs, or if a
-run fails.  pytest does not collect this file: its name is not ``test_*``.
+also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump and
+compares the two outputs byte for byte.  It prints one line per kind and
+file, and exits 1 if any file or output differs, or if a run fails.  pytest
+does not collect this file: its name is not ``test_*``.
 """
 from __future__ import annotations
 
@@ -26,6 +28,14 @@ KINDS = ("eviqvfl", "classical_average", "classical_fuse",
 FILES = ("trace.csv", "summary.txt", "model.txt")
 
 
+def evifed(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run the ``evifed`` command line of ``tree`` from its root."""
+    return subprocess.run(
+        [sys.executable, "-m", "evifed.cli", *args],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, text=True)
+
+
 def train(tree: Path, kind: str, out: Path) -> str:
     """Run ``evifed train`` from ``tree`` on its breast-cancer config as
     ``kind``, writing to ``out``; return stderr if the run failed."""
@@ -34,11 +44,7 @@ def train(tree: Path, kind: str, out: Path) -> str:
     out.mkdir(parents=True)
     config = out / "config.yaml"
     config.write_text(yaml.safe_dump(raw, sort_keys=False))
-    done = subprocess.run(
-        [sys.executable, "-m", "evifed.cli", "train", "--config", str(config),
-         "--out", str(out)],
-        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        capture_output=True, text=True)
+    done = evifed(tree, "train", "--config", str(config), "--out", str(out))
     return done.stderr.strip() if done.returncode else ""
 
 
@@ -53,9 +59,10 @@ def main(argv=None) -> int:
                        check=True)
         subprocess.run(["git", "-C", str(base), "checkout", "-q", args.base],
                        check=True)
+        trees = {"base": base, "here": ROOT}
         for kind in KINDS:
             runs = {}
-            for name, tree in (("base", base), ("here", ROOT)):
+            for name, tree in trees.items():
                 runs[name] = Path(tmp) / f"out-{name}" / kind
                 error = train(tree, kind, runs[name])
                 if error:
@@ -71,6 +78,15 @@ def main(argv=None) -> int:
                     verdict = "DIFFERS"
                     differ = True
                 print(f"{kind} {file}: {verdict}")
+            if kind == "eviqvfl":
+                done = [evifed(tree, "inspect", "--config",
+                               str(runs[name] / "config.yaml"), "--model",
+                               str(runs[name] / "model.txt"), "--sample", "0")
+                        for name, tree in trees.items()]
+                same = done[0].returncode == done[1].returncode == 0 \
+                    and done[0].stdout == done[1].stdout
+                differ |= not same
+                print(f"{kind} inspect --sample 0: {'identical' if same else 'DIFFERS'}")
     return 1 if differ else 0
 
 

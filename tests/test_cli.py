@@ -579,6 +579,75 @@ def test_model_dump_rejects_wrong_header_keywords(tmp_path, old, new, message):
         load_party_models(path)
 
 
+def _no_blocks(lines):
+    lines[1] = lines[1].replace("blocks 1", "blocks 0")
+    for at in (7, 14):  # each vqc array holds (0, 2, 3) angles
+        lines[at] = lines[at].replace("shape 1 2 3", "shape 0 2 3")
+        lines[at + 1] = ""
+
+
+def _no_classes(lines):
+    lines[1] = lines[1].replace("num_classes 2", "num_classes 0")
+
+
+def _no_parties(lines):
+    lines[1:] = ["parties 0 num_classes 2 blocks 1"]
+
+
+def _no_core(lines):
+    # Party 0 keeps no core and a one-qubit circuit.  With num_classes 1 this
+    # dump loaded; with 2 the qubit count refused it at the vqc values.
+    lines[2:9] = ["party 0 input_dims output_dims",
+                  "array party0.vqc shape 1 1 3", "0.0 0.0 0.0"]
+
+
+# Dumps that loaded although party_forward could not run them: at blocks 0
+# it failed with "not enough values to unpack", without a core with an
+# IndexError.  Each is refused at the line at fault.
+HEADER_BOUNDS = "need parties >= 1, num_classes >= 2 and blocks >= 1"
+DEGENERATE_DUMPS = {
+    "no_blocks": (_no_blocks, 2, HEADER_BOUNDS),
+    "no_classes": (_no_classes, 2, HEADER_BOUNDS),
+    "no_parties": (_no_parties, 2, HEADER_BOUNDS),
+    "no_core": (_no_core, 3, "expected 'party 0 input_dims ... output_dims ...'"),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_DUMPS)
+def test_model_dump_that_cannot_run_is_refused(tmp_path, case):
+    edit, at, message = DEGENERATE_DUMPS[case]
+    path, lines = _dump_lines(tmp_path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"model.txt:{at}: {message}")):
+        load_party_models(path)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("party 0 input_dims 2 3 output_dims 2 1",
+     "party 0 input_dims 3 2 output_dims 2 1",
+     "party 0's arrays have input_dims, output_dims and blocks ([2, 3], [2, 1], "
+     "1), its lines say ([3, 2], [2, 1], 1)"),
+    ("party 0 input_dims 2 3 output_dims 2 1",
+     "party 0 input_dims 2 3 output_dims 2",
+     "party 0's arrays have input_dims, output_dims and blocks ([2, 3], [2, 1], "
+     "1), its lines say ([2, 3], [2], 1)"),
+    ("parties 2 num_classes 2 blocks 1", "parties 2 num_classes 2 blocks 2",
+     "party 0's arrays have input_dims, output_dims and blocks ([2, 3], [2, 1], "
+     "1), its lines say ([2, 3], [2, 1], 2)"),
+    ("array party1.vqc shape 1 2 3", "array party1.vqc shape 1 3 2",
+     "vqc_angles has shape (1, 3, 2), expected (blocks >= 1, 2, 3)"),
+], ids=["input_dims", "output_dims", "blocks", "vqc_qubits"])
+def test_model_dump_lines_must_match_its_arrays(tmp_path, old, new, message):
+    path, lines = _dump_lines(tmp_path)
+    at = lines.index(old)
+    lines[at] = new
+    path.write_text("\n".join(lines) + "\n")
+    last = 9 if old.startswith(("party 0", "parties")) else 16
+    with pytest.raises(ValueError, match=re.escape(f"model.txt:{last}: {message}")):
+        load_party_models(path)
+
+
 @pytest.mark.parametrize("edit", ["appended_line", "header_names_fewer_parties"])
 def test_model_dump_rejects_lines_after_the_last_party(tmp_path, edit):
     # Reading stopped after the header's party count: junk loaded, and a
@@ -937,27 +1006,77 @@ def test_out_flag_beats_config(tmp_path, monkeypatch):
     assert (flag_dir / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("kind,rate,epochs,loss", [
-    ("eviqvfl", "1.0e+300", 2, "nan"),
-    ("classical_fuse", "10.0", 20, "inf"),
-], ids=["eviqvfl", "classical_fuse"])
-def test_train_stops_at_the_first_non_finite_epoch(tmp_path, capsys, monkeypatch,
-                                                   kind, rate, epochs, loss):
-    # Both runs exited 0 with a nan or inf loss in trace.csv; the eviqvfl
-    # model.txt held nan, which inspect refuses, and classical_fuse warned
-    # "divide by zero encountered in log".
-    monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
+def diverging_config(tmp_path, kind="eviqvfl", rate="1.0e+300", epochs=2):
+    """The bundled breast-cancer config as ``kind`` at learning rate ``rate``;
+    run it from the repository root, as it names its CSV relative to there."""
     text = (ROOT / "configs" / "breast_cancer.yaml").read_text()
     for section, line in (("config", f"model_kind: {kind}"),
                           ("train", f"  learning_rate: {rate}"),
                           ("train", f"  epochs: {epochs}")):
         text = with_line(text, section, line)
+    return write_yaml(tmp_path / "lr.yaml", text)
+
+
+@pytest.mark.parametrize("kind,rate,epochs,loss", [
+    ("eviqvfl", "1.0e+300", 2, "nan"),
+    ("classical_fuse", "10.0", 20, "inf"),
+    ("classical_fuse", "1.0e+200", 2, "nan"),
+], ids=["eviqvfl", "classical_fuse", "classical_fuse_overflow"])
+def test_train_stops_at_the_first_non_finite_epoch(tmp_path, capsys, monkeypatch,
+                                                   kind, rate, epochs, loss):
+    # The first two runs exited 0 with a nan or inf loss in trace.csv; the
+    # eviqvfl model.txt held nan, which inspect refuses, and classical_fuse
+    # warned "divide by zero encountered in log".  The third stopped, but
+    # warned "overflow encountered in matmul" at the fusing server first.
+    monkeypatch.chdir(ROOT)
     out = tmp_path / "run"
-    assert run_cli("train", "--config", write_yaml(tmp_path / "lr.yaml", text),
-                   "--out", str(out)) == 1
+    config = diverging_config(tmp_path, kind, rate, epochs)
+    assert run_cli("train", "--config", config, "--out", str(out)) == 1
     assert capsys.readouterr() == ("", f"error: model_kind {kind}: training "
                                        f"diverged at epoch 0: mean loss {loss}\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existed", [[], ["a"], ["a", "a/b"]],
+                         ids=["neither", "parent", "both"])
+def test_refused_train_removes_only_the_levels_it_created(tmp_path, capsys,
+                                                          monkeypatch, existed):
+    # A diverged run left the output directory it made, empty.
+    monkeypatch.chdir(ROOT)
+    for level in existed:
+        (tmp_path / level).mkdir()
+    assert run_cli("train", "--config", diverging_config(tmp_path),
+                   "--out", str(tmp_path / "a" / "b")) == 1
+    assert "training diverged" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == existed + ["lr.yaml"]
+
+
+def test_refused_train_keeps_a_created_level_that_holds_a_file(tmp_path, capsys,
+                                                               monkeypatch):
+    out = tmp_path / "a" / "b"
+
+    def fail_after_a_write(*args):
+        (tmp_path / "a" / "note.txt").write_text("kept\n")
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(train, "train_run", fail_after_a_write)
+    assert run_cli("train", "--config", csv_config(tmp_path, make_csv(
+        tmp_path / "d.csv")), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: model_kind eviqvfl: stopped\n"
+    assert not out.exists() and (tmp_path / "a" / "note.txt").exists()
+
+
+def test_train_into_an_unwritable_path_fails_before_training(tmp_path, capsys,
+                                                             monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(train, "train_run", lambda *args: pytest.fail("trained"))
+    assert run_cli("train", "--config", csv_config(tmp_path, make_csv(
+        tmp_path / "d.csv")), "--out", str(tmp_path / "file" / "run")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("kind", cli.MODEL_KINDS)

@@ -8,6 +8,8 @@ checks the same inputs.
 import contextlib
 import copy
 import io
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evifed import cli, data, train
+from evifed import cli, data, model, train
 from evifed.cli import ConfigError
 from evifed.model import PartyModel
 from oracle import load_tabular_csv_dictreader
@@ -189,6 +191,47 @@ def test_one_mutated_field_is_one_error_line_or_a_run(inputs, kind):
     fuzz(40)(given(st.sampled_from(fields(kind)), YAML_VALUES)(check))()
 
 
+def test_training_at_any_learning_rate_writes_what_loads_or_is_one_error_line(
+        inputs):
+    # classical_fuse at 1e200 and above warned "overflow encountered in
+    # matmul" and then "invalid value encountered in subtract" before its
+    # error line, and a refused run left an empty output directory.
+    root, bases, _ = inputs
+    out = root / "lr-run"
+
+    @fuzz(80)
+    @given(st.sampled_from(cli.MODEL_KINDS),
+           st.floats(-3, 300).map(lambda e: 10.0 ** e), st.integers(1, 2))
+    def check(kind, rate, epochs):
+        raw = copy.deepcopy(bases["csv"])
+        raw.update(model_kind=kind, train={"learning_rate": rate, "epochs": epochs})
+        config = write_config(root, raw)
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = cli.main(["train", "--config", str(config),
+                                   "--out", str(out)])
+            err = err.getvalue()
+            if status != 0:
+                assert status == 1 and err.startswith("error: ") \
+                    and err.count("\n") == 1, err
+                assert not out.exists()
+            else:
+                assert err == ""
+                assert len(train.TrainTrace.load(out / "trace.csv").records) == epochs
+                if kind == "eviqvfl":
+                    dump = out / "model.txt"
+                    cli.check_dump_topology(dump, cli.load_party_models(dump),
+                                            cli.load_config(config).parties)
+                    assert inspect_one_line(config, dump) == (0, "")
+        assert [str(w.message) for w in caught] == []
+
+    check()
+
+
 @st.composite
 def mutated(draw, blob: bytes, head: int):
     """``blob`` with one byte run overwritten, inserted, deleted or cut off;
@@ -279,9 +322,12 @@ def test_mutated_model_dump_loads_or_is_one_error_line(inputs):
     def check(mutant):
         dump.write_bytes(mutant)
         try:
-            cli.load_party_models(dump)
+            models = cli.load_party_models(dump)
         except ValueError as exc:
             assert str(exc).startswith(f"{dump}:"), exc
+        else:  # a dump that loads also runs
+            for m in models:
+                model.party_forward(m, np.zeros(m.ttn.in_size))
         inspect_one_line(write_config(root, bases["csv"]), dump)
 
     check()

@@ -28,14 +28,32 @@ def test_party_needs_at_least_class_count_qubits():
     rng = np.random.default_rng(0)
     ttn = TTLayerParams.random_init([2, 3], [1, 2], 2, rng)
     with pytest.raises(ValueError):
-        PartyModel(ttn, np.zeros((1, 2, 3)), 2, 3, 1)
+        PartyModel(ttn, np.zeros((1, 2, 3)), 3)
 
 
 def test_vqc_angle_shape_enforced():
     rng = np.random.default_rng(0)
     ttn = TTLayerParams.random_init([2, 3], [3, 1], 2, rng)
     with pytest.raises(ValueError):
-        PartyModel(ttn, np.zeros((2, 2, 3)), 3, 2, 2)
+        PartyModel(ttn, np.zeros((2, 2, 3)), 2)
+
+
+@pytest.mark.parametrize("angles,num_classes,message", [
+    (np.zeros((0, 3, 3)), 2, r"vqc_angles has shape \(0, 3, 3\), expected "
+                             r"\(blocks >= 1, 3, 3\)"),
+    (np.zeros((3, 3)), 2, r"vqc_angles has shape \(3, 3\)"),
+    (np.zeros((1, 3, 3)), 0, r"num_classes 0 must lie in \[2, 3\]$"),
+    (np.zeros((1, 3, 3)), 4, r"num_classes 4 must lie in \[2, 3\]$"),
+], ids=["no_block", "two_axes", "no_class", "more_classes_than_qubits"])
+def test_party_that_cannot_run_is_refused(angles, num_classes, message):
+    ttn = TTLayerParams.random_init([2, 3], [3, 1], 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        PartyModel(ttn, angles, num_classes)
+
+
+def test_qubit_and_block_counts_are_read_off_the_arrays():
+    m = PartyModel.random_init([2, 3], [3, 1], 2, 4, 2, np.random.default_rng(0))
+    assert (m.n_qubits, m.blocks, m.vqc_angles.shape) == (3, 4, (4, 3, 3))
 
 
 def test_party_param_count_mnist_configuration():

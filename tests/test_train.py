@@ -1,5 +1,7 @@
 """Training loop: loss, adjoint and parameter-shift gradients, Adam,
 determinism."""
+import re
+
 import numpy as np
 import pytest
 
@@ -276,15 +278,15 @@ def count_circuit_calls(monkeypatch):
 
 
 def test_each_forward_circuit_runs_once_per_gradient(monkeypatch):
-    # One circuit_rows call per circuit-shape group, the forward's, and one
-    # adjoint call per group that sweeps back from its rows and angles.
+    # One circuit_rows call for the ensemble's rows, the forward's, and one
+    # adjoint call that sweeps back from those rows and the parties' angles.
     rng = np.random.default_rng(23)
-    models = make_parties(rng, 2, blocks=2) + make_parties(rng, 1)
+    models = make_parties(rng, 3, blocks=2)
     sample, labels = batch_of(rng, models, 6)
     forward, adjoint = count_circuit_calls(monkeypatch)
     train.full_gradient(models, sample, labels)
-    assert forward == [12, 6]
-    assert adjoint == [12, 6]
+    assert forward == [18]
+    assert adjoint == [18]
 
 
 def test_vqc_server_circuit_runs_once_per_gradient(monkeypatch):
@@ -300,18 +302,25 @@ def test_vqc_server_circuit_runs_once_per_gradient(monkeypatch):
     assert adjoint == [5, 15]
 
 
-def test_forward_pass_mixes_circuit_shapes():
-    rng = np.random.default_rng(19)
-    models = (make_parties(rng, 1, blocks=2) + make_parties(rng, 1)
-              + make_parties(rng, 1, output_dims=(2, 2)))
-    sample, _ = batch_of(rng, models, 4)
-    marginals, _ = train.forward_pass(models, sample)
-    for i in range(4):
-        for k, m in enumerate(models):
-            cache = model.party_features(m, sample[k][i])
-            one = model.batched_marginals(2.0 * cache["x_tilde"][None],
-                                          m.vqc_angles[None], 2)[0][0]
-            assert np.max(np.abs(marginals[k, i] - one)) < 1e-12
+def test_forward_pass_refuses_a_mixed_ensemble(monkeypatch):
+    # No command builds a mixed ensemble, and all parties run in one circuit
+    # call, so one is refused before any circuit runs.  The second party
+    # differs from the first in blocks, qubits or classes.
+    forward, _ = count_circuit_calls(monkeypatch)
+    for other, pairs in (
+            ({"blocks": 2}, "[((1, 3, 3), 2), ((2, 3, 3), 2)]"),
+            ({"output_dims": (2, 2)}, "[((1, 3, 3), 2), ((1, 4, 3), 2)]"),
+            ({"num_classes": 3}, "[((1, 3, 3), 2), ((1, 3, 3), 3)]")):
+        rng = np.random.default_rng(19)
+        models = make_parties(rng, 1) + make_parties(rng, 1, **other)
+        sample, labels = batch_of(rng, models, 4)
+        message = re.escape("the parties must share one circuit, but their "
+                            f"(VQC angle shape, num_classes) pairs are {pairs}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train.full_gradient(models, sample, labels)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train.eviqvfl_predict(models, [x[0] for x in sample])
+    assert forward == []
 
 
 def test_repeated_one_sample_predictions_contract_each_operator_once(monkeypatch):

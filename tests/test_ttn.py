@@ -1,6 +1,7 @@
 """Tensor-train layer: contraction, dense operator, exact gradients, squash."""
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ def identity_params(dims):
         core = np.zeros((1, d, d, 1))
         core[0, :, :, 0] = np.eye(d)
         cores.append(core)
-    ranks = [1] * (len(dims) + 1)
-    return TTLayerParams(list(dims), list(dims), ranks, cores)
+    return TTLayerParams(cores)
 
 
 def random_params(input_dims, output_dims, rank, rng, scale=0.8):
@@ -27,15 +27,38 @@ def random_params(input_dims, output_dims, rank, rng, scale=0.8):
 
 # --- construction ----------------------------------------------------------
 
+def test_sizes_are_read_off_the_cores():
+    p = TTLayerParams([np.zeros((1, 2, 3, 4)), np.zeros((4, 5, 1, 1))])
+    assert (p.input_dims, p.output_dims) == ([2, 5], [3, 1])
+    assert (p.in_size, p.out_size) == (10, 3)
+
+
+CORES_REFUSED = re.escape("need four-index cores whose ranks chain from 1 to 1, "
+                          "got shapes ")
+
+
 def test_core_shape_validation():
-    with pytest.raises(ValueError):
-        TTLayerParams([2], [2], [1, 1], [np.zeros((1, 2, 3, 1))])
+    with pytest.raises(ValueError, match=CORES_REFUSED + re.escape(
+            "[(1, 2, 2, 1), (1, 2, 3)]")):
+        TTLayerParams([np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 3))])
+
+
+def test_a_layer_needs_a_core():
+    with pytest.raises(ValueError, match=CORES_REFUSED + re.escape("[]")):
+        TTLayerParams([])
 
 
 def test_boundary_ranks_must_be_one():
-    with pytest.raises(ValueError):
-        TTLayerParams([2, 2], [2, 2], [2, 2, 1],
-                      [np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 1))])
+    with pytest.raises(ValueError, match=CORES_REFUSED):
+        TTLayerParams([np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 1))])
+
+
+@pytest.mark.parametrize("shapes", [[(1, 2, 2, 2), (2, 2, 2, 2)],
+                                    [(1, 2, 2, 2), (3, 2, 2, 1)]],
+                         ids=["right_boundary", "inner"])
+def test_ranks_must_chain_from_one_to_one(shapes):
+    with pytest.raises(ValueError, match=CORES_REFUSED):
+        TTLayerParams([np.zeros(s) for s in shapes])
 
 
 def test_param_count_mnist_topology():
@@ -126,7 +149,7 @@ def test_materialize_rank_one_is_kronecker():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(1, 2, 2, 1))
     b = rng.normal(size=(1, 3, 2, 1))
-    p = TTLayerParams([2, 3], [2, 2], [1, 1, 1], [a, b])
+    p = TTLayerParams([a, b])
     expect = np.kron(a[0, :, :, 0].T, b[0, :, :, 0].T)
     assert np.allclose(ttn.materialize_dense(p), expect)
 
@@ -148,8 +171,7 @@ def test_in_place_core_write_reaches_the_next_operator():
     before = ttn.materialize_dense(p).copy()
     p.cores[1][1, 2, 0, 0] += 1e-5
     after = ttn.materialize_dense(p)
-    fresh = TTLayerParams(p.input_dims, p.output_dims, p.op_ranks,
-                          [core.copy() for core in p.cores])
+    fresh = TTLayerParams([core.copy() for core in p.cores])
     assert not np.array_equal(after, before)
     assert np.array_equal(after, ttn.materialize_dense(fresh))
 
