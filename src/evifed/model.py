@@ -5,8 +5,9 @@ A party maps its raw feature block through the TT layer, squashes the result
 into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
 ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
-with each qubit's rotations per block fused into one unitary, and block 0
-built as a product state; ``party_forward`` is its one-row case.  Its angle
+with block 0 built as a product state and each later block run as one
+operator per group of at most ``GROUP_QUBITS`` adjacent qubits;
+``party_forward`` is its one-row case.  Its angle
 gradients are exact, by adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823): ``party_angle_gradients`` sweeps back once from the
 forward's final rows, given the same angles, and equals the parameter-shift
@@ -115,7 +116,7 @@ def party_marginals(state: Statevector, num_classes: int) -> np.ndarray:
 def fuse_factorized(marginals) -> np.ndarray:
     """Fused plausibilities as the product of per-party class marginals:
     (K, C) gives (C,), and (K, B, C) gives one row per sample."""
-    stack = np.asarray(list(marginals), dtype=np.float64)
+    stack = np.asarray(marginals, dtype=np.float64)
     if stack.ndim not in (2, 3):
         raise ValueError("expected K vectors of equal length")
     return np.prod(stack, axis=0)
@@ -161,7 +162,7 @@ def result_register_distribution(states: list[Statevector],
 
 def predict(plausibilities: np.ndarray) -> Prediction:
     pl = np.asarray(plausibilities, dtype=np.float64)
-    if np.any(pl < -1e-9) or np.any(pl > 1 + 1e-9):
+    if pl.size and (pl.min() < -1e-9 or pl.max() > 1 + 1e-9):
         raise ValueError("plausibilities must lie in [0, 1]")
     return Prediction(pl, softmax(pl))
 
@@ -175,22 +176,27 @@ def loss_lower_bound(num_classes: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Batched circuit evaluation.  A mini-batch's circuits run as rows of one
-# (batch, 2^n) array, which amortizes the per-gate overhead, and each qubit's
+# (batch, 2^n) array, which amortizes the per-gate overhead.  Each qubit's
 # rotations within a block are fused into one unitary (gates on different
-# qubits commute), which cuts the sweeps over the array.  Rows come in runs
-# that share one VQC setting (one party's angles): every circuit function
-# takes (S, blocks, n, 3) angles, one setting per run, so each kernel pass
-# takes one 2x2 per run.  The unitaries depend on the angles alone and are
-# cached on their bytes (``block_unitaries``): an evaluation pass predicts
-# one sample at a time with fixed angles and builds them once, and a reverse
-# sweep finds its forward's.  Every circuit starts from |0...0>, and block 0
-# acts on single qubits before its CNOT ring, so its state is a product
-# state, built with no kernel sweep.  ``circuit_rows`` runs every party
-# circuit and returns its rows: ``batched_marginals`` reads marginals off
-# them, ``party_forward`` takes its one row, and ``party_angle_gradients``
-# sweeps back from a whole ensemble's rows and angles in one call.
-# ``run_blocks`` runs whole blocks from given rows, as the barren-plateau
-# diagnostic's monolithic circuit does.
+# qubits commute), and the unitaries of each group of at most
+# ``GROUP_QUBITS`` adjacent qubits into one operator, their Kronecker product
+# (gate clustering; Haener & Steiger, arXiv:1704.01127), so a block is
+# ceil(n / GROUP_QUBITS) kernel passes, not n.  Rows come in runs that share
+# one VQC setting (one party's angles): every circuit function takes
+# (S, blocks, n, 3) angles, one setting per run, so each kernel pass takes
+# one operator per run.  The unitaries and operators depend on the angles
+# alone and are cached on their bytes (``block_unitaries``,
+# ``block_operators``): an evaluation pass predicts one sample at a time with
+# fixed angles and builds them once, and a reverse sweep finds its
+# forward's.  Every circuit starts from |0...0>, and block 0 acts on single
+# qubits before its CNOT ring, so its state is a product state, built from
+# block 0's fused unitaries with no kernel pass; the operators of the later
+# blocks run on it.  ``circuit_rows`` runs every party circuit and returns
+# its rows: ``batched_marginals`` reads marginals off them,
+# ``party_forward`` takes its one row, and ``party_angle_gradients`` sweeps
+# back from a whole ensemble's rows and angles in one call, undoing each
+# group's operator.  ``run_blocks`` runs whole blocks of operators from
+# given rows, as the barren-plateau diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and
@@ -201,10 +207,34 @@ def loss_lower_bound(num_classes: int) -> float:
 # doubled the peak working set.
 CHUNK_AMPLITUDES = 1 << 12
 
+# Most qubits one operator of ``block_operators`` acts on.  A group's matmul
+# costs 2^k multiply-adds per amplitude against the one-qubit update's 2,
+# but it is one call in place of k.  One block of one setting, grouped
+# against n one-qubit passes, on a shared 2-vCPU host: 4 qubits x 64 rows
+# 12 us against 48 us; 6 qubits x 64 rows 93 us against 132 us; 12 qubits x
+# 1 row 97 us against 320 us, where groups of 5 and 6 took 136 and 196 us.
+GROUP_QUBITS = 4
+
 
 def _su2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The unitaries [[u, -conj(v)], [v, conj(u)]], shape u.shape + (2, 2)."""
     return np.stack([u, -np.conj(v), v, np.conj(u)], axis=-1).reshape(u.shape + (2, 2))
+
+
+def _fused_unitaries(shape: tuple, data: bytes) -> np.ndarray:
+    """Each block's RZ RY RX per qubit as one unitary, for the float64
+    (S, blocks, n, 3) angles in ``data``: a (blocks, n, S, 2, 2) array.
+
+    Products of rotations have the form [[u, -conj(v)], [v, conj(u)]], so
+    only (u, v) is computed; np.matmul would pay a BLAS call per 2x2 matrix."""
+    half = np.moveaxis(np.frombuffer(data).reshape(shape), 0, 2) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
+    # u by e^{-iz/2} and v by e^{iz/2}.
+    phase = c[..., 2] - 1j * s[..., 2]
+    u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
+    v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
+    return _su2(u, v)
 
 
 def block_unitaries(vqc_angles: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -214,40 +244,62 @@ def block_unitaries(vqc_angles: np.ndarray) -> tuple[np.ndarray, ...]:
     return _block_unitaries(vqc.shape, vqc.tobytes())
 
 
+def block_operators(vqc_angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each block of the (S, blocks, n, 3) angles as one operator per group
+    of at most ``GROUP_QUBITS`` adjacent qubits, the group starting at qubit
+    g * GROUP_QUBITS: per block, a tuple of read-only (S, 2^k, 2^k) stacks,
+    each the Kronecker product of its qubits' fused unitaries, the first
+    qubit's the most significant factor."""
+    vqc = np.ascontiguousarray(vqc_angles, dtype=np.float64)
+    return _block_operators(vqc.shape, vqc.tobytes())
+
+
+# The two caches below are keyed on the angles' bytes, so a hit is bitwise
+# the build it replaces, and in-place writes to the angles need not tell
+# them.  An evaluation pass repeats one setting per party, and a training
+# step's reverse sweep repeats its forward's; the next step's angles miss.
+# Each holds 16 entries, every party's setting while a joint prediction of
+# up to 16 parties cycles through them.  The arrays are read-only, since
+# every caller with these angles shares them.  An entry of
+# ``_block_unitaries`` holds 64 bytes per qubit, block and setting; one of
+# ``_block_operators`` holds 4^k complex numbers, 16 * 4^k bytes, per group
+# of k <= GROUP_QUBITS qubits, block and setting: at most 4 KiB a group, 16x
+# the unitaries of its 4 qubits.
+
 @functools.lru_cache(maxsize=16)
 def _block_unitaries(shape: tuple, data: bytes) -> tuple[np.ndarray, ...]:
-    """``block_unitaries`` for the float64 angles in ``data``.
-
-    Products of rotations have the form [[u, -conj(v)], [v, conj(u)]], so
-    only (u, v) is computed; np.matmul would pay a BLAS call per 2x2 matrix.
-    The cache is keyed on the angles' bytes, so a hit is bitwise the build
-    it replaces, and in-place writes to the angles need not tell it.  An
-    evaluation pass repeats one setting per party, and a training step's
-    reverse sweep repeats its forward's; the next step's angles miss.  The
-    16 entries hold every party's setting while a joint prediction of up to
-    16 parties cycles through them; the arrays are read-only, since every
-    caller with these angles shares them."""
-    half = np.moveaxis(np.frombuffer(data).reshape(shape), 0, 2) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    # RY RX has u = cy cx + i sy sx, v = sy cx - i cy sx; RZ then multiplies
-    # u by e^{-iz/2} and v by e^{iz/2}.
-    phase = c[..., 2] - 1j * s[..., 2]
-    u = phase * (c[..., 1] * c[..., 0] + 1j * s[..., 1] * s[..., 0])
-    v = np.conj(phase) * (s[..., 1] * c[..., 0] - 1j * c[..., 1] * s[..., 0])
-    blocks = tuple(_su2(ub, vb) for ub, vb in zip(u, v))
-    for a in blocks:
-        a.flags.writeable = False
-    return blocks
+    """``block_unitaries`` for the float64 angles in ``data``."""
+    blocks = _fused_unitaries(shape, data)
+    blocks.flags.writeable = False
+    return tuple(blocks)
 
 
-def run_blocks(amps: np.ndarray, blocks: list[np.ndarray] | tuple[np.ndarray, ...]
-               ) -> np.ndarray:
-    """Run blocks of (n, S, 2, 2) unitaries (``block_unitaries``) on given
-    (B, 2^n) rows: each block's unitaries in place, then the CNOT ring.
-    Returns the new rows."""
+@functools.lru_cache(maxsize=16)
+def _block_operators(shape: tuple, data: bytes) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``block_operators`` for the float64 angles in ``data``."""
+    blocks = []
+    for block in _fused_unitaries(shape, data):
+        groups = []
+        for first in range(0, len(block), GROUP_QUBITS):
+            op = block[first]
+            for u in block[first + 1:first + GROUP_QUBITS]:
+                # (A (x) u)[(i, j), (k, l)] = A[i, k] u[j, l], per setting.
+                d = 2 * op.shape[-1]
+                op = (op[:, :, None, :, None] * u[:, None, :, None, :]
+                      ).reshape(len(u), d, d)
+            op.flags.writeable = False
+            groups.append(op)
+        blocks.append(tuple(groups))
+    return tuple(blocks)
+
+
+def run_blocks(amps: np.ndarray, blocks) -> np.ndarray:
+    """Run blocks of group operators (``block_operators``, or their runs'
+    slices) on given (B, 2^n) rows: each block's operators in place, then the
+    CNOT ring.  Returns the new rows."""
     for block in blocks:
-        for q, u in enumerate(block):
-            qsim.apply_unitary_rows(amps, q, u)
+        for g, op in enumerate(block):
+            qsim.apply_unitary_rows(amps, g * GROUP_QUBITS, op)
         amps = qsim.apply_cnot_ring(amps)
     return amps
 
@@ -270,15 +322,16 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
 
     enc_angles: (B, n); vqc_angles: (S, blocks, n, 3), one setting per run of
     B/S consecutive rows.  Returns the final (B, 2^n) amplitude rows.  Block
-    0's state is the product over qubits of its unitary's first column times
-    the row's Ry encoding; the rows then run a chunk of ``chunk_plan`` at a
-    time.
+    0's state is the product over qubits of its fused unitary's first column
+    times the row's Ry encoding; the later blocks' group operators then run
+    on the rows a chunk of ``chunk_plan`` at a time.
     """
     if np.ndim(vqc_angles) != 4 or len(enc_angles) % len(vqc_angles):
         raise ValueError(f"{len(enc_angles)} rows do not split into runs of "
                          f"(S, blocks, n, 3) VQC angles of shape "
                          f"{np.shape(vqc_angles)}")
-    first, *later = block_unitaries(vqc_angles)
+    first, = block_unitaries(vqc_angles[:, :1])
+    later = block_operators(vqc_angles[:, 1:])
     # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
     half_enc = enc_angles.T.reshape(first.shape[:2] + (-1,)) / 2.0
     ce, se = np.cos(half_enc), np.sin(half_enc)
@@ -288,7 +341,8 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
     amps = np.empty((len(enc_angles), 1 << enc_angles.shape[1]), dtype=np.complex128)
     for lo, hi, s0, s1 in chunk_plan(*enc_angles.shape, len(vqc_angles)):
         rows = qsim.apply_cnot_ring(qsim.product_rows(columns[:, lo:hi]))
-        amps[lo:hi] = run_blocks(rows, [u[:, s0:s1] for u in later])
+        amps[lo:hi] = run_blocks(rows, [[op[s0:s1] for op in block]
+                                        for block in later])
     return amps
 
 
@@ -349,17 +403,18 @@ def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
     The loss is <phi|O|phi> for each final state phi and the diagonal
     O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
     blocks backwards, both phi and lambda undo the CNOT ring and then each
-    fused gate U of ``block_unitaries``; between the two, each qubit's cross
-    matrix W = sum phi conj(lambda)^T gives every angle of U its derivative
-    Im Tr((a . sigma) W), with the axes a of ``_generator_axes``.  The sweep
-    carries mu = conj(lambda), which undoes U by U^T.  Rows run a chunk of
-    ``chunk_plan`` at a time, as in the forward pass.
+    group operator U of ``block_operators``; between the two, each qubit's
+    cross matrix W = sum phi conj(lambda)^T gives every angle of the qubit's
+    fused gate its derivative Im Tr((a . sigma) W), with the axes a of
+    ``_generator_axes``.  The sweep carries mu = conj(lambda), so phi undoes
+    U by conj(U^T) and mu by U^T.  Rows run a chunk of ``chunk_plan`` at a
+    time, as in the forward pass.
     """
     b, n = len(rows), rows.shape[1].bit_length() - 1
     num_classes = np.shape(dL_dmarg)[-1]
     dL = np.reshape(dL_dmarg, (b, num_classes))
     axes = _generator_axes(vqc_angles)
-    blocks = block_unitaries(vqc_angles)
+    later = block_operators(vqc_angles[:, 1:])
     # qubit_set[c, i] = 1 where basis state i has qubit c set.
     qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
     d_enc = np.empty((b, n))
@@ -370,7 +425,7 @@ def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
         # einsum, not a BLAS matmul: the first BLAS call maps its buffers,
         # which raised the training loop's peak RSS.
         mu = np.einsum("rc,ci->ri", dL[lo:hi], qubit_set) * np.conj(phi)
-        for k in reversed(range(len(blocks))):
+        for k in reversed(range(len(later) + 1)):
             # The gather copies, so the in-place undo below never writes rows.
             phi = qsim.apply_cnot_ring(phi, inverse=True)
             mu = qsim.apply_cnot_ring(mu, inverse=True)
@@ -383,7 +438,8 @@ def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
                 d_enc[lo:hi] = np.einsum("sqj,qsrj->srq", axes[runs, 0, :, 3],
                                          traces).reshape(hi - lo, n)
                 break
-            for q, u in enumerate(np.swapaxes(blocks[k][:, runs], -1, -2)):
-                qsim.apply_unitary_rows(phi, q, np.conj(u))
-                qsim.apply_unitary_rows(mu, q, u)
+            for g, op in enumerate(later[k - 1]):
+                u = np.swapaxes(op[runs], -1, -2)
+                qsim.apply_unitary_rows(phi, g * GROUP_QUBITS, np.conj(u))
+                qsim.apply_unitary_rows(mu, g * GROUP_QUBITS, u)
     return d_enc.reshape(np.shape(dL_dmarg)[:-1] + (n,)), d_vqc

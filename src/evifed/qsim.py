@@ -3,12 +3,14 @@
 Convention used everywhere in this package: qubit 0 is the *most significant*
 bit of a basis-state label, so the basis label ``x1 x2 ... xn`` reads
 left-to-right as qubit 0 ... n-1.  One in-place kernel, ``apply_unitary_rows``,
-applies an (S, 2, 2) stack of single-qubit unitaries to a (B, 2^n) array of
-amplitude rows, unitary s to the s-th run of B/S rows; a ``Statevector`` is
-B = S = 1.  An MCX swaps two slices of the (2,)*n view of the amplitudes; the
-CNOT ring of the batched circuits is one cached basis gather, whose rows come
-out column-major and stay so, since the kernel runs faster on them.  No
-2^n x 2^n matrices are ever materialized.
+applies an (S, 2^k, 2^k) stack of unitaries on k adjacent qubits to a
+(B, 2^n) array of amplitude rows, unitary s to the s-th run of B/S rows; a
+``Statevector`` is B = S = 1.  An MCX swaps two slices of the (2,)*n view of
+the amplitudes; the CNOT ring of the batched circuits is one cached basis
+gather, whose rows come out column-major and stay so, since the kernel runs
+faster on them.  The largest matrix ever materialized is one such operator,
+2^k x 2^k per run; ``model.GROUP_QUBITS`` bounds k, and no 2^n x 2^n matrix
+is built.
 """
 from __future__ import annotations
 
@@ -121,13 +123,20 @@ def _single_qubit_unitary(kind: str, angle: float | None) -> np.ndarray:
 
 
 def apply_unitary_rows(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
-    """Apply an (S, 2, 2) stack of unitaries to ``qubit`` of (B, 2^n)
-    ``amps`` in place: the rows form S runs of B/S consecutive rows, and
-    unitary s acts on run s.  ``amps`` may be C-ordered or column-major."""
-    # Qubit 0 is the slowest-varying axis: the layout is (S, R, 2^q, 2, rest).
+    """Apply an (S, 2^k, 2^k) stack of unitaries to the k adjacent qubits
+    ``qubit`` .. ``qubit + k - 1`` of (B, 2^n) ``amps`` in place, ``qubit``
+    the most significant of them: the rows form S runs of B/S consecutive
+    rows, and unitary s acts on run s.  ``amps`` may be C-ordered or
+    column-major."""
+    d = u.shape[-1]
+    # Qubit 0 is the slowest-varying axis: the layout is (S, R, 2^q, 2^k, rest).
     # The reshape only splits axes, so it is a view of either layout; merging
     # the row axis would copy column-major rows and lose the update.
-    a = amps.reshape(len(u), -1, 1 << qubit, 2, amps.shape[1] >> (qubit + 1))
+    a = amps.reshape(len(u), -1, 1 << qubit, d, amps.shape[1] // (d << qubit))
+    if d > 2:
+        a[...] = np.matmul(u[:, None, None], a)
+        return
+    # One qubit: elementwise, since a matmul of 2 x 2 blocks ran 2-4x slower.
     u = u.reshape(-1, 1, 1, 1, 2, 2)
     lo, hi = a[..., 0, :], a[..., 1, :]
     new_lo = u[..., 0, 0] * lo + u[..., 0, 1] * hi

@@ -9,14 +9,15 @@ backward pass.
 
 The training path takes a whole mini-batch at once: every party block is
 (B, d) rows, and ``train_run`` makes one ``loss_and_gradients`` call per
-mini-batch.  Per party that is one TT forward and one TT backward.  The
-parties share one circuit: all their rows run forward in one
-``batched_marginals`` call, and one adjoint sweep runs back from the final
-rows and the parties' angles, which the cache keeps for the mini-batch;
-``party_gradients`` then chains each party's share into its TT layer.
-Losses and predictions keep the sample axis; gradients are summed over it.
-A single sample, one (d,) block per party, gives a float loss and a
-one-sample ``Prediction``.
+mini-batch.  Per party that is one TT forward and one TT backward; the
+squash and its derivative run once over the parties' stacked
+pre-activations.  The parties share one circuit: all their rows run forward
+in one ``batched_marginals`` call, and one adjoint sweep runs back from the
+final rows and the parties' angles, which the cache keeps for the
+mini-batch; ``party_gradients`` then chains each party's share into its TT
+layer.  Adam keeps its moments in one flat buffer.  Losses and predictions
+keep the sample axis; gradients are summed over it.  A single sample, one
+(d,) block per party, gives a float loss and a one-sample ``Prediction``.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from .data import VerticalDataset, batch_indices
 from .model import (PartyModel, Prediction, batched_marginals, loss_lower_bound,
                     party_angle_gradients)
 # perfbench/tracer.py patches batched_marginals, party_angle_gradients and
-# ttn_backward at these by-name imports; ttn_forward is reached only through
-# model.party_features.
-from .ttn import squash_grad, ttn_backward
+# ttn_backward at these by-name imports, and ttn_forward at model's, through
+# which forward_pass calls it.
+from .ttn import squash, squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
 TRACE_HEADER = "epoch,loss,train_acc,test_acc"
@@ -50,14 +51,16 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    """Adam's moments of every parameter entry, in one flat buffer each, in
+    the order of the parameter list."""
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "OptimizerState":
-        return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params])
+        size = sum(p.size for p in params)
+        return cls(np.zeros(size), np.zeros(size))
 
 
 @dataclass
@@ -153,24 +156,26 @@ def param_shift_grad(evaluate, theta: float) -> float:
 # --- eviQVFL forward/backward ---------------------------------------------
 
 def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
-                 ) -> tuple[np.ndarray, tuple[list[dict], np.ndarray, np.ndarray]]:
+                 ) -> tuple[np.ndarray, tuple]:
     """All party marginals, stacked (K, C), or (K, B, C) when every party's
     block is (B, d) rows, from one ``batched_marginals`` call, one VQC
-    setting per party; the parties must share one circuit shape.  The cache
-    (per-party TT caches, the final rows, the (K, blocks, n, 3) VQC stack)
-    feeds ``party_gradients``; rows live for one mini-batch."""
+    setting per party; the parties must share one circuit shape.  Each
+    party's TT layer runs on its own block, and one squash maps the stacked
+    (K, ..., n) pre-activations to encoding angles.  The cache (the party
+    blocks, the pre-activations, the final rows, the (K, blocks, n, 3) VQC
+    stack) feeds ``party_gradients``; rows live for one mini-batch."""
     shapes = sorted({(m.vqc_angles.shape, m.num_classes) for m in models})
     if len(shapes) != 1:
         raise ValueError(f"the parties must share one circuit, but their (VQC "
                          f"angle shape, num_classes) pairs are {shapes}")
     (shape, num_classes), = shapes
-    caches = [model_mod.party_features(m, x)
-              for m, x in zip(models, sample, strict=True)]
-    enc = np.concatenate([2.0 * c["x_tilde"].reshape(-1, shape[1]) for c in caches])
+    pre_activation = np.stack([model_mod.ttn_forward(m.ttn, x)
+                               for m, x in zip(models, sample, strict=True)])
+    enc = 2.0 * squash(pre_activation).reshape(-1, shape[1])
     vqc = np.stack([m.vqc_angles for m in models])
     marginals, rows = batched_marginals(enc, vqc, num_classes)
-    stacked = (len(models),) + caches[0]["x_tilde"].shape[:-1] + (num_classes,)
-    return marginals.reshape(stacked), (caches, rows, vqc)
+    return (marginals.reshape(pre_activation.shape[:-1] + (num_classes,)),
+            (sample, pre_activation, rows, vqc))
 
 
 def eviqvfl_predict(models: list[PartyModel], sample: list[np.ndarray]) -> Prediction:
@@ -182,16 +187,15 @@ def party_gradients(models: list[PartyModel], cache: tuple,
                     dL_dmarg: np.ndarray) -> list[list[np.ndarray]]:
     """Every party's gradients (TT cores, then VQC angles) from dL/d
     marginals, stacked as ``forward_pass``'s marginals, given its cache: one
-    adjoint call for the ensemble's circuit rows, then per party the chain
-    through encoding angle = 2 x_tilde, the squash and the TT layer.  On a
-    batch the gradients are summed over the samples."""
-    caches, rows, vqc = cache
+    adjoint call for the ensemble's circuit rows, one chain through encoding
+    angle = 2 x_tilde and the squash for the stacked pre-activations, then
+    per party the TT layer's backward pass.  On a batch the gradients are
+    summed over the samples."""
+    sample, pre_activation, rows, vqc = cache
     d_enc, d_vqc = party_angle_gradients(rows, vqc, dL_dmarg)
-    grads = []
-    for m, c, d_enc_k, d_vqc_k in zip(models, caches, d_enc, d_vqc):
-        dL_dpre = 2.0 * d_enc_k * squash_grad(c["pre_activation"])
-        grads.append(ttn_backward(m.ttn, c["x"], dL_dpre) + [d_vqc_k])
-    return grads
+    dL_dpre = 2.0 * d_enc * squash_grad(pre_activation)
+    return [ttn_backward(m.ttn, x, dL_dpre_k) + [d_vqc_k]
+            for m, x, dL_dpre_k, d_vqc_k in zip(models, sample, dL_dpre, d_vqc)]
 
 
 def party_parameters(m: PartyModel) -> list[np.ndarray]:
@@ -259,22 +263,30 @@ def full_gradient_fd(models: list[PartyModel], sample: list[np.ndarray],
 
 def adam_step(state: OptimizerState, params: list[np.ndarray],
               grads: list[np.ndarray], config: TrainConfig) -> None:
-    """Standard bias-corrected Adam; updates ``params`` in place."""
+    """Standard bias-corrected Adam; updates ``params`` in place.  The
+    moments and the update run over the gradients joined into one flat
+    buffer, of which each parameter array takes its slice."""
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}")
     b1, b2 = 0.9, 0.999
     state.step_count += 1
     t = state.step_count
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}")
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    g = np.concatenate([np.ravel(g) for g in grads])
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    step = config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    offset = 0
+    for p in params:
+        p -= step[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 # --- training loop ---------------------------------------------------------
@@ -428,7 +440,7 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         fusion_blocks = max(2, total_qubits // 2)
         fusion_angles = rng.uniform(-np.pi, np.pi,
                                     size=(1, fusion_blocks, total_qubits, 3))
-        fusion = model_mod.block_unitaries(fusion_angles)
+        fusion = model_mod.block_operators(fusion_angles)
 
         def mono_plaus(theta: float) -> np.ndarray:
             old = models[0].vqc_angles[0, 0, 0]

@@ -82,9 +82,10 @@ def ttn_forward(params: TTLayerParams, x: np.ndarray) -> np.ndarray:
     """The layer applied to one input (d,) or to each row of (B, d): the
     dense operator (``materialize_dense``) applied to every row."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.in_size:
-        raise ValueError(f"input length {x.shape} does not match {params.in_size}")
-    return np.einsum("QP,...P->...Q", materialize_dense(params), x)
+    dense = materialize_dense(params)
+    if x.ndim not in (1, 2) or x.shape[-1] != dense.shape[1]:
+        raise ValueError(f"input length {x.shape} does not match {dense.shape[1]}")
+    return np.einsum("QP,...P->...Q", dense, x)
 
 
 def _check_capacity(params: TTLayerParams) -> None:

@@ -1,8 +1,9 @@
 """Gate-by-gate reference circuits for the tests.
 
 The program runs every variational circuit from its angles as rows of one
-array, each qubit's rotations per block fused into one unitary
-(``model.circuit_rows``), and every MCX as a view swap (``qsim.apply_mcx``).
+array, each block after the first as one operator per group of adjacent
+qubits (``model.circuit_rows``), and every MCX as a view swap
+(``qsim.apply_mcx``).
 These helpers rebuild the same circuits one ``qsim.Gate`` at a time, and the
 MCX from explicit basis-index sets, so the tests compare against an
 independent construction.

@@ -8,13 +8,17 @@ tree's own ``configs/breast_cancer.yaml`` with ``model_kind`` replaced, then
 compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  It
 also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump and
 compares the two outputs byte for byte.  It prints one line per kind and
-file, and exits 1 if any file or output differs, or if a run fails.  pytest
+file; where both trees wrote a file or output that differs, the line gives
+the largest relative difference between their numeric fields, matched in
+order.  It exits 1 if any file or output differs, or if a run fails.  pytest
 does not collect this file: its name is not ``test_*``.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("eviqvfl", "classical_average", "classical_fuse",
          "measure_then_average", "measure_then_vqc")
 FILES = ("trace.csv", "summary.txt", "model.txt")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
 def evifed(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -46,6 +51,20 @@ def train(tree: Path, kind: str, out: Path) -> str:
     config.write_text(yaml.safe_dump(raw, sort_keys=False))
     done = evifed(tree, "train", "--config", str(config), "--out", str(out))
     return done.stderr.strip() if done.returncode else ""
+
+
+def drift(a: str, b: str) -> str:
+    """How two texts differ: the largest relative difference between their
+    numeric fields, matched in order, or that the text around them does."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "the text around the numbers differs"
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        relative = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, relative if math.isfinite(relative) else math.inf)
+    return f"largest relative difference {worst:.3g}"
 
 
 def main(argv=None) -> int:
@@ -76,6 +95,8 @@ def main(argv=None) -> int:
                     verdict = "identical"
                 else:
                     verdict = "DIFFERS"
+                    if a.exists() and b.exists():
+                        verdict += ", " + drift(a.read_text(), b.read_text())
                     differ = True
                 print(f"{kind} {file}: {verdict}")
             if kind == "eviqvfl":
@@ -86,7 +107,10 @@ def main(argv=None) -> int:
                 same = done[0].returncode == done[1].returncode == 0 \
                     and done[0].stdout == done[1].stdout
                 differ |= not same
-                print(f"{kind} inspect --sample 0: {'identical' if same else 'DIFFERS'}")
+                verdict = "identical" if same else "DIFFERS"
+                if not same and done[0].returncode == done[1].returncode == 0:
+                    verdict += ", " + drift(done[0].stdout, done[1].stdout)
+                print(f"{kind} inspect --sample 0: {verdict}")
     return 1 if differ else 0
 
 

@@ -329,11 +329,15 @@ def test_grouped_settings_equal_separate_calls_bit_for_bit(n, blocks, batch):
 @pytest.mark.parametrize("settings,run", [(1, 600), (3, 300), (5, 100), (600, 1)])
 def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
         monkeypatch, settings, run):
-    n, passes = 4, []
+    # One qubit past a whole group: each block is a full group's operator
+    # and a one-qubit one.
+    n, passes = model.GROUP_QUBITS + 1, []
+    groups = [(q, 1 << min(model.GROUP_QUBITS, n - q))
+              for q in range(0, n, model.GROUP_QUBITS)]
     real = qsim.apply_unitary_rows
 
     def recording(amps, qubit, u):
-        passes.append((len(amps), len(u)))
+        passes.append((len(amps), len(u), (qubit, u.shape[-1])))
         real(amps, qubit, u)
 
     monkeypatch.setattr(qsim, "apply_unitary_rows", recording)
@@ -342,10 +346,12 @@ def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
     amps = model.circuit_rows(rng.uniform(0, np.pi, size=(settings * run, n)), vqc)
     forward, passes[:] = passes[:], []
     model.party_angle_gradients(amps, vqc, rng.normal(size=(settings * run, 2)))
-    # Block 1 runs forward once, and the reverse sweep undoes it on phi and mu.
-    for sweep, per_row in ((forward, n), (passes, 2 * n)):
-        assert sum(rows for rows, _ in sweep) == per_row * settings * run
-        for rows, held in sweep:
+    # Block 1 runs forward once as one pass per group, and the reverse sweep
+    # undoes each group on phi and mu.
+    for sweep, per_row in ((forward, len(groups)), (passes, 2 * len(groups))):
+        assert sum(rows for rows, _, _ in sweep) == per_row * settings * run
+        assert {group for _, _, group in sweep} == set(groups)
+        for rows, held, _ in sweep:
             assert rows << n <= model.CHUNK_AMPLITUDES
             # Several settings hold whole runs; one holds its run or part of it.
             assert (rows == held * run) if held > 1 else (rows <= run)
@@ -411,6 +417,95 @@ def test_circuit_rows_match_gate_oracle(n, blocks, batch, shared):
     for b in range(batch):
         want = party_circuit_state(enc[b], vqc if shared else vqc[b])
         assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("n", [model.GROUP_QUBITS - 1, model.GROUP_QUBITS,
+                               model.GROUP_QUBITS + 1, 2 * model.GROUP_QUBITS + 1])
+def test_grouped_circuits_match_gate_oracle_and_finite_differences(n, blocks):
+    # Qubit counts just under, at and past one group, and past two; each of
+    # the two settings' runs spans two chunks of chunk_plan.
+    rng = np.random.default_rng(200 + 10 * n + blocks)
+    settings, run = 2, (model.CHUNK_AMPLITUDES >> n) + 3
+    enc = rng.uniform(-np.pi, np.pi, size=(settings * run, n))
+    vqc = rng.uniform(-np.pi, np.pi, size=(settings, blocks, n, 3))
+    dL = rng.normal(size=(settings * run, 2))
+    marg, rows = model.batched_marginals(enc, vqc, 2)
+    for b in range(0, len(enc), 7):
+        want = party_circuit_state(enc[b], vqc[b // run])
+        assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
+    d_enc, d_vqc = model.party_angle_gradients(rows, vqc, dL)
+
+    def loss(enc, vqc):
+        """Per row, sum_c dL[r, c] * marginal c."""
+        return np.sum(dL * model.batched_marginals(enc, vqc, 2)[0], axis=1)
+
+    step = 1e-5
+    fd_enc = np.empty_like(d_enc)
+    for q in range(n):
+        shift = np.zeros(n)
+        shift[q] = step
+        fd_enc[:, q] = (loss(enc + shift, vqc) - loss(enc - shift, vqc)) / (2 * step)
+    fd_vqc = np.empty_like(d_vqc)
+    for index in np.ndindex(vqc.shape[1:]):
+        shift = np.zeros(vqc.shape[1:])
+        shift[index] = step
+        per_run = (loss(enc, vqc + shift) - loss(enc, vqc - shift)).reshape(settings, run)
+        fd_vqc[(slice(None),) + index] = per_run.sum(axis=1) / (2 * step)
+    # The VQC quotients sum hundreds of rows' losses, whose rounding, about
+    # 1e-14 over the 2e-5 step, puts up to 7e-10 into the dead RZ angles'
+    # zero gradients; hence the 1e-5 floor on the scale.
+    for got, fd in ((d_enc, fd_enc), (d_vqc, fd_vqc)):
+        scale = np.maximum(np.abs(fd), 1e-5)
+        assert np.max(np.abs(got - fd) / scale) < 1e-4
+
+
+def test_block_operators_are_kronecker_products_of_block_unitaries():
+    # Groups of GROUP_QUBITS adjacent qubits from qubit 0, the last one
+    # shorter; the group's first qubit is the most significant factor.
+    rng = np.random.default_rng(19)
+    n = 2 * model.GROUP_QUBITS + 1
+    vqc = rng.uniform(-np.pi, np.pi, size=(3, 2, n, 3))
+    for ops, unitaries in zip(model.block_operators(vqc), model.block_unitaries(vqc),
+                              strict=True):
+        starts = range(0, n, model.GROUP_QUBITS)
+        assert len(ops) == len(starts)
+        for op, first in zip(ops, starts):
+            group = unitaries[first:first + model.GROUP_QUBITS]
+            for s in range(len(vqc)):
+                want = group[0][s]
+                for u in group[1:]:
+                    want = np.kron(want, u[s])
+                assert np.max(np.abs(op[s] - want)) < 1e-15
+
+
+def test_block_operators_follow_in_place_angle_writes():
+    # Cached on the angles' bytes, as the fused unitaries are.
+    rng = np.random.default_rng(20)
+    vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, model.GROUP_QUBITS + 2, 3))
+    before = model.block_operators(vqc)
+    vqc[1, 2, -1, 0] += 1e-5
+    after = model.block_operators(vqc)
+    assert after is not before
+    for k in range(2):
+        for was, now in zip(before[k], after[k], strict=True):
+            assert np.array_equal(was, now)
+    assert np.array_equal(after[2][0], before[2][0])
+    assert not np.array_equal(after[2][1], before[2][1])
+    model._block_operators.cache_clear()
+    for cached, fresh in zip(after, model.block_operators(vqc), strict=True):
+        for a, b in zip(cached, fresh, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_cached_block_operators_are_read_only():
+    rng = np.random.default_rng(21)
+    blocks = model.block_operators(
+        rng.uniform(-np.pi, np.pi, size=(1, 2, model.GROUP_QUBITS + 1, 3)))
+    for block in blocks:
+        for op in block:
+            with pytest.raises(ValueError):
+                op[0, 0, 0] = 0.0
 
 
 # --- readout light cone ----------------------------------------------------

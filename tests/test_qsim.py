@@ -1,4 +1,6 @@
 """Statevector engine tests: gate semantics, measurement, register surgery."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,31 @@ def test_unitary_stack_acts_on_runs_of_ring_output_in_place(n, settings, run):
         assert np.max(np.abs(rows - want)) < 1e-12
 
 
+@pytest.mark.parametrize("layout", ["c_order", "column_major"])
+@pytest.mark.parametrize("settings,run", [(1, 3), (3, 2)])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 3), (5, 4), (6, 4)])
+def test_group_unitary_equals_its_qubits_one_at_a_time(n, k, settings, run, layout):
+    # A 2^k x 2^k stack on qubits q .. q+k-1 acts as the Kronecker product of
+    # k one-qubit stacks, the one on qubit q the most significant factor.
+    rng = np.random.default_rng(100 * n + 10 * k + settings)
+    shape = (settings * run, 1 << n)
+    for q in range(n - k + 1):
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if layout == "column_major":
+            rows = np.asfortranarray(rows)
+        singles = [np.linalg.qr(rng.normal(size=(settings, 2, 2))
+                                + 1j * rng.normal(size=(settings, 2, 2)))[0]
+                   for _ in range(k)]
+        group = np.array([functools.reduce(np.kron, [u[s] for u in singles])
+                          for s in range(settings)])
+        want = rows.copy()
+        for j, u in enumerate(singles):
+            qsim.apply_unitary_rows(want, q + j, u)
+        qsim.apply_unitary_rows(rows, q, group)
+        assert rows.flags.f_contiguous == (layout == "column_major")
+        assert np.max(np.abs(rows - want)) < 1e-12
+
+
 def test_gate_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         qsim.apply_gate(qsim.new_zero_state(2), Gate("X", [2]))
@@ -217,7 +244,7 @@ def test_prob_one_rows_reads_column_major_rows():
     # The ring gather returns column-major rows, and run_blocks hands them on.
     rng = np.random.default_rng(31)
     rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
-    blocks = model.block_unitaries(rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
+    blocks = model.block_operators(rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
     out = model.run_blocks(rows, blocks)
     assert not out.flags.c_contiguous
     assert np.array_equal(qsim.prob_one_rows(out, range(2)),

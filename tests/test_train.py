@@ -359,6 +359,7 @@ def test_memoized_operators_leave_training_bit_exact(monkeypatch):
     params, records = trained()
     monkeypatch.setattr(ttn, "materialize_dense", lambda p: ttn._contract(p.cores))
     monkeypatch.setattr(model, "_block_unitaries", model._block_unitaries.__wrapped__)
+    monkeypatch.setattr(model, "_block_operators", model._block_operators.__wrapped__)
     fresh_params, fresh_records = trained()
     assert records == fresh_records
     for got, want in zip(params, fresh_params, strict=True):
@@ -452,6 +453,30 @@ def test_adam_two_steps_match_hand_computed_trace():
     for g in gs:
         train.adam_step(state, params, [np.array([g])], cfg)
     assert params[0][0] == pytest.approx(p, abs=1e-12)
+
+
+def test_flat_adam_equals_per_array_adam_bit_for_bit():
+    # The reference keeps one moment pair per array, as Adam was first
+    # written here; the flat buffers must change no bit of any parameter.
+    rng = np.random.default_rng(5)
+    shapes = [(1, 2, 2, 2), (2, 7, 2, 1), (3,), (2, 4, 3), (1, 1)]
+    params = [rng.normal(size=s) for s in shapes]
+    reference = [p.copy() for p in params]
+    moments = [[np.zeros_like(p) for p in params] for _ in range(2)]
+    state = OptimizerState.for_params(params)
+    cfg = TrainConfig(learning_rate=0.03)
+    b1, b2 = 0.9, 0.999
+    for t in range(1, 51):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes]
+        train.adam_step(state, params, grads, cfg)
+        for p, g, m, v in zip(reference, grads, *moments):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p -= cfg.learning_rate * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + 1e-8)
+        for got, want in zip(params, reference, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_adam_rejects_shape_mismatch():
