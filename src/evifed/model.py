@@ -82,8 +82,9 @@ class Prediction:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # The reductions .max() and .sum() call, without their Python wrappers.
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def party_features(model: PartyModel, x: np.ndarray) -> dict:
@@ -119,7 +120,7 @@ def fuse_factorized(marginals) -> np.ndarray:
     stack = np.asarray(marginals, dtype=np.float64)
     if stack.ndim not in (2, 3):
         raise ValueError("expected K vectors of equal length")
-    return np.prod(stack, axis=0)
+    return np.multiply.reduce(stack, axis=0)
 
 
 def fuse_joint_state(states: list[Statevector], num_classes: int
@@ -162,7 +163,8 @@ def result_register_distribution(states: list[Statevector],
 
 def predict(plausibilities: np.ndarray) -> Prediction:
     pl = np.asarray(plausibilities, dtype=np.float64)
-    if pl.size and (pl.min() < -1e-9 or pl.max() > 1 + 1e-9):
+    if pl.size and (np.minimum.reduce(pl, axis=None) < -1e-9
+                    or np.maximum.reduce(pl, axis=None) > 1 + 1e-9):
         raise ValueError("plausibilities must lie in [0, 1]")
     return Prediction(pl, softmax(pl))
 
@@ -189,14 +191,16 @@ def loss_lower_bound(num_classes: int) -> float:
 # ``block_operators``): an evaluation pass predicts one sample at a time with
 # fixed angles and builds them once, and a reverse sweep finds its
 # forward's.  Every circuit starts from |0...0>, and block 0 acts on single
-# qubits before its CNOT ring, so its state is a product state, built from
-# block 0's fused unitaries with no kernel pass; the operators of the later
-# blocks run on it.  ``circuit_rows`` runs every party circuit and returns
-# its rows: ``batched_marginals`` reads marginals off them,
-# ``party_forward`` takes its one row, and ``party_angle_gradients`` sweeps
-# back from a whole ensemble's rows and angles in one call, undoing each
-# group's operator.  ``run_blocks`` runs whole blocks of operators from
-# given rows, as the barren-plateau diagnostic's monolithic circuit does.
+# qubits before its CNOT ring, so its state is a product state, built with
+# no kernel pass: each qubit's factor is its block-0 fused unitary's two
+# columns weighted by the cosine and sine of half its encoding angle.  The
+# operators of the later blocks run on it.  ``circuit_rows`` runs every
+# party circuit and returns its rows: ``batched_marginals`` reads marginals
+# off them, ``party_forward`` takes its one row, and
+# ``party_angle_gradients`` sweeps back from a whole ensemble's rows and
+# angles in one call, undoing each group's operator.  ``run_blocks`` runs
+# whole blocks of operators from given rows, as the barren-plateau
+# diagnostic's monolithic circuit does.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and
@@ -322,9 +326,11 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
 
     enc_angles: (B, n); vqc_angles: (S, blocks, n, 3), one setting per run of
     B/S consecutive rows.  Returns the final (B, 2^n) amplitude rows.  Block
-    0's state is the product over qubits of its fused unitary's first column
-    times the row's Ry encoding; the later blocks' group operators then run
-    on the rows a chunk of ``chunk_plan`` at a time.
+    0's state is a product over qubits: each qubit's factor is its block-0
+    fused unitary's two columns weighted by the cosine and sine of half the
+    row's encoding angle, the unitary applied to Ry(angle)|0>.  The later
+    blocks' group operators then run on the rows a chunk of ``chunk_plan``
+    at a time.
     """
     if np.ndim(vqc_angles) != 4 or len(enc_angles) % len(vqc_angles):
         raise ValueError(f"{len(enc_angles)} rows do not split into runs of "
@@ -332,12 +338,14 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
                          f"{np.shape(vqc_angles)}")
     first, = block_unitaries(vqc_angles[:, :1])
     later = block_operators(vqc_angles[:, 1:])
-    # Block 0 meets each row's encoding, as (n, S, B/S): one setting per run.
-    half_enc = enc_angles.T.reshape(first.shape[:2] + (-1,)) / 2.0
-    ce, se = np.cos(half_enc), np.sin(half_enc)
-    u0, v0 = first[..., 0, 0, None], first[..., 1, 0, None]
-    columns = np.stack([u0 * ce - np.conj(v0) * se, v0 * ce + np.conj(u0) * se],
-                       axis=-1).reshape(enc_angles.shape[::-1] + (2,))
+    # Block 0 meets each row's encoding, one setting per run.  Ry(t)|0> =
+    # (cos t/2, sin t/2), so a qubit's column is its fused unitary's two
+    # columns weighted by those.  They are built as (n, S, 2, B/S), so the
+    # ufuncs' inner loops run along the rows, then reshaped to (n, B, 2).
+    half_enc = enc_angles.T.reshape(first.shape[:2] + (1, -1)) / 2.0
+    columns = (first[..., 0, None] * np.cos(half_enc)
+               + first[..., 1, None] * np.sin(half_enc)
+               ).swapaxes(-1, -2).reshape(enc_angles.shape[::-1] + (2,))
     amps = np.empty((len(enc_angles), 1 << enc_angles.shape[1]), dtype=np.complex128)
     for lo, hi, s0, s1 in chunk_plan(*enc_angles.shape, len(vqc_angles)):
         rows = qsim.apply_cnot_ring(qsim.product_rows(columns[:, lo:hi]))

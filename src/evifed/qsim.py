@@ -96,10 +96,11 @@ def new_zero_state(n: int) -> Statevector:
 def product_rows(qubit_states: np.ndarray) -> np.ndarray:
     """(B, 2^n) rows of product states from (n, B, 2) ``qubit_states``: row b
     is qubit_states[0, b] (x) ... (x) qubit_states[n-1, b]."""
+    b = qubit_states.shape[1]
     amps = qubit_states[0]
-    for state in qubit_states[1:]:
-        amps = (amps[:, :, None] * state[:, None, :]).reshape(len(state), -1)
-    return amps
+    for state in qubit_states[1:, :, None]:
+        amps = amps.reshape(b, -1, 1) * state
+    return amps.reshape(b, -1)
 
 
 def _single_qubit_unitary(kind: str, angle: float | None) -> np.ndarray:
@@ -220,17 +221,19 @@ def prob_one(state: Statevector, qubit: int) -> float:
 
 
 def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
-    """P(qubit = 1) per row of (B, 2^n) ``amps``, per listed qubit: (B, len)."""
+    """P(qubit = 1) per row of (B, 2^n) ``amps``, for each qubit in the
+    sequence ``qubits`` (a range, list or tuple): a (B, len(qubits)) array
+    whose column i is, bit for bit, the read of ``qubits[i]`` alone."""
     # The float64 view below needs C-ordered rows; the ring gather's output
     # is column-major.
     amps = np.ascontiguousarray(amps)
     b = amps.shape[0]
-    probs = []
-    for q in qubits:
+    probs = np.empty((b, len(qubits)))
+    for i, q in enumerate(qubits):
         # The qubit-1 half as (re, im) float pairs: no |amp|^2 temporary.
         half = amps.reshape(b, 1 << q, 2, -1)[:, :, 1].view(np.float64)
-        probs.append(np.einsum("bij,bij->b", half, half))
-    return np.stack(probs, axis=-1)
+        np.einsum("bij,bij->b", half, half, out=probs[:, i])
+    return probs
 
 
 def marginal_probabilities(state: Statevector, qubits) -> np.ndarray:

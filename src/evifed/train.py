@@ -164,15 +164,15 @@ def forward_pass(models: list[PartyModel], sample: list[np.ndarray]
     (K, ..., n) pre-activations to encoding angles.  The cache (the party
     blocks, the pre-activations, the final rows, the (K, blocks, n, 3) VQC
     stack) feeds ``party_gradients``; rows live for one mini-batch."""
-    shapes = sorted({(m.vqc_angles.shape, m.num_classes) for m in models})
+    shapes = {(m.vqc_angles.shape, m.num_classes) for m in models}
     if len(shapes) != 1:
         raise ValueError(f"the parties must share one circuit, but their (VQC "
-                         f"angle shape, num_classes) pairs are {shapes}")
+                         f"angle shape, num_classes) pairs are {sorted(shapes)}")
     (shape, num_classes), = shapes
-    pre_activation = np.stack([model_mod.ttn_forward(m.ttn, x)
+    pre_activation = np.array([model_mod.ttn_forward(m.ttn, x)
                                for m, x in zip(models, sample, strict=True)])
     enc = 2.0 * squash(pre_activation).reshape(-1, shape[1])
-    vqc = np.stack([m.vqc_angles for m in models])
+    vqc = np.array([m.vqc_angles for m in models])
     marginals, rows = batched_marginals(enc, vqc, num_classes)
     return (marginals.reshape(pre_activation.shape[:-1] + (num_classes,)),
             (sample, pre_activation, rows, vqc))

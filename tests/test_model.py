@@ -419,6 +419,22 @@ def test_circuit_rows_match_gate_oracle(n, blocks, batch, shared):
         assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("run", [1, 2], ids=["one_row", "two_rows"])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_few_rows_per_setting_match_gate_oracle(n, blocks, run):
+    # A one-sample prediction runs one row per party setting.
+    rng = np.random.default_rng(300 + 10 * n + 2 * blocks + run)
+    for settings in range(1, 5):
+        enc = rng.uniform(-np.pi, np.pi, size=(settings * run, n))
+        vqc = rng.uniform(-np.pi, np.pi, size=(settings, blocks, n, 3))
+        rows = model.circuit_rows(enc, vqc)
+        assert rows.shape == (settings * run, 1 << n)
+        for b in range(len(enc)):
+            want = party_circuit_state(enc[b], vqc[b // run])
+            assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize("n", [model.GROUP_QUBITS - 1, model.GROUP_QUBITS,
                                model.GROUP_QUBITS + 1, 2 * model.GROUP_QUBITS + 1])

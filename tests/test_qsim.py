@@ -251,6 +251,24 @@ def test_prob_one_rows_reads_column_major_rows():
                           qsim.prob_one_rows(np.ascontiguousarray(out), range(2)))
 
 
+@pytest.mark.parametrize("layout", ["c_order", "column_major"])
+@pytest.mark.parametrize("qubits", [range(4), [2, 0, 3], (1, 3)],
+                         ids=["range", "list", "tuple"])
+def test_prob_one_rows_equal_one_qubit_reads_bit_for_bit(qubits, layout):
+    # Each listed qubit's column is written into one (B, len) array; it must
+    # hold the bits that reading the qubit alone gives, on either layout.
+    rng = np.random.default_rng(32)
+    rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    if layout == "column_major":
+        rows = np.asfortranarray(rows)
+    got = qsim.prob_one_rows(rows, qubits)
+    assert got.shape == (5, len(qubits))
+    for i, q in enumerate(qubits):
+        assert np.array_equal(got[:, i], qsim.prob_one_rows(rows, [q])[:, 0])
+        for r, row in enumerate(rows):
+            assert got[r, i] == qsim.prob_one(Statevector(4, row), q)
+
+
 def test_prob_one_equal_superposition():
     s = qsim.apply_gate(qsim.new_zero_state(1), Gate("H", [0]))
     assert qsim.prob_one(s, 0) == pytest.approx(0.5)
