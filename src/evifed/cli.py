@@ -1,8 +1,9 @@
 """Command-line front end: train, verify, inspect, export-curves.
 
 Experiments are described by a YAML config (schema below); every command is
-deterministic given the config and seed, so rerunning reproduces outputs
-byte for byte.  A bad config value, dataset file, model dump or training
+deterministic given the config and seed, so rerunning on one machine and BLAS
+kernel reproduces outputs byte for byte (another OpenBLAS kernel can move
+their last digits).  A bad config value, dataset file, model dump or training
 trace ends a command with one ``error:`` line naming the file and the field
 or line, and exit status 1; so does a training run whose mean loss or
 parameters stop being finite, before it writes any output.  A refused
@@ -587,12 +588,20 @@ def cmd_inspect(args) -> int:
         label = "  (conflict)" if subset == 0 else ""
         print(f"  m[{subset:0{num_classes}b}] = {combined.masses[subset]:.6f}{label}")
 
-    joint = model.fuse_joint_circuit(states, num_classes)
     factorized = model.fuse_factorized(
         [model.party_marginals(s, num_classes) for s in states])
     print("per-class plausibilities:")
-    for c in range(num_classes):
-        print(f"  class {c}: joint {joint[c]:.9f}  factorized {factorized[c]:.9f}")
+    total = num_classes + sum(m.n_qubits for m in models)
+    if total > qsim.MAX_QUBITS:
+        print(f"  joint column skipped: the joint circuit needs {total} qubits, "
+              f"more than qsim.MAX_QUBITS={qsim.MAX_QUBITS}")
+        columns = [f"factorized {f:.9f}" for f in factorized]
+    else:
+        joint = model.fuse_joint_circuit(states, num_classes)
+        columns = [f"joint {j:.9f}  factorized {f:.9f}"
+                   for j, f in zip(joint, factorized)]
+    for c, column in enumerate(columns):
+        print(f"  class {c}: {column}")
     pred = model.predict(factorized)
     true_class = int(np.argmax(test_set.labels[args.sample]))
     print(f"prediction: class {pred.predicted_class} "

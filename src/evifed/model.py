@@ -6,13 +6,14 @@ into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
 runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
 ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
 with block 0 built as a product state and each later block run as one
-operator per group of at most ``GROUP_QUBITS`` adjacent qubits;
-``party_forward`` is its one-row case.  Its angle
-gradients are exact, by adjoint differentiation (Jones & Gacon,
-arXiv:2009.02823): ``party_angle_gradients`` sweeps back once from the
-forward's final rows, given the same angles, and equals the parameter-shift
-rule (E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds it to.
-Amplitudes change only inside ``qsim``.  The server fuses party outputs
+operator per group of at most ``GROUP_QUBITS`` adjacent qubits, all built
+from the angles in one pass and memoized by ``circuit_operators``;
+``party_forward`` is its one-row case.  Its angle gradients are exact, by
+adjoint differentiation (Jones & Gacon, arXiv:2009.02823):
+``party_angle_gradients`` sweeps back once from the forward's final rows,
+given the same angles, and equals the parameter-shift rule
+(E(t + pi/2) - E(t - pi/2)) / 2 that ``verify`` holds it to.  Amplitudes
+change only inside ``qsim``.  The server fuses party outputs
 either through the explicit multi-controlled-X joint circuit (reference
 semantics; the |0>^C result register comes first, then the party registers)
 or through the factorized product of per-party marginals; commonality
@@ -43,6 +44,9 @@ class PartyModel:
         if len(shape) != 3 or shape[0] < 1 or shape[1:] != (n, 3):
             raise ValueError(f"vqc_angles has shape {shape}, expected "
                              f"(blocks >= 1, {n}, 3)")
+        if n > qsim.MAX_QUBITS:
+            raise qsim.CapacityError(f"register of {n} qubits exceeds "
+                                     f"qsim.MAX_QUBITS={qsim.MAX_QUBITS}")
         if not 2 <= self.num_classes <= n:
             raise ValueError(f"num_classes {self.num_classes} must lie in [2, {n}]")
 
@@ -187,9 +191,9 @@ def loss_lower_bound(num_classes: int) -> float:
 # one VQC setting (one party's angles): every circuit function takes
 # (S, blocks, n, 3) angles, one setting per run, so each kernel pass takes
 # one operator per run.  The unitaries and operators depend on the angles
-# alone and are cached on their bytes (``block_unitaries``,
-# ``block_operators``): an evaluation pass predicts one sample at a time with
-# fixed angles and builds them once, and a reverse sweep finds its
+# alone and are built together, cached on their bytes
+# (``circuit_operators``): an evaluation pass predicts one sample at a time
+# with fixed angles and builds them once, and a reverse sweep finds its
 # forward's.  Every circuit starts from |0...0>, and block 0 acts on single
 # qubits before its CNOT ring, so its state is a product state, built with
 # no kernel pass: each qubit's factor is its block-0 fused unitary's two
@@ -211,7 +215,7 @@ def loss_lower_bound(num_classes: int) -> float:
 # doubled the peak working set.
 CHUNK_AMPLITUDES = 1 << 12
 
-# Most qubits one operator of ``block_operators`` acts on.  A group's matmul
+# Most qubits one operator of ``circuit_operators`` acts on.  A group's matmul
 # costs 2^k multiply-adds per amplitude against the one-qubit update's 2,
 # but it is one call in place of k.  One block of one setting, grouped
 # against n one-qubit passes, on a shared 2-vCPU host: 4 qubits x 64 rows
@@ -241,48 +245,37 @@ def _fused_unitaries(shape: tuple, data: bytes) -> np.ndarray:
     return _su2(u, v)
 
 
-def block_unitaries(vqc_angles: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each block's RZ RY RX per qubit as one unitary: one read-only
-    (n, S, 2, 2) stack per block of the (S, blocks, n, 3) angles."""
-    vqc = np.ascontiguousarray(vqc_angles, dtype=np.float64)
-    return _block_unitaries(vqc.shape, vqc.tobytes())
-
-
-def block_operators(vqc_angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Each block of the (S, blocks, n, 3) angles as one operator per group
-    of at most ``GROUP_QUBITS`` adjacent qubits, the group starting at qubit
+def circuit_operators(vqc_angles: np.ndarray
+                      ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """The operators of the circuit with (S, blocks, n, 3) angles: each
+    block's RZ RY RX per qubit as one unitary, a read-only (blocks, n, S, 2, 2)
+    array; and each block from block 1 on as one operator per group of at
+    most ``GROUP_QUBITS`` adjacent qubits, the group starting at qubit
     g * GROUP_QUBITS: per block, a tuple of read-only (S, 2^k, 2^k) stacks,
     each the Kronecker product of its qubits' fused unitaries, the first
-    qubit's the most significant factor."""
+    qubit's the most significant factor.  Block 0 runs as a product state,
+    so it gets no group operators."""
     vqc = np.ascontiguousarray(vqc_angles, dtype=np.float64)
-    return _block_operators(vqc.shape, vqc.tobytes())
+    return _circuit_operators(vqc.shape, vqc.tobytes())
 
 
-# The two caches below are keyed on the angles' bytes, so a hit is bitwise
-# the build it replaces, and in-place writes to the angles need not tell
-# them.  An evaluation pass repeats one setting per party, and a training
-# step's reverse sweep repeats its forward's; the next step's angles miss.
-# Each holds 16 entries, every party's setting while a joint prediction of
-# up to 16 parties cycles through them.  The arrays are read-only, since
-# every caller with these angles shares them.  An entry of
-# ``_block_unitaries`` holds 64 bytes per qubit, block and setting; one of
-# ``_block_operators`` holds 4^k complex numbers, 16 * 4^k bytes, per group
-# of k <= GROUP_QUBITS qubits, block and setting: at most 4 KiB a group, 16x
-# the unitaries of its 4 qubits.
-
+# Keyed on the angles' bytes, so a hit is bitwise the build it replaces, and
+# in-place writes to the angles need not tell it.  An evaluation pass repeats
+# one setting per party, and a training step's reverse sweep repeats its
+# forward's; the next step's angles miss.  It holds 16 entries, every party's
+# setting while a joint prediction of up to 16 parties cycles through them.
+# The arrays are read-only, since every caller with these angles shares
+# them.  An entry holds 64 bytes of unitaries per qubit, block and setting,
+# and 16 * 4^k bytes of operator per group of k <= GROUP_QUBITS qubits,
+# later block and setting: at most 4 KiB a group, 16x its 4 qubits'
+# unitaries.
 @functools.lru_cache(maxsize=16)
-def _block_unitaries(shape: tuple, data: bytes) -> tuple[np.ndarray, ...]:
-    """``block_unitaries`` for the float64 angles in ``data``."""
-    blocks = _fused_unitaries(shape, data)
-    blocks.flags.writeable = False
-    return tuple(blocks)
-
-
-@functools.lru_cache(maxsize=16)
-def _block_operators(shape: tuple, data: bytes) -> tuple[tuple[np.ndarray, ...], ...]:
-    """``block_operators`` for the float64 angles in ``data``."""
+def _circuit_operators(shape: tuple, data: bytes):
+    """``circuit_operators`` for the float64 angles in ``data``."""
+    unitaries = _fused_unitaries(shape, data)
+    unitaries.flags.writeable = False
     blocks = []
-    for block in _fused_unitaries(shape, data):
+    for block in unitaries[1:]:
         groups = []
         for first in range(0, len(block), GROUP_QUBITS):
             op = block[first]
@@ -294,13 +287,14 @@ def _block_operators(shape: tuple, data: bytes) -> tuple[tuple[np.ndarray, ...],
             op.flags.writeable = False
             groups.append(op)
         blocks.append(tuple(groups))
-    return tuple(blocks)
+    return unitaries, tuple(blocks)
 
 
 def run_blocks(amps: np.ndarray, blocks) -> np.ndarray:
-    """Run blocks of group operators (``block_operators``, or their runs'
-    slices) on given (B, 2^n) rows: each block's operators in place, then the
-    CNOT ring.  Returns the new rows."""
+    """Run blocks of group operators (the later blocks of
+    ``circuit_operators``, or their runs' slices) on given (B, 2^n) rows:
+    each block's operators in place, then the CNOT ring.  Returns the new
+    rows."""
     for block in blocks:
         for g, op in enumerate(block):
             qsim.apply_unitary_rows(amps, g * GROUP_QUBITS, op)
@@ -314,7 +308,7 @@ def chunk_plan(b: int, n: int, settings: int):
     at most ``CHUNK_AMPLITUDES`` amplitudes unless one row alone is larger."""
     run = b // settings
     step = max(1, CHUNK_AMPLITUDES >> n)
-    runs = max(1, step // run)  # whole runs per chunk, or part of one run
+    runs = max(1, step // (run or 1))  # whole runs per chunk, or part of one
     for first in range(0, settings, runs):
         last = min(first + runs, settings)
         for lo in range(first * run, last * run, step):
@@ -336,8 +330,8 @@ def circuit_rows(enc_angles: np.ndarray, vqc_angles: np.ndarray) -> np.ndarray:
         raise ValueError(f"{len(enc_angles)} rows do not split into runs of "
                          f"(S, blocks, n, 3) VQC angles of shape "
                          f"{np.shape(vqc_angles)}")
-    first, = block_unitaries(vqc_angles[:, :1])
-    later = block_operators(vqc_angles[:, 1:])
+    unitaries, later = circuit_operators(vqc_angles)
+    first = unitaries[0]
     # Block 0 meets each row's encoding, one setting per run.  Ry(t)|0> =
     # (cos t/2, sin t/2), so a qubit's column is its fused unitary's two
     # columns weighted by those.  They are built as (n, S, 2, B/S), so the
@@ -411,7 +405,7 @@ def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
     The loss is <phi|O|phi> for each final state phi and the diagonal
     O = sum_c dL/dmarg_c P(qubit c = 1), and lambda = O phi.  Walking the
     blocks backwards, both phi and lambda undo the CNOT ring and then each
-    group operator U of ``block_operators``; between the two, each qubit's
+    group operator U of ``circuit_operators``; between the two, each qubit's
     cross matrix W = sum phi conj(lambda)^T gives every angle of the qubit's
     fused gate its derivative Im Tr((a . sigma) W), with the axes a of
     ``_generator_axes``.  The sweep carries mu = conj(lambda), so phi undoes
@@ -422,7 +416,7 @@ def party_angle_gradients(rows: np.ndarray, vqc_angles: np.ndarray,
     num_classes = np.shape(dL_dmarg)[-1]
     dL = np.reshape(dL_dmarg, (b, num_classes))
     axes = _generator_axes(vqc_angles)
-    later = block_operators(vqc_angles[:, 1:])
+    later = circuit_operators(vqc_angles)[1]
     # qubit_set[c, i] = 1 where basis state i has qubit c set.
     qubit_set = (np.arange(1 << n) >> (n - 1 - np.arange(num_classes))[:, None]) & 1
     d_enc = np.empty((b, n))

@@ -185,7 +185,8 @@ def _cnot_ring_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
     holds at most one entry per register size, each no larger than one
     amplitude row of that size."""
     idx = perm = np.arange(1 << n)
-    for q in range(n):
+    # One qubit has no ring: CNOT(0, 0) would be no gate.
+    for q in range(n if n > 1 else 0):
         cbit, tbit = 1 << (n - 1 - q), 1 << (n - 1 - (q + 1) % n)
         # Gathers compose right to left: after a then b, row[i] = old[a[b[i]]].
         perm = perm[np.where(idx & cbit, idx ^ tbit, idx)]
@@ -227,11 +228,11 @@ def prob_one_rows(amps: np.ndarray, qubits) -> np.ndarray:
     # The float64 view below needs C-ordered rows; the ring gather's output
     # is column-major.
     amps = np.ascontiguousarray(amps)
-    b = amps.shape[0]
+    b, size = amps.shape
     probs = np.empty((b, len(qubits)))
     for i, q in enumerate(qubits):
         # The qubit-1 half as (re, im) float pairs: no |amp|^2 temporary.
-        half = amps.reshape(b, 1 << q, 2, -1)[:, :, 1].view(np.float64)
+        half = amps.reshape(b, 1 << q, 2, size >> (q + 1))[:, :, 1].view(np.float64)
         np.einsum("bij,bij->b", half, half, out=probs[:, i])
     return probs
 

@@ -129,8 +129,9 @@ class TrainTrace:
 def ce_loss(prediction: Prediction, label: np.ndarray,
             check_bound: bool = False) -> float | np.ndarray:
     """-ln p(true class): a float for one sample, one per row for a batch of
-    (B, C) labels; optionally assert the quantum-output loss floor.  A
-    probability that has underflowed to 0 gives an inf loss, not a warning."""
+    (B, C) labels; optionally assert the quantum-output loss floor.  Where p
+    has underflowed to 0, the loss is logsumexp(z) - z_true of the logits z
+    (``plausibilities``), finite while they are."""
     label = np.asarray(label, dtype=np.float64)
     probabilities = prediction.probabilities
     if label.shape != probabilities.shape \
@@ -138,8 +139,16 @@ def ce_loss(prediction: Prediction, label: np.ndarray,
             or not np.all((label == 0) | (label == 1)):
         raise ValueError("label must be one-hot of length C")
     true_class = np.argmax(label, axis=-1)[..., None]
+    p = np.take_along_axis(probabilities, true_class, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
-        loss = -np.log(np.take_along_axis(probabilities, true_class, axis=-1)[..., 0])
+        loss = -np.log(p)
+    # The reduction called without its Python wrapper, as in model.softmax.
+    if np.minimum.reduce(p, axis=None) == 0:
+        z = prediction.plausibilities
+        top = np.maximum.reduce(z, axis=-1)
+        lse = top + np.log(np.add.reduce(np.exp(z - top[..., None]), axis=-1))
+        loss = np.where(p > 0, loss,
+                        lse - np.take_along_axis(z, true_class, axis=-1)[..., 0])
     if check_bound:
         bound = loss_lower_bound(probabilities.shape[-1])
         if np.any(loss < bound - BOUND_SLACK):
@@ -440,7 +449,11 @@ def barren_plateau_diagnostic(party_input_dims, party_output_dims,
         fusion_blocks = max(2, total_qubits // 2)
         fusion_angles = rng.uniform(-np.pi, np.pi,
                                     size=(1, fusion_blocks, total_qubits, 3))
-        fusion = model_mod.block_operators(fusion_angles)
+        # Block 0 gets no group operators, so a block of zero angles goes in
+        # front; the unitaries are built angle by angle, so the bits of the
+        # fusion blocks' operators do not depend on it.
+        fusion = model_mod.circuit_operators(
+            np.pad(fusion_angles, ((0, 0), (1, 0), (0, 0), (0, 0))))[1]
 
         def mono_plaus(theta: float) -> np.ndarray:
             old = models[0].vqc_angles[0, 0, 0]

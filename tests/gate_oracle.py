@@ -15,7 +15,8 @@ from evifed.qsim import Gate, Statevector
 
 
 def vqc_block_gates(vqc_angles: np.ndarray) -> list[Gate]:
-    """Per block: Rx/Ry/Rz on every qubit, then the CNOT ring 0->1->...->0."""
+    """Per block: Rx/Ry/Rz on every qubit, then the CNOT ring 0->1->...->0,
+    which one qubit does not have."""
     gates = []
     n = vqc_angles.shape[1]
     for block in vqc_angles:
@@ -23,7 +24,7 @@ def vqc_block_gates(vqc_angles: np.ndarray) -> list[Gate]:
             gates.append(Gate("RX", [q], angle=float(block[q][0])))
             gates.append(Gate("RY", [q], angle=float(block[q][1])))
             gates.append(Gate("RZ", [q], angle=float(block[q][2])))
-        for q in range(n):
+        for q in range(n if n > 1 else 0):
             gates.append(Gate("CNOT", [(q + 1) % n], controls=[q]))
     return gates
 

@@ -10,8 +10,11 @@ also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump and
 compares the two outputs byte for byte.  It prints one line per kind and
 file; where both trees wrote a file or output that differs, the line gives
 the largest relative difference between their numeric fields, matched in
-order.  It exits 1 if any file or output differs, or if a run fails.  pytest
-does not collect this file: its name is not ``test_*``.
+order.  It exits 1 if any file or output differs, or if a run fails.  Both
+trees run on this interpreter's NumPy, whose version and BLAS entry it prints
+first: byte identity holds per machine and BLAS kernel, so a comparison holds
+for that pair only.  pytest does not collect this file: its name is not
+``test_*``.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +75,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare with")
     args = parser.parse_args(argv)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"numpy {np.__version__}; BLAS {blas}")
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from evifed import cli, data, train
+from evifed import cli, data, model, train
 from evifed.baselines import MLPParty, mlp_width_for_budget
 from evifed.cli import ConfigError, load_config, load_party_models, \
     save_party_models, validate_party_topology
@@ -684,6 +684,35 @@ def test_inspect_rejects_party_count_mismatch(tmp_path, capsys, monkeypatch):
                                        "the config's dataset has 3\n")
 
 
+def test_inspect_skips_the_joint_column_past_the_register_cap(tmp_path, capsys,
+                                                              monkeypatch):
+    # Three 8-qubit parties and 2 classes need a 26-qubit joint register.
+    # Such a model trains, but inspect printed its BBAs and then ended with
+    # "error: joint circuit needs 26 qubits" and exit 1.
+    rng = np.random.default_rng(7)
+    models = [PartyModel.random_init([2, 5], [2, 4], 2, 1, 2, rng) for _ in range(3)]
+    path = tmp_path / "model.txt"
+    save_party_models(path, models)
+    text = (ROOT / "configs" / "breast_cancer.yaml").read_text()
+    config = write_yaml(tmp_path / "wide.yaml",
+                        with_line(text, "parties", "  output_dims: [2, 4]"))
+    monkeypatch.chdir(ROOT)  # the bundled config names its CSV relative to here
+    assert run_cli("inspect", "--config", config, "--model", str(path),
+                   "--sample", "0") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    at = lines.index("per-class plausibilities:")
+    assert lines[at + 1] == ("  joint column skipped: the joint circuit needs "
+                             "26 qubits, more than qsim.MAX_QUBITS=24")
+    _, test_set = cli.build_datasets(load_config(config), 0)
+    states = [model.party_forward(m, x)[0] for m, x in zip(models, test_set.sample(0))]
+    factorized = model.fuse_factorized([model.party_marginals(s, 2) for s in states])
+    assert lines[at + 2:at + 4] == [f"  class {c}: factorized {factorized[c]:.9f}"
+                                    for c in range(2)]
+    assert lines[at + 4].startswith("prediction: class ")
+
+
 # The breast-cancer topology: input_dims [2, 5], output_dims [2, 2], rank 2,
 # vqc_blocks 1, and the dataset's 2 classes.  Each case changes one field of
 # every party.
@@ -1019,15 +1048,13 @@ def diverging_config(tmp_path, kind="eviqvfl", rate="1.0e+300", epochs=2):
 
 @pytest.mark.parametrize("kind,rate,epochs,loss", [
     ("eviqvfl", "1.0e+300", 2, "nan"),
-    ("classical_fuse", "10.0", 20, "inf"),
     ("classical_fuse", "1.0e+200", 2, "nan"),
-], ids=["eviqvfl", "classical_fuse", "classical_fuse_overflow"])
+], ids=["eviqvfl", "classical_fuse_overflow"])
 def test_train_stops_at_the_first_non_finite_epoch(tmp_path, capsys, monkeypatch,
                                                    kind, rate, epochs, loss):
-    # The first two runs exited 0 with a nan or inf loss in trace.csv; the
-    # eviqvfl model.txt held nan, which inspect refuses, and classical_fuse
-    # warned "divide by zero encountered in log".  The third stopped, but
-    # warned "overflow encountered in matmul" at the fusing server first.
+    # The first run exited 0 with a nan loss in trace.csv, and its model.txt
+    # held nan, which inspect refuses.  The second stopped, but warned
+    # "overflow encountered in matmul" at the fusing server first.
     monkeypatch.chdir(ROOT)
     out = tmp_path / "run"
     config = diverging_config(tmp_path, kind, rate, epochs)
@@ -1035,6 +1062,22 @@ def test_train_stops_at_the_first_non_finite_epoch(tmp_path, capsys, monkeypatch
     assert capsys.readouterr() == ("", f"error: model_kind {kind}: training "
                                        f"diverged at epoch 0: mean loss {loss}\n")
     assert not out.exists()
+
+
+def test_train_keeps_a_finite_loss_where_a_probability_underflows(
+        tmp_path, capsys, monkeypatch):
+    # Once a logit gap passed about 745, the true class's softmax probability
+    # underflowed to 0 and its loss read inf: the run stopped with "training
+    # diverged at epoch 0: mean loss inf", although every parameter and logit
+    # was finite.  Before that stop existed, the run wrote inf into trace.csv.
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "run"
+    config = diverging_config(tmp_path, "classical_fuse", "10.0", 20)
+    assert run_cli("train", "--config", config, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    records = train.TrainTrace.load(out / "trace.csv").records
+    assert len(records) == 20
+    assert all(np.isfinite(r.loss) for r in records)
 
 
 @pytest.mark.parametrize("existed", [[], ["a"], ["a", "a/b"]],

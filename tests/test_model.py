@@ -1,8 +1,10 @@
 """Party pipeline and evidential fusion: both evaluation modes, predictions."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evifed import evidence, model, qsim, train
+from evifed import evidence, model, qsim, train, verify
 from evifed.evidence import MassFunction
 from evifed.model import PartyModel, Prediction
 from evifed.qsim import Gate, Statevector
@@ -49,6 +51,14 @@ def test_party_that_cannot_run_is_refused(angles, num_classes, message):
     ttn = TTLayerParams.random_init([2, 3], [3, 1], 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match=message):
         PartyModel(ttn, angles, num_classes)
+
+
+def test_party_register_past_the_simulator_cap_is_refused():
+    # The config check refuses such a party; a model built in code must too.
+    n = qsim.MAX_QUBITS + 1
+    with pytest.raises(qsim.CapacityError,
+                       match=f"{n} qubits exceeds qsim.MAX_QUBITS={qsim.MAX_QUBITS}"):
+        PartyModel(TTLayerParams([np.zeros((1, 1, n, 1))]), np.zeros((1, n, 3)), 2)
 
 
 def test_qubit_and_block_counts_are_read_off_the_arrays():
@@ -358,7 +368,7 @@ def test_kernel_passes_hold_whole_runs_or_part_of_one_within_a_chunk(
 
 
 def test_reverse_sweep_rebuilds_its_unitaries_from_the_angles():
-    # The adjoint takes only rows and angles: emptying the unitary memo
+    # The adjoint takes only rows and angles: emptying the operator memo
     # between the forward and the reverse sweep must change no bit.
     n = 4
     run = (model.CHUNK_AMPLITUDES >> n) + 3  # each run spans two chunks
@@ -368,10 +378,22 @@ def test_reverse_sweep_rebuilds_its_unitaries_from_the_angles():
     _, rows = model.batched_marginals(rng.uniform(0, np.pi, size=(3 * run, n)),
                                       vqc, 2)
     cached = model.party_angle_gradients(rows, vqc, dL_dmarg)
-    model._block_unitaries.cache_clear()
+    model._circuit_operators.cache_clear()
     rebuilt = model.party_angle_gradients(rows, vqc, dL_dmarg)
     for got, want in zip(rebuilt, cached, strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_settings", [1, 3])
+def test_zero_rows_give_empty_rows_and_zero_gradients(num_settings):
+    # chunk_plan divided by the rows per run, which an empty batch makes 0.
+    vqc = np.zeros((num_settings, 2, 3, 3))
+    assert model.circuit_rows(np.zeros((0, 3)), vqc).shape == (0, 8)
+    marginals, rows = model.batched_marginals(np.zeros((0, 3)), vqc, 2)
+    assert marginals.shape == (0, 2) and rows.shape == (0, 8)
+    d_enc, d_vqc = model.party_angle_gradients(rows, vqc, np.zeros((0, 2)))
+    assert d_enc.shape == (0, 3)
+    assert np.array_equal(d_vqc, np.zeros_like(vqc))
 
 
 def test_rows_that_do_not_split_into_settings_are_rejected():
@@ -379,28 +401,6 @@ def test_rows_that_do_not_split_into_settings_are_rejected():
     with pytest.raises(ValueError, match="runs"):
         model.batched_marginals(rng.uniform(0, np.pi, size=(5, 3)),
                                 rng.uniform(-np.pi, np.pi, size=(2, 2, 3, 3)), 2)
-
-
-def test_block_unitaries_follow_in_place_angle_writes():
-    # Blocks >= 1 are cached on the angles' bytes; Adam writes them in place.
-    rng = np.random.default_rng(16)
-    vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, 4, 3))
-    before = model.block_unitaries(vqc)
-    vqc[1, 2, 3, 0] += 1e-5
-    after = model.block_unitaries(vqc)
-    assert np.array_equal(after[1], before[1])
-    assert not np.array_equal(after[2], before[2])
-    model._block_unitaries.cache_clear()
-    for cached, fresh in zip(after, model.block_unitaries(vqc)):
-        assert np.array_equal(cached, fresh)
-
-
-def test_cached_block_unitaries_are_read_only():
-    rng = np.random.default_rng(17)
-    blocks = model.block_unitaries(rng.uniform(-np.pi, np.pi, size=(1, 2, 3, 3)))
-    for block in blocks:
-        with pytest.raises(ValueError):
-            block[0, 0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
@@ -433,6 +433,34 @@ def test_few_rows_per_setting_match_gate_oracle(n, blocks, run):
         for b in range(len(enc)):
             want = party_circuit_state(enc[b], vqc[b // run])
             assert np.max(np.abs(rows[b] - want.amplitudes)) < 1e-12
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(1, 4), st.integers(1, 9),
+       st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_engine_matches_gate_oracle_and_shift_rule(
+        n, blocks, num_settings, run, column_major, chunk_shift, seed):
+    # Chunks of 2^n to 2^(n+4) amplitudes hold 1 to 16 rows, so they split
+    # runs, hold whole runs, or both within one call.
+    rng = np.random.default_rng(seed)
+    num_classes = int(rng.integers(1, min(n, 3) + 1))
+    enc = rng.uniform(-np.pi, np.pi, size=(num_settings * run, n))
+    vqc = rng.uniform(-np.pi, np.pi, size=(num_settings, blocks, n, 3))
+    dL = rng.normal(size=(len(enc), num_classes))
+    layout = np.asfortranarray if column_major else np.ascontiguousarray
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "CHUNK_AMPLITUDES", 1 << (n + chunk_shift))
+        rows = model.circuit_rows(layout(enc), vqc)
+        d_enc, d_vqc = model.party_angle_gradients(layout(rows), vqc, dL)
+    for b, row in enumerate(rows):
+        want = party_circuit_state(enc[b], vqc[b // run])
+        assert np.max(np.abs(row - want.amplitudes)) < 1e-12
+    for s in range(num_settings):
+        part = slice(s * run, (s + 1) * run)
+        want_enc, want_vqc = verify.shift_rule_angle_gradients(
+            enc[part], vqc[s], num_classes, dL[part])
+        assert np.max(np.abs(d_enc[part] - want_enc)) < 1e-10
+        assert np.max(np.abs(d_vqc[s] - want_vqc)) < 1e-10
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -476,18 +504,20 @@ def test_grouped_circuits_match_gate_oracle_and_finite_differences(n, blocks):
         assert np.max(np.abs(got - fd) / scale) < 1e-4
 
 
-def test_block_operators_are_kronecker_products_of_block_unitaries():
+def test_circuit_operators_are_kronecker_products_of_fused_unitaries():
     # Groups of GROUP_QUBITS adjacent qubits from qubit 0, the last one
     # shorter; the group's first qubit is the most significant factor.
+    # Operator block k - 1 is unitary block k: block 0 gets no operators.
     rng = np.random.default_rng(19)
     n = 2 * model.GROUP_QUBITS + 1
-    vqc = rng.uniform(-np.pi, np.pi, size=(3, 2, n, 3))
-    for ops, unitaries in zip(model.block_operators(vqc), model.block_unitaries(vqc),
-                              strict=True):
+    vqc = rng.uniform(-np.pi, np.pi, size=(3, 3, n, 3))
+    unitaries, operators = model.circuit_operators(vqc)
+    assert unitaries.shape == (3, n, 3, 2, 2)
+    for ops, block in zip(operators, unitaries[1:], strict=True):
         starts = range(0, n, model.GROUP_QUBITS)
         assert len(ops) == len(starts)
         for op, first in zip(ops, starts):
-            group = unitaries[first:first + model.GROUP_QUBITS]
+            group = block[first:first + model.GROUP_QUBITS]
             for s in range(len(vqc)):
                 want = group[0][s]
                 for u in group[1:]:
@@ -495,30 +525,38 @@ def test_block_operators_are_kronecker_products_of_block_unitaries():
                 assert np.max(np.abs(op[s] - want)) < 1e-15
 
 
-def test_block_operators_follow_in_place_angle_writes():
-    # Cached on the angles' bytes, as the fused unitaries are.
+def test_circuit_operators_follow_in_place_angle_writes():
+    # Cached on the angles' bytes; Adam writes them in place.
     rng = np.random.default_rng(20)
     vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, model.GROUP_QUBITS + 2, 3))
-    before = model.block_operators(vqc)
+    before = model.circuit_operators(vqc)
     vqc[1, 2, -1, 0] += 1e-5
-    after = model.block_operators(vqc)
+    after = model.circuit_operators(vqc)
     assert after is not before
+    (was_u, was_ops), (now_u, now_ops) = before, after
     for k in range(2):
-        for was, now in zip(before[k], after[k], strict=True):
-            assert np.array_equal(was, now)
-    assert np.array_equal(after[2][0], before[2][0])
-    assert not np.array_equal(after[2][1], before[2][1])
-    model._block_operators.cache_clear()
-    for cached, fresh in zip(after, model.block_operators(vqc), strict=True):
+        assert np.array_equal(now_u[k], was_u[k])
+    assert not np.array_equal(now_u[2], was_u[2])
+    for was, now in zip(was_ops[0], now_ops[0], strict=True):
+        assert np.array_equal(was, now)
+    assert np.array_equal(now_ops[1][0], was_ops[1][0])
+    assert not np.array_equal(now_ops[1][1], was_ops[1][1])
+    model._circuit_operators.cache_clear()
+    fresh_u, fresh_ops = model.circuit_operators(vqc)
+    assert np.array_equal(now_u, fresh_u)
+    for cached, fresh in zip(now_ops, fresh_ops, strict=True):
         for a, b in zip(cached, fresh, strict=True):
             assert np.array_equal(a, b)
 
 
-def test_cached_block_operators_are_read_only():
+def test_cached_circuit_operators_are_read_only():
     rng = np.random.default_rng(21)
-    blocks = model.block_operators(
+    unitaries, operators = model.circuit_operators(
         rng.uniform(-np.pi, np.pi, size=(1, 2, model.GROUP_QUBITS + 1, 3)))
-    for block in blocks:
+    for block in unitaries:
+        with pytest.raises(ValueError):
+            block[0, 0, 0, 0] = 0.0
+    for block in operators:
         for op in block:
             with pytest.raises(ValueError):
                 op[0, 0, 0] = 0.0

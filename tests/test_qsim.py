@@ -244,7 +244,7 @@ def test_prob_one_rows_reads_column_major_rows():
     # The ring gather returns column-major rows, and run_blocks hands them on.
     rng = np.random.default_rng(31)
     rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
-    blocks = model.block_operators(rng.uniform(-np.pi, np.pi, (1, 2, 4, 3)))
+    blocks = model.circuit_operators(rng.uniform(-np.pi, np.pi, (1, 3, 4, 3)))[1]
     out = model.run_blocks(rows, blocks)
     assert not out.flags.c_contiguous
     assert np.array_equal(qsim.prob_one_rows(out, range(2)),

@@ -358,8 +358,8 @@ def test_memoized_operators_leave_training_bit_exact(monkeypatch):
 
     params, records = trained()
     monkeypatch.setattr(ttn, "materialize_dense", lambda p: ttn._contract(p.cores))
-    monkeypatch.setattr(model, "_block_unitaries", model._block_unitaries.__wrapped__)
-    monkeypatch.setattr(model, "_block_operators", model._block_operators.__wrapped__)
+    monkeypatch.setattr(model, "_circuit_operators",
+                        model._circuit_operators.__wrapped__)
     fresh_params, fresh_records = trained()
     assert records == fresh_records
     for got, want in zip(params, fresh_params, strict=True):
@@ -539,10 +539,16 @@ def test_train_run_stops_at_the_first_epoch_with_a_non_finite_parameter():
     assert str(err.value) == "training diverged at epoch 0: a parameter is not finite"
 
 
-def test_ce_loss_of_an_underflowed_probability_is_inf_without_a_warning():
-    pred = Prediction(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.5, 0.5]]))
-    loss = train.ce_loss(pred, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert loss[0] == np.inf and loss[1] == np.log(2.0)
+def test_ce_loss_of_an_underflowed_probability_is_read_off_the_logits():
+    # Past a logit gap of about 745 the true class's softmax probability
+    # underflows to 0, and -ln p read inf; the loss is logsumexp(z) - z_true
+    # there, with no warning, and -ln p, bit for bit, where p > 0.
+    z = np.array([[0.0, 800.0], [0.0, 0.0], [1.0, -1000.0]])
+    pred = Prediction(z, softmax(z))
+    loss = train.ce_loss(pred, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert loss.tolist() == [800.0, np.log(2.0), 1001.0]
+    assert train.ce_loss(Prediction(z[0], pred.probabilities[0]),
+                         np.array([1.0, 0.0])) == 800.0
 
 
 def test_every_epoch_loss_respects_the_quantum_floor():
