@@ -525,37 +525,56 @@ def test_circuit_operators_are_kronecker_products_of_fused_unitaries():
                 assert np.max(np.abs(op[s] - want)) < 1e-15
 
 
-def test_circuit_operators_follow_in_place_angle_writes():
-    # Cached on the angles' bytes; Adam writes them in place.
+def test_block_unitaries_follow_in_place_angle_writes():
+    # Every block's fused unitaries are cached on the angles' bytes; Adam
+    # writes them in place.
+    rng = np.random.default_rng(16)
+    vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, 4, 3))
+    before, _ = model.circuit_operators(vqc)
+    vqc[1, 2, 3, 0] += 1e-5
+    after, _ = model.circuit_operators(vqc)
+    for k in range(2):
+        assert np.array_equal(after[k], before[k])
+    assert not np.array_equal(after[2], before[2])
+    model._circuit_operators.cache_clear()
+    fresh, _ = model.circuit_operators(vqc)
+    for cached, rebuilt in zip(after, fresh, strict=True):
+        assert np.array_equal(cached, rebuilt)
+
+
+def test_cached_block_unitaries_are_read_only():
+    rng = np.random.default_rng(17)
+    unitaries, _ = model.circuit_operators(
+        rng.uniform(-np.pi, np.pi, size=(1, 2, 3, 3)))
+    for block in unitaries:
+        with pytest.raises(ValueError):
+            block[0, 0, 0, 0] = 0.0
+
+
+def test_block_operators_follow_in_place_angle_writes():
+    # Cached on the angles' bytes, as the fused unitaries are.
     rng = np.random.default_rng(20)
     vqc = rng.uniform(-np.pi, np.pi, size=(2, 3, model.GROUP_QUBITS + 2, 3))
     before = model.circuit_operators(vqc)
     vqc[1, 2, -1, 0] += 1e-5
     after = model.circuit_operators(vqc)
     assert after is not before
-    (was_u, was_ops), (now_u, now_ops) = before, after
-    for k in range(2):
-        assert np.array_equal(now_u[k], was_u[k])
-    assert not np.array_equal(now_u[2], was_u[2])
+    was_ops, now_ops = before[1], after[1]
     for was, now in zip(was_ops[0], now_ops[0], strict=True):
         assert np.array_equal(was, now)
     assert np.array_equal(now_ops[1][0], was_ops[1][0])
     assert not np.array_equal(now_ops[1][1], was_ops[1][1])
     model._circuit_operators.cache_clear()
-    fresh_u, fresh_ops = model.circuit_operators(vqc)
-    assert np.array_equal(now_u, fresh_u)
+    _, fresh_ops = model.circuit_operators(vqc)
     for cached, fresh in zip(now_ops, fresh_ops, strict=True):
         for a, b in zip(cached, fresh, strict=True):
             assert np.array_equal(a, b)
 
 
-def test_cached_circuit_operators_are_read_only():
+def test_cached_block_operators_are_read_only():
     rng = np.random.default_rng(21)
-    unitaries, operators = model.circuit_operators(
+    _, operators = model.circuit_operators(
         rng.uniform(-np.pi, np.pi, size=(1, 2, model.GROUP_QUBITS + 1, 3)))
-    for block in unitaries:
-        with pytest.raises(ValueError):
-            block[0, 0, 0, 0] = 0.0
     for block in operators:
         for op in block:
             with pytest.raises(ValueError):
