@@ -34,6 +34,8 @@ class MassFunction:
         self.masses = np.asarray(self.masses, dtype=np.float64)
         if self.masses.shape != (1 << self.frame_size,):
             raise ValueError("mass vector length must be 2^frame_size")
+        if not np.all(np.isfinite(self.masses)):
+            raise ValueError("masses must be finite")
         if np.any(self.masses < -1e-12):
             raise ValueError("masses must be non-negative")
         if abs(self.masses.sum() - 1.0) > 1e-10:
@@ -105,17 +107,11 @@ def singleton_plausibilities(m: MassFunction) -> np.ndarray:
     return np.array([plausibility(m, 1 << c) for c in range(m.frame_size)])
 
 
-def _bit_reverse(x: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if x & (1 << i):
-            out |= 1 << (n - 1 - i)
-    return out
-
-
-def basis_index(mask: int, frame_size: int) -> int:
-    """Basis label of subset ``mask``: element c+1 maps to qubit c (MSB-first)."""
-    return _bit_reverse(mask, frame_size)
+def _basis_labels(n: int) -> np.ndarray:
+    """Basis label of each subset bitmask: element c+1 maps to qubit c
+    (MSB-first), so a label is its mask's n bits reversed, read off the
+    (2,)*n view of the masks with its axes reversed."""
+    return np.arange(1 << n).reshape((2,) * n).T.ravel()
 
 
 def encode_bba(m: MassFunction, phases: np.ndarray | None = None) -> Statevector:
@@ -131,8 +127,7 @@ def encode_bba(m: MassFunction, phases: np.ndarray | None = None) -> Statevector
     if phases.shape != (1 << n,):
         raise ValueError("phase vector length must be 2^frame_size")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    for mask in range(1 << n):
-        amps[basis_index(mask, n)] = np.sqrt(m.masses[mask]) * np.exp(1j * phases[mask])
+    amps[_basis_labels(n)] = np.sqrt(m.masses) * np.exp(1j * phases)
     return Statevector(n, amps)
 
 
@@ -149,7 +144,8 @@ def decode_distribution(probs: np.ndarray) -> MassFunction:
     n = int(probs.size).bit_length() - 1
     if 1 << n != probs.size:
         raise ValueError("distribution length must be a power of two")
-    masses = np.empty_like(probs)
-    for mask in range(1 << n):
-        masses[mask] = probs[basis_index(mask, n)]
-    return MassFunction(n, masses / masses.sum())
+    masses = probs[_basis_labels(n)]
+    total = masses.sum()
+    if total == 0:
+        raise ValueError("distribution has no mass to decode")
+    return MassFunction(n, masses / total)

@@ -2,12 +2,12 @@
 evidential fusion.
 
 A party maps its raw feature block through the TT layer, squashes the result
-into (0, pi/2) (``party_features``), angle-encodes it with Ry rotations, and
-runs a block-repeated variational circuit (per-qubit Rx/Ry/Rz, then a CNOT
-ring).  Every such circuit runs in ``circuit_rows``, as rows of one array
-with block 0 built as a product state and each later block run as one
-operator per group of at most ``GROUP_QUBITS`` adjacent qubits, all built
-from the angles in one pass and memoized by ``circuit_operators``;
+into (0, pi/2), angle-encodes it with Ry rotations, and runs a block-repeated
+variational circuit (per-qubit Rx/Ry/Rz, then a CNOT ring).  Every such
+circuit runs in ``circuit_rows``, as rows of one array with block 0 built as
+a product state and each later block run as one operator per group of at
+most ``GROUP_QUBITS`` adjacent qubits, all built from the angles in one pass
+and memoized by ``circuit_operators``;
 ``party_forward`` is its one-row case.  Its angle gradients are exact, by
 adjoint differentiation (Jones & Gacon, arXiv:2009.02823):
 ``party_angle_gradients`` sweeps back once from the forward's final rows,
@@ -91,24 +91,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def party_features(model: PartyModel, x: np.ndarray) -> dict:
-    """TT layer then squash on one feature block (d,) or on (B, d) rows; the
-    cache feeds the backward pass.
-
-    ``x_tilde`` lies in (0, pi/2); the circuit encodes it as Ry(2 x_tilde).
-    """
+def party_forward(model: PartyModel, x: np.ndarray) -> tuple[Statevector, dict]:
+    """Run one party's full pipeline, as one row of ``circuit_rows``: the TT
+    layer, then the squash to ``x_tilde`` in (0, pi/2), encoded as
+    Ry(2 x_tilde).  Returns the state and a dict of those intermediates."""
     x = np.asarray(x, dtype=np.float64)
     pre_activation = ttn_forward(model.ttn, x)
-    return {"x": x, "pre_activation": pre_activation,
-            "x_tilde": squash(pre_activation)}
-
-
-def party_forward(model: PartyModel, x: np.ndarray) -> tuple[Statevector, dict]:
-    """Run one party's full pipeline, as one row of ``circuit_rows``; the
-    cache feeds the backward pass."""
-    cache = party_features(model, x)
-    amps = circuit_rows(2.0 * cache["x_tilde"][None, :], model.vqc_angles[None])
-    return Statevector(model.n_qubits, amps[0]), cache
+    x_tilde = squash(pre_activation)
+    amps = circuit_rows(2.0 * x_tilde[None, :], model.vqc_angles[None])
+    return Statevector(model.n_qubits, amps[0]), {
+        "x": x, "pre_activation": pre_activation, "x_tilde": x_tilde}
 
 
 def party_marginals(state: Statevector, num_classes: int) -> np.ndarray:

@@ -68,12 +68,14 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.targets) != 1:
+            raise ValueError(f"a gate takes exactly one target, got {self.targets}")
         if set(self.targets) & set(self.controls):
             raise ValueError("targets and controls must be disjoint")
-        if self.kind == "MCX" and (len(self.targets) != 1 or not self.controls):
-            raise ValueError("MCX needs exactly one target and >=1 control")
-        if self.kind == "CNOT" and (len(self.targets) != 1 or len(self.controls) != 1):
-            raise ValueError("CNOT needs one control and one target")
+        if self.kind == "MCX" and not self.controls:
+            raise ValueError("MCX needs >=1 control")
+        if self.kind == "CNOT" and len(self.controls) != 1:
+            raise ValueError("CNOT needs one control")
         if (self.angle is not None) != (self.kind in ROTATION_KINDS):
             raise ValueError("angle is present exactly for RX/RY/RZ")
 
@@ -209,9 +211,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     if gate.kind in ("MCX", "CNOT"):
         return apply_mcx(state, gate.controls, gate.targets[0])
     u = _single_qubit_unitary(gate.kind, gate.angle)[None]
-    rows = state.amplitudes.reshape(1, -1)
-    for t in gate.targets:
-        apply_unitary_rows(rows, t, u)
+    apply_unitary_rows(state.amplitudes.reshape(1, -1), gate.targets[0], u)
     return state
 
 

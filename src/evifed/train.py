@@ -37,6 +37,7 @@ from .model import (PartyModel, Prediction, batched_marginals, loss_lower_bound,
 from .ttn import squash, squash_grad, ttn_backward
 
 BOUND_SLACK = 1e-9
+FD_STEP = 1e-5  # central-difference step of full_gradient_fd
 TRACE_HEADER = "epoch,loss,train_acc,test_acc"
 
 
@@ -239,9 +240,10 @@ def eviqvfl_loss(models: list[PartyModel], sample: list[np.ndarray],
 
 
 def full_gradient_fd(models: list[PartyModel], sample: list[np.ndarray],
-                     label: np.ndarray, step: float = 1e-5
+                     label: np.ndarray
                      ) -> tuple[float | np.ndarray, list[list[np.ndarray]], Prediction]:
-    """Central finite differences over every scalar parameter (oracle path).
+    """Central finite differences of step ``FD_STEP`` over every scalar
+    parameter (oracle path).
 
     On a batch they difference the summed loss, so the gradients are summed
     over the samples as ``full_gradient``'s are.
@@ -257,12 +259,12 @@ def full_gradient_fd(models: list[PartyModel], sample: list[np.ndarray],
             gflat = g.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + FD_STEP
                 hi = eviqvfl_loss(models, sample, label)
-                flat[i] = orig - step
+                flat[i] = orig - FD_STEP
                 lo = eviqvfl_loss(models, sample, label)
                 flat[i] = orig
-                gflat[i] = (hi - lo) / (2 * step)
+                gflat[i] = (hi - lo) / (2 * FD_STEP)
             party_grads.append(g)
         grads.append(party_grads)
     return loss, grads, pred

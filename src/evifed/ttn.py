@@ -59,13 +59,12 @@ class TTLayerParams:
         return math.prod(self.output_dims)
 
     @classmethod
-    def random_init(cls, input_dims, output_dims, internal_rank, rng,
-                    scale: float | None = None) -> "TTLayerParams":
-        """Uniform [-s, s] cores; the default s keeps pre-squash outputs near 0."""
+    def random_init(cls, input_dims, output_dims, internal_rank, rng) -> "TTLayerParams":
+        """Uniform [-s, s] cores, s = prod(input_dims)^(-1/(2L)) for L cores,
+        which keeps pre-squash outputs near 0."""
         L = len(input_dims)
         ranks = [1] + [internal_rank] * (L - 1) + [1]
-        if scale is None:
-            scale = float(np.prod(input_dims)) ** (-1.0 / (2 * L))
+        scale = float(np.prod(input_dims)) ** (-1.0 / (2 * L))
         cores = [
             rng.uniform(-scale, scale,
                         size=(ranks[l], input_dims[l], output_dims[l], ranks[l + 1]))

@@ -6,11 +6,12 @@ Clones the repository at ``<rev>`` into a temporary directory (removed at
 exit).  In both trees it runs ``evifed train`` once per model kind on that
 tree's own ``configs/breast_cancer.yaml`` with ``model_kind`` replaced, then
 compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  It
-also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump and
-compares the two outputs byte for byte.  It prints one line per kind and
-file; where both trees wrote a file or output that differs, the line gives
-the largest relative difference between their numeric fields, matched in
-order.  It exits 1 if any file or output differs, or if a run fails.  Both
+also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump, and
+``evifed verify`` once per tree, and compares each pair of outputs byte for
+byte.  It prints one line per kind and file, one for ``inspect`` and one for
+``verify``; where both trees wrote a file or output that differs, the line
+gives the largest relative difference between their numeric fields, matched
+in order.  It exits 1 if any file or output differs, or if a run fails.  Both
 trees run on this interpreter's NumPy, whose version and BLAS entry it prints
 first: byte identity holds per machine and BLAS kernel, so a comparison holds
 for that pair only.  pytest does not collect this file: its name is not
@@ -71,6 +72,17 @@ def drift(a: str, b: str) -> str:
     return f"largest relative difference {worst:.3g}"
 
 
+def same_output(label: str, done: list[subprocess.CompletedProcess]) -> bool:
+    """Print whether two successful runs wrote the same stdout; return it."""
+    ran = done[0].returncode == done[1].returncode == 0
+    same = ran and done[0].stdout == done[1].stdout
+    verdict = "identical" if same else "DIFFERS"
+    if not same and ran:
+        verdict += ", " + drift(done[0].stdout, done[1].stdout)
+    print(f"{label}: {verdict}")
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare with")
@@ -110,13 +122,9 @@ def main(argv=None) -> int:
                                str(runs[name] / "config.yaml"), "--model",
                                str(runs[name] / "model.txt"), "--sample", "0")
                         for name, tree in trees.items()]
-                same = done[0].returncode == done[1].returncode == 0 \
-                    and done[0].stdout == done[1].stdout
-                differ |= not same
-                verdict = "identical" if same else "DIFFERS"
-                if not same and done[0].returncode == done[1].returncode == 0:
-                    verdict += ", " + drift(done[0].stdout, done[1].stdout)
-                print(f"{kind} inspect --sample 0: {verdict}")
+                differ |= not same_output(f"{kind} inspect --sample 0", done)
+        differ |= not same_output(
+            "verify", [evifed(tree, "verify") for tree in trees.values()])
     return 1 if differ else 0
 
 

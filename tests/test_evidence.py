@@ -26,6 +26,13 @@ def test_negative_mass_rejected():
         MassFunction(1, [1.2, -0.2])
 
 
+def test_non_finite_masses_rejected():
+    # NaN fails every comparison, so the sign and sum checks alone let it in.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MassFunction(2, [bad] * 4)
+
+
 def test_empty_set_mass_is_allowed():
     m = MassFunction.from_dict(1, {0: 0.4, 0b1: 0.6})
     assert m.masses[0] == 0.4
@@ -136,6 +143,12 @@ def test_encode_vacuous_two_elements_lands_on_11():
 def test_encode_singleton_omega2_lands_on_01():
     state = evidence.encode_bba(MassFunction.from_dict(2, {0b10: 1.0}))
     assert np.allclose(state.amplitudes, [0, 1, 0, 0])
+    # At n = 2 the label table equals a plain swap of the mask bits; at n = 3
+    # {w1} must land on 100 and {w2} on 010.
+    state = evidence.encode_bba(MassFunction.from_dict(3, {0b001: 0.25, 0b010: 0.75}))
+    want = np.zeros(8)
+    want[0b100], want[0b010] = np.sqrt(0.25), np.sqrt(0.75)
+    assert np.allclose(state.amplitudes, want)
 
 
 def test_decode_11_is_vacuous():
@@ -153,6 +166,11 @@ def test_decode_superposition_of_singletons():
 def test_decode_rejects_unnormalized_state():
     with pytest.raises(InvalidStateError):
         evidence.decode_state(Statevector(1, [0.5, 0.5]))
+
+
+def test_decode_rejects_a_distribution_with_no_mass():
+    with pytest.raises(ValueError, match="no mass"):
+        evidence.decode_distribution(np.zeros(4))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))

@@ -175,6 +175,14 @@ def test_gate_constructor_validates_kind_and_angle():
         Gate("CNOT", [0], controls=[0])
 
 
+def test_gate_takes_exactly_one_target():
+    for targets in ([], [0, 1]):
+        with pytest.raises(ValueError, match="one target"):
+            Gate("RX", targets, angle=0.1)
+        with pytest.raises(ValueError, match="one target"):
+            Gate("MCX", targets, controls=[2])
+
+
 # --- MCX -------------------------------------------------------------------
 
 def test_mcx_flips_when_all_controls_set():

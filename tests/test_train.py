@@ -669,8 +669,8 @@ def test_barren_plateau_reports_true_gradient_variances():
         fusion_angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
 
         def mono_loss():
-            a, b = [party_circuit_state(2.0 * model.party_features(m, x)["x_tilde"],
-                                        m.vqc_angles)
+            a, b = [party_circuit_state(
+                        2.0 * model.party_forward(m, x)[1]["x_tilde"], m.vqc_angles)
                     for m, x in zip(models, sample)]
             st = run_gates(qsim.tensor_product(a, b), vqc_block_gates(fusion_angles))
             plaus = [qsim.prob_one(st, c) for c in range(2)]

@@ -20,9 +20,11 @@ def identity_params(dims):
     return TTLayerParams(cores)
 
 
-def random_params(input_dims, output_dims, rank, rng, scale=0.8):
-    return TTLayerParams.random_init(input_dims, output_dims, rank, rng,
-                                     scale=scale)
+def random_params(input_dims, output_dims, rank, rng):
+    """Uniform [-0.8, 0.8] cores."""
+    ranks = [1] + [rank] * (len(input_dims) - 1) + [1]
+    return TTLayerParams([rng.uniform(-0.8, 0.8, size=(ranks[l], i, o, ranks[l + 1]))
+                          for l, (i, o) in enumerate(zip(input_dims, output_dims))])
 
 
 # --- construction ----------------------------------------------------------
