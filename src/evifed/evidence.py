@@ -115,7 +115,8 @@ def _basis_labels(n: int) -> np.ndarray:
 
 
 def encode_bba(m: MassFunction, phases: np.ndarray | None = None) -> Statevector:
-    """Quantum evidence state: amplitude sqrt(mass) * e^{i phase} per subset.
+    """Quantum evidence state: amplitude sqrt(mass) * e^{i phase} per subset;
+    a mass that ``MassFunction`` let through below 0 has amplitude 0.
 
     ``phases`` is indexed by subset bitmask, like the mass vector.  Phases
     default to zero; they vanish under modulus-squared decoding anyway.
@@ -127,7 +128,8 @@ def encode_bba(m: MassFunction, phases: np.ndarray | None = None) -> Statevector
     if phases.shape != (1 << n,):
         raise ValueError("phase vector length must be 2^frame_size")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[_basis_labels(n)] = np.sqrt(m.masses) * np.exp(1j * phases)
+    amps[_basis_labels(n)] = (np.sqrt(np.maximum(m.masses, 0.0))
+                              * np.exp(1j * phases))
     return Statevector(n, amps)
 
 

@@ -195,8 +195,8 @@ def loss_lower_bound(num_classes: int) -> float:
 # off them, ``party_forward`` takes its one row, and
 # ``party_angle_gradients`` sweeps back from a whole ensemble's rows and
 # angles in one call, undoing each group's operator.  ``run_blocks`` runs
-# whole blocks of operators from given rows, as the barren-plateau
-# diagnostic's monolithic circuit does.
+# whole blocks of operators from given rows, for ``circuit_rows`` and for
+# the monolithic fusion circuit of ``tests/oracle.py``.
 # Equality with a gate-by-gate oracle is pinned by tests.
 
 # Amplitudes one kernel pass holds at most: circuit_rows and

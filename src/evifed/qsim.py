@@ -72,10 +72,9 @@ class Gate:
             raise ValueError(f"a gate takes exactly one target, got {self.targets}")
         if set(self.targets) & set(self.controls):
             raise ValueError("targets and controls must be disjoint")
-        if self.kind == "MCX" and not self.controls:
-            raise ValueError("MCX needs >=1 control")
-        if self.kind == "CNOT" and len(self.controls) != 1:
-            raise ValueError("CNOT needs one control")
+        if bool(self.controls) != (self.kind in ("CNOT", "MCX")) \
+                or self.kind == "CNOT" and len(self.controls) != 1:
+            raise ValueError("controls are present exactly for CNOT (one) and MCX")
         if (self.angle is not None) != (self.kind in ROTATION_KINDS):
             raise ValueError("angle is present exactly for RX/RY/RZ")
 

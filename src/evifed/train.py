@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from . import qsim
 from .data import VerticalDataset, batch_indices
 from .model import (PartyModel, Prediction, batched_marginals, loss_lower_bound,
                     party_angle_gradients)
@@ -156,11 +155,6 @@ def ce_loss(prediction: Prediction, label: np.ndarray,
             raise AssertionError(
                 f"quantum-output CE loss {np.min(loss)} violates the {bound} floor")
     return float(loss) if loss.ndim == 0 else loss
-
-
-def param_shift_grad(evaluate, theta: float) -> float:
-    """Exact derivative of a Pauli-rotation expectation at ``theta``."""
-    return (evaluate(theta + np.pi / 2) - evaluate(theta - np.pi / 2)) / 2.0
 
 
 # --- eviQVFL forward/backward ---------------------------------------------
@@ -401,81 +395,3 @@ def train_run(models, train_set: VerticalDataset, config: TrainConfig,
         ))
     return trainable, trace
 
-
-# --- barren-plateau diagnostic --------------------------------------------
-
-@dataclass
-class GradientVarianceReport:
-    evidential_variance: float
-    monolithic_vqc_variance: float
-    total_qubits: int
-    num_seeds: int
-
-
-def barren_plateau_diagnostic(party_input_dims, party_output_dims,
-                              internal_rank: int, blocks: int,
-                              num_parties: int, num_classes: int,
-                              num_seeds: int = 50, seed: int = 0
-                              ) -> GradientVarianceReport:
-    """Compare first-angle gradient variance: evidential fusion vs a single
-    trainable fusion circuit over all teleported qubits.
-
-    The monolithic variant replaces the fixed fusion circuit with a trainable
-    block-structured circuit on the full sum-of-parties register; its gradient
-    signal is expected to be markedly weaker.
-    """
-    d = int(np.prod(party_input_dims))
-    evi_grads = []
-    mono_grads = []
-    total_qubits = 0
-    for s in range(num_seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, s]))
-        models = [PartyModel.random_init(party_input_dims, party_output_dims,
-                                         internal_rank, blocks, num_classes,
-                                         rng, angle_scale=np.pi)
-                  for _ in range(num_parties)]
-        sample = [rng.uniform(0, 1, size=d) for _ in range(num_parties)]
-        label = np.zeros(num_classes)
-        label[0] = 1.0
-
-        # Both paths differentiate party 0's first VQC angle.  The shift rule
-        # is exact only for expectation values, so neither applies it to the loss.
-        evi_grads.append(full_gradient(models, sample, label)[1][0][-1][0, 0, 0])
-
-        # Monolithic variant: joint register of all party outputs followed by
-        # a random trainable fusion circuit over the whole register; here the
-        # angle's signal must survive the scrambling fusion circuit.
-        total_qubits = sum(m.n_qubits for m in models)
-        # Depth grows with width so the random circuit actually mixes the
-        # register; shallow circuits would understate the plateau.
-        fusion_blocks = max(2, total_qubits // 2)
-        fusion_angles = rng.uniform(-np.pi, np.pi,
-                                    size=(1, fusion_blocks, total_qubits, 3))
-        # Block 0 gets no group operators, so a block of zero angles goes in
-        # front; the unitaries are built angle by angle, so the bits of the
-        # fusion blocks' operators do not depend on it.
-        fusion = model_mod.circuit_operators(
-            np.pad(fusion_angles, ((0, 0), (1, 0), (0, 0), (0, 0))))[1]
-
-        def mono_plaus(theta: float) -> np.ndarray:
-            old = models[0].vqc_angles[0, 0, 0]
-            models[0].vqc_angles[0, 0, 0] = theta
-            states = [model_mod.party_forward(m, x)[0]
-                      for m, x in zip(models, sample)]
-            models[0].vqc_angles[0, 0, 0] = old
-            st = states[0]
-            for other in states[1:]:
-                st = qsim.tensor_product(st, other)
-            rows = model_mod.run_blocks(st.amplitudes.reshape(1, -1), fusion)
-            return qsim.prob_one_rows(rows, range(num_classes))[0]
-
-        theta = models[0].vqc_angles[0, 0, 0]
-        dL_dpl = model_mod.predict(mono_plaus(theta)).probabilities - label
-        mono_grads.append(float(dL_dpl @ param_shift_grad(mono_plaus, theta)))
-
-    return GradientVarianceReport(
-        evidential_variance=float(np.var(evi_grads)),
-        monolithic_vqc_variance=float(np.var(mono_grads)),
-        total_qubits=total_qubits,
-        num_seeds=num_seeds,
-    )

@@ -233,6 +233,11 @@ def branch_frequencies(rng) -> float:
 
 # --- gradients -------------------------------------------------------------
 
+def param_shift_grad(evaluate, theta: float) -> float:
+    """Exact derivative of a Pauli-rotation expectation at ``theta``."""
+    return (evaluate(theta + np.pi / 2) - evaluate(theta - np.pi / 2)) / 2.0
+
+
 def shift_closed_form(rng) -> float:
     """One qubit, one Ry at 20 angles: P(1) = sin^2(theta/2), derivative
     sin(theta)/2."""
@@ -240,7 +245,7 @@ def shift_closed_form(rng) -> float:
         s = qsim.new_zero_state(1)
         qsim.apply_gate(s, Gate("RY", [0], angle=float(t)))
         return qsim.prob_one(s, 0)
-    return np.max([abs(train.param_shift_grad(prob, float(theta)) - np.sin(theta) / 2)
+    return np.max([abs(param_shift_grad(prob, float(theta)) - np.sin(theta) / 2)
                    for theta in rng.uniform(-np.pi, np.pi, size=20)])
 
 

@@ -5,16 +5,22 @@
 Clones the repository at ``<rev>`` into a temporary directory (removed at
 exit).  In both trees it runs ``evifed train`` once per model kind on that
 tree's own ``configs/breast_cancer.yaml`` with ``model_kind`` replaced, then
-compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  It
-also runs ``evifed inspect --sample 0`` on each tree's eviqvfl dump, and
-``evifed verify`` once per tree, and compares each pair of outputs byte for
-byte.  It prints one line per kind and file, one for ``inspect`` and one for
-``verify``; where both trees wrote a file or output that differs, the line
-gives the largest relative difference between their numeric fields, matched
-in order.  It exits 1 if any file or output differs, or if a run fails.  Both
-trees run on this interpreter's NumPy, whose version and BLAS entry it prints
-first: byte identity holds per machine and BLAS kernel, so a comparison holds
-for that pair only.  pytest does not collect this file: its name is not
+compares ``trace.csv``, ``summary.txt`` and ``model.txt`` byte for byte.  A
+second pass, labelled ``[wide]``, trains the five kinds again with
+``parties.output_dims: [2, 4]`` and ``parties.vqc_blocks: 2``: 3 parties of
+8 qubits, so each later block runs two group operators, the adjoint undoes
+them, and a 64-sample mini-batch spans 12 chunks of
+``model.CHUNK_AMPLITUDES``, none of which the shipped one-block config runs.
+On each pass it also runs ``evifed inspect --sample 0`` on each tree's
+eviqvfl dump (the wide one skips the joint column: 26 qubits exceed the
+cap), and once ``evifed verify`` per tree, and compares each pair of
+outputs byte for byte.  It prints one line per pass, kind and file, one per
+pass for ``inspect`` and one for ``verify``; where both trees wrote a file
+or output that differs, the line gives the largest relative difference
+between their numeric fields, matched in order.  It exits 1 if any file or
+output differs, or if a run fails.  Both trees run on this interpreter's
+NumPy, whose version and BLAS entry it prints first: byte identity holds per
+machine and BLAS kernel, so a comparison holds for that pair only.  pytest does not collect this file: its name is not
 ``test_*``.
 """
 from __future__ import annotations
@@ -35,6 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("eviqvfl", "classical_average", "classical_fuse",
          "measure_then_average", "measure_then_vqc")
 FILES = ("trace.csv", "summary.txt", "model.txt")
+# label suffix: the pass's values of the config's ``parties`` keys
+PASSES = {"": {}, "[wide]": {"output_dims": [2, 4], "vqc_blocks": 2}}
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
@@ -46,11 +54,13 @@ def evifed(tree: Path, *args: str) -> subprocess.CompletedProcess:
         capture_output=True, text=True)
 
 
-def train(tree: Path, kind: str, out: Path) -> str:
+def train(tree: Path, kind: str, parties: dict, out: Path) -> str:
     """Run ``evifed train`` from ``tree`` on its breast-cancer config as
-    ``kind``, writing to ``out``; return stderr if the run failed."""
+    ``kind``, with ``parties`` over its ``parties`` keys, writing to
+    ``out``; return stderr if the run failed."""
     raw = yaml.safe_load((tree / "configs" / "breast_cancer.yaml").read_text())
     raw["model_kind"] = kind
+    raw["parties"].update(parties)
     out.mkdir(parents=True)
     config = out / "config.yaml"
     config.write_text(yaml.safe_dump(raw, sort_keys=False))
@@ -97,32 +107,34 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", str(base), "checkout", "-q", args.base],
                        check=True)
         trees = {"base": base, "here": ROOT}
-        for kind in KINDS:
-            runs = {}
-            for name, tree in trees.items():
-                runs[name] = Path(tmp) / f"out-{name}" / kind
-                error = train(tree, kind, runs[name])
-                if error:
-                    print(f"{kind}: train failed in {name}: {error}")
-                    differ = True
-            for file in FILES:
-                a, b = runs["base"] / file, runs["here"] / file
-                if not a.exists() and not b.exists():
-                    verdict = "absent in both"
-                elif a.exists() and b.exists() and a.read_bytes() == b.read_bytes():
-                    verdict = "identical"
-                else:
-                    verdict = "DIFFERS"
-                    if a.exists() and b.exists():
-                        verdict += ", " + drift(a.read_text(), b.read_text())
-                    differ = True
-                print(f"{kind} {file}: {verdict}")
-            if kind == "eviqvfl":
-                done = [evifed(tree, "inspect", "--config",
-                               str(runs[name] / "config.yaml"), "--model",
-                               str(runs[name] / "model.txt"), "--sample", "0")
-                        for name, tree in trees.items()]
-                differ |= not same_output(f"{kind} inspect --sample 0", done)
+        for suffix, parties in PASSES.items():
+            for kind in KINDS:
+                label = kind + suffix
+                runs = {}
+                for name, tree in trees.items():
+                    runs[name] = Path(tmp) / f"out-{name}" / label
+                    error = train(tree, kind, parties, runs[name])
+                    if error:
+                        print(f"{label}: train failed in {name}: {error}")
+                        differ = True
+                for file in FILES:
+                    a, b = runs["base"] / file, runs["here"] / file
+                    if not a.exists() and not b.exists():
+                        verdict = "absent in both"
+                    elif a.exists() and b.exists() and a.read_bytes() == b.read_bytes():
+                        verdict = "identical"
+                    else:
+                        verdict = "DIFFERS"
+                        if a.exists() and b.exists():
+                            verdict += ", " + drift(a.read_text(), b.read_text())
+                        differ = True
+                    print(f"{label} {file}: {verdict}")
+                if kind == "eviqvfl":
+                    done = [evifed(tree, "inspect", "--config",
+                                   str(runs[name] / "config.yaml"), "--model",
+                                   str(runs[name] / "model.txt"), "--sample", "0")
+                            for name, tree in trees.items()]
+                    differ |= not same_output(f"{label} inspect --sample 0", done)
         differ |= not same_output(
             "verify", [evifed(tree, "verify") for tree in trees.values()])
     return 1 if differ else 0

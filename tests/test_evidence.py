@@ -151,6 +151,13 @@ def test_encode_singleton_omega2_lands_on_01():
     assert np.allclose(state.amplitudes, want)
 
 
+def test_encode_gives_a_slightly_negative_mass_amplitude_zero():
+    # MassFunction accepts masses down to -1e-12; their square root is nan.
+    state = evidence.encode_bba(MassFunction(2, [-1e-13, 0, 0.5, 0.5 + 1e-13]))
+    assert state.amplitudes[0] == 0
+    assert np.all(np.isfinite(state.amplitudes))
+
+
 def test_decode_11_is_vacuous():
     m = evidence.decode_state(Statevector(2, [0, 0, 0, 1]))
     assert np.allclose(m.masses, MassFunction.vacuous(2).masses)

@@ -183,6 +183,17 @@ def test_gate_takes_exactly_one_target():
             Gate("MCX", targets, controls=[2])
 
 
+def test_gate_has_controls_exactly_when_cnot_or_mcx():
+    # apply_gate reads controls only on CNOT and MCX: a controlled X on |00>
+    # used to flip its target.
+    for kind, angle in (("X", None), ("H", None), ("RX", 0.1)):
+        with pytest.raises(ValueError, match="controls are present"):
+            Gate(kind, [1], controls=[0], angle=angle)
+    for kind, controls in (("CNOT", []), ("CNOT", [0, 2]), ("MCX", [])):
+        with pytest.raises(ValueError, match="controls are present"):
+            Gate(kind, [1], controls=controls)
+
+
 # --- MCX -------------------------------------------------------------------
 
 def test_mcx_flips_when_all_controls_set():

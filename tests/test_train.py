@@ -9,8 +9,9 @@ from evifed import baselines, data, model, qsim, train, ttn
 from evifed.model import PartyModel, Prediction, softmax
 from evifed.qsim import Gate
 from evifed.train import OptimizerState, TrainConfig, TrainTrace
-from evifed.verify import shift_rule_angle_gradients
+from evifed.verify import param_shift_grad, shift_rule_angle_gradients
 from gate_oracle import party_circuit_state, run_gates, vqc_block_gates
+from oracle import barren_plateau_diagnostic
 
 
 def make_parties(rng, num_parties=2, input_dims=(2, 3), output_dims=(1, 3),
@@ -73,14 +74,14 @@ def test_shift_rule_on_single_ry_matches_closed_form():
         return qsim.prob_one(s, 0)
 
     # d/dtheta sin^2(theta/2) = sin(theta)/2
-    assert train.param_shift_grad(prob, np.pi / 2) == pytest.approx(0.5)
+    assert param_shift_grad(prob, np.pi / 2) == pytest.approx(0.5)
     for theta in np.linspace(-np.pi, np.pi, 9):
-        assert train.param_shift_grad(prob, theta) == \
+        assert param_shift_grad(prob, theta) == \
             pytest.approx(np.sin(theta) / 2, abs=1e-12)
 
 
 def test_shift_rule_on_constant_function_is_zero():
-    assert train.param_shift_grad(lambda t: 0.75, 1.3) == 0.0
+    assert param_shift_grad(lambda t: 0.75, 1.3) == 0.0
 
 
 def test_shift_rule_matches_finite_difference_on_three_qubit_circuit():
@@ -94,7 +95,7 @@ def test_shift_rule_matches_finite_difference_on_three_qubit_circuit():
         return qsim.prob_one(s, 0)
 
     theta0 = float(angles[0, 1, 2])
-    shift = train.param_shift_grad(expectation, theta0)
+    shift = param_shift_grad(expectation, theta0)
     h = 1e-4
     fd = (expectation(theta0 + h) - expectation(theta0 - h)) / (2 * h)
     assert shift == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -643,7 +644,7 @@ def test_trace_load_accepts_nan_accuracies(tmp_path):
 def test_evidential_gradients_dominate_monolithic_fusion_circuit():
     # Four 4-qubit parties: the monolithic trainable fusion circuit spans 16
     # qubits and its first-angle gradient signal collapses.
-    report = train.barren_plateau_diagnostic(
+    report = barren_plateau_diagnostic(
         party_input_dims=(2, 3), party_output_dims=(2, 2), internal_rank=2,
         blocks=1, num_parties=4, num_classes=2, num_seeds=50, seed=0)
     assert report.total_qubits == 16
@@ -656,7 +657,7 @@ def test_barren_plateau_reports_true_gradient_variances():
     # The shift rule is exact for expectation values, not for the loss; the
     # reported variances must be those of the true loss gradients, taken
     # here by central differences on each seed's rebuilt models.
-    report = train.barren_plateau_diagnostic(
+    report = barren_plateau_diagnostic(
         party_input_dims=(2, 2), party_output_dims=(2, 1), internal_rank=2,
         blocks=1, num_parties=2, num_classes=2, num_seeds=2, seed=7)
     label = np.array([1.0, 0.0])
@@ -693,6 +694,6 @@ def test_barren_plateau_report_is_deterministic():
     kwargs = dict(party_input_dims=(2, 2), party_output_dims=(2, 1),
                   internal_rank=2, blocks=1, num_parties=2, num_classes=2,
                   num_seeds=10, seed=4)
-    a = train.barren_plateau_diagnostic(**kwargs)
-    b = train.barren_plateau_diagnostic(**kwargs)
+    a = barren_plateau_diagnostic(**kwargs)
+    b = barren_plateau_diagnostic(**kwargs)
     assert a == b

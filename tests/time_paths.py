@@ -70,7 +70,7 @@ def load(package_dir: Path, name: str, tree: Path):
 
 
 def paths(evifed, topology: str) -> dict:
-    """The three timed calls on seeded models and inputs, as closures."""
+    """The four timed calls on seeded models and inputs, as closures."""
     parties, input_dims, output_dims, blocks = TOPOLOGIES[topology]
     rng = np.random.default_rng(7)
     models = [evifed.model.PartyModel.random_init(input_dims, output_dims, RANK,
